@@ -16,7 +16,14 @@ import warnings
 
 import numpy as np
 
-from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, normalize_abundances, rmse_a
+from .core import (
+    AbundanceMatrix,
+    EndmemberMatrix,
+    HsiImage,
+    _index_summary,
+    normalize_abundances,
+    rmse_a,
+)
 from .solvers import _simplex_qp, solve_nnls_clipped
 from .trace import IterationRecord, SolverTrace, UnmixResult
 
@@ -113,8 +120,8 @@ def unmix_slmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> Unmi
     elapsed = time.perf_counter() - t0
     if norm.degenerate_pixels.size:
         warnings.warn(
-            f"pixels {norm.degenerate_pixels.tolist()} have zero fitted "
-            "abundance and were flagged degenerate",
+            "pixels with zero fitted abundance were flagged degenerate: "
+            + _index_summary(norm.degenerate_pixels),
             RuntimeWarning,
             stacklevel=2,
         )

@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -147,67 +148,55 @@ def _parse_snr(text: str) -> float | None:
     return float(text)
 
 
+def _parse_methods(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+# Config key -> (field, parser). ``solver.*`` keys name TwoLmmConfig fields,
+# every other key an ExperimentConfig field.
+_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "scene.kind": ("scene_kind", str),
+    "scene.width": ("width", int),
+    "scene.height": ("height", int),
+    "scene.k": ("k", int),
+    "scene.bands": ("bands", int),
+    "scene.correlation_length": ("correlation_length", float),
+    "scene.s_lo": ("s_lo", float),
+    "scene.s_hi": ("s_hi", float),
+    "scene.snr_db": ("snr_db", _parse_snr),
+    "scene.em_lo": ("em_lo", float),
+    "scene.em_hi": ("em_hi", float),
+    "scene.relief": ("relief", float),
+    "scene.smoothness": ("smoothness", float),
+    "scene.cell_size": ("cell_size", float),
+    "scene.sun_zenith_deg": ("sun_zenith_deg", float),
+    "scene.dir": ("scene_dir", str),
+    "run.methods": ("methods", _parse_methods),
+    "run.em_source": ("em_source", str),
+    "run.em_file": ("em_file", str),
+    "run.out": ("out_dir", str),
+    "run.seed": ("seed", int),
+    "solver.lower": ("lower", float),
+    "solver.upper": ("upper", float),
+    "solver.eps_a": ("eps_a", float),
+    "solver.eps_s": ("eps_s", float),
+    "solver.max_iter": ("max_iter", int),
+    "solver.memory": ("memory", int),
+}
+
+
 def build_config(entries: dict[str, str], args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     solver_kwargs: dict[str, float | int] = {}
     try:
         for key, value in entries.items():
-            if key == "scene.kind":
-                cfg.scene_kind = value
-            elif key == "scene.width":
-                cfg.width = int(value)
-            elif key == "scene.height":
-                cfg.height = int(value)
-            elif key == "scene.k":
-                cfg.k = int(value)
-            elif key == "scene.bands":
-                cfg.bands = int(value)
-            elif key == "scene.correlation_length":
-                cfg.correlation_length = float(value)
-            elif key == "scene.s_lo":
-                cfg.s_lo = float(value)
-            elif key == "scene.s_hi":
-                cfg.s_hi = float(value)
-            elif key == "scene.snr_db":
-                cfg.snr_db = _parse_snr(value)
-            elif key == "scene.em_lo":
-                cfg.em_lo = float(value)
-            elif key == "scene.em_hi":
-                cfg.em_hi = float(value)
-            elif key == "scene.relief":
-                cfg.relief = float(value)
-            elif key == "scene.smoothness":
-                cfg.smoothness = float(value)
-            elif key == "scene.cell_size":
-                cfg.cell_size = float(value)
-            elif key == "scene.sun_zenith_deg":
-                cfg.sun_zenith_deg = float(value)
-            elif key == "scene.dir":
-                cfg.scene_dir = value
-            elif key == "run.methods":
-                cfg.methods = tuple(m.strip() for m in value.split(",") if m.strip())
-            elif key == "run.em_source":
-                cfg.em_source = value
-            elif key == "run.em_file":
-                cfg.em_file = value
-            elif key == "run.out":
-                cfg.out_dir = value
-            elif key == "run.seed":
-                cfg.seed = int(value)
-            elif key == "solver.lower":
-                solver_kwargs["lower"] = float(value)
-            elif key == "solver.upper":
-                solver_kwargs["upper"] = float(value)
-            elif key == "solver.eps_a":
-                solver_kwargs["eps_a"] = float(value)
-            elif key == "solver.eps_s":
-                solver_kwargs["eps_s"] = float(value)
-            elif key == "solver.max_iter":
-                solver_kwargs["max_iter"] = int(value)
-            elif key == "solver.memory":
-                solver_kwargs["memory"] = int(value)
-            else:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown configuration key {key!r}")
+            name, parse = _CONFIG_KEYS[key]
+            if key.startswith("solver."):
+                solver_kwargs[name] = parse(value)
+            else:
+                setattr(cfg, name, parse(value))
     except ValueError as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc
 
@@ -216,7 +205,7 @@ def build_config(entries: dict[str, str], args: argparse.Namespace) -> Experimen
     if args.out is not None:
         cfg.out_dir = args.out
     if getattr(args, "methods", None):
-        cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+        cfg.methods = _parse_methods(args.methods)
     if getattr(args, "em_source", None):
         cfg.em_source = args.em_source
     if getattr(args, "snr", None) is not None:
@@ -401,6 +390,12 @@ def run_methods(
     em_used: EndmemberMatrix,
     out: Path | None = None,
 ) -> list[dict]:
+    match = None
+    if bundle.abundances_truth is not None and bundle.endmembers_truth is not None:
+        try:
+            match = match_endmembers(em_used, bundle.endmembers_truth)
+        except ValueError as exc:
+            raise ConfigError(f"endmembers do not fit the scene: {exc}") from exc
     rows = []
     for name in cfg.methods:
         row = {
@@ -419,8 +414,7 @@ def run_methods(
             row["rmse_x"] = rmse_x(bundle.image, result.reconstruction)
             if bundle.abundances_truth is not None:
                 a_est = result.abundances.data
-                if bundle.endmembers_truth is not None:
-                    match = match_endmembers(em_used, bundle.endmembers_truth)
+                if match is not None:
                     a_est = align_abundances(a_est, match)
                 row["rmse_a"] = rmse_a(
                     bundle.abundances_truth, AbundanceMatrix(a_est, normalized=True)
@@ -493,7 +487,7 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
             noisy = apply_noise(
                 bundle.clean, snr, seed=_derive_seed(cfg.seed, _STREAM_NOISE + i)
             )
-            noisy_bundle = replace_bundle_image(bundle, noisy)
+            noisy_bundle = replace(bundle, image=noisy)
             for row in run_methods(cfg, noisy_bundle, em_used):
                 rows.append({"sweep": sweep, "value": snr, **row})
 
@@ -504,16 +498,6 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
         out / "sweep.json",
     )
     return rows
-
-
-def replace_bundle_image(bundle: SceneBundle, image: HsiImage) -> SceneBundle:
-    return SceneBundle(
-        image=image,
-        clean=bundle.clean,
-        endmembers_truth=bundle.endmembers_truth,
-        abundances_truth=bundle.abundances_truth,
-        scaling=bundle.scaling,
-    )
 
 
 def cmd_info() -> None:

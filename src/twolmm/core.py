@@ -40,6 +40,13 @@ ANC_TOL = 1e-12
 ASC_TOL = 1e-9
 
 
+def _index_summary(indices, limit: int = 8) -> str:
+    """``"<count> (first indices [...])"``, naming at most ``limit`` indices
+    so that messages stay short on large images."""
+    idx = np.asarray(indices).ravel()
+    return f"{idx.size} (first indices {idx[:limit].tolist()})"
+
+
 def _freeze(data: np.ndarray) -> np.ndarray:
     out = np.asfortranarray(data, dtype=np.float64)
     if out is data:
@@ -154,9 +161,9 @@ class AbundanceMatrix:
             sums = data.sum(axis=0)
             ok = (np.abs(sums - 1.0) <= ASC_TOL) | (sums == 0.0)
             if not np.all(ok):
-                bad = np.flatnonzero(~ok)[:8].tolist()
                 raise ValueError(
-                    f"columns {bad} do not sum to one (normalized flag set)"
+                    "columns that do not sum to one (normalized flag set): "
+                    + _index_summary(np.flatnonzero(~ok))
                 )
         object.__setattr__(self, "data", _freeze(data))
 

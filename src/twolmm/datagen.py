@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState
+from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _index_summary
 
 __all__ = [
     "GrfSpec",
@@ -361,17 +361,15 @@ def generate_hapke_scene(
             f"surface grid has {geom.pixel_count} cells but the scene has {n} pixels"
         )
     if np.any(geom.shadowed):
-        bad = np.flatnonzero(geom.shadowed)
         raise ValueError(
-            f"{bad.size} pixels are self-shadowed or face away from the "
-            f"sensor (first indices {bad[:8].tolist()}); choose a gentler "
-            "surface or a higher sun"
+            "pixels self-shadowed or facing away from the sensor (choose a "
+            "gentler surface or a higher sun): "
+            + _index_summary(np.flatnonzero(geom.shadowed))
         )
     albedo = hapke_invert(e0, 1.0, 1.0)
-    root = np.sqrt(1.0 - albedo)[:, :, None]
-    mu = geom.mu[None, None, :]
-    mu0 = geom.mu0[None, None, :]
-    per_pixel = albedo[:, :, None] / ((1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root))
+    per_pixel = hapke_relative_reflectance(
+        albedo[:, :, None], geom.mu[None, None, :], geom.mu0[None, None, :]
+    )
     clean = np.einsum("pkn,kn->pn", per_pixel, abundances.data)
     rng = np.random.default_rng(seed)
     noisy = _add_noise(clean, snr_db, rng)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, sad
+from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, _index_summary, sad
 
 __all__ = [
     "ProjectionSpec",
@@ -64,23 +64,25 @@ class ProjectionSpec:
                 raise ValueError("cannot derive a projection vector from an all-zero image")
             v = mean / norm
         spec = cls(v=v)
-        bad = _offending_pixels(image, spec)
-        if bad.size:
-            raise ValueError(
-                f"pixels {bad[:8].tolist()} are near-orthogonal to the "
-                "projection vector"
-            )
+        _checked_dots(image, spec)
         return spec
 
 
-def _offending_pixels(image: HsiImage, spec: ProjectionSpec) -> np.ndarray:
+def _checked_dots(image: HsiImage, spec: ProjectionSpec) -> np.ndarray:
+    """Inner products ``x_n^T v`` of every pixel, after checking that each
+    clears the projection margin."""
     v = spec.v
     if v.size != image.band_count:
         raise ValueError("projection vector length must match the band count")
     dots = image.data.T @ v
     max_norm = float(np.linalg.norm(image.data, axis=0).max())
     threshold = PROJECTION_MARGIN * float(np.linalg.norm(v)) * max_norm
-    return np.flatnonzero(np.abs(dots) <= threshold)
+    bad = np.flatnonzero(np.abs(dots) <= threshold)
+    if bad.size:
+        raise ValueError(
+            "pixels near-orthogonal to the projection vector: " + _index_summary(bad)
+        )
+    return dots
 
 
 def perspective_project(image: HsiImage, spec: ProjectionSpec) -> HsiImage:
@@ -91,12 +93,7 @@ def perspective_project(image: HsiImage, spec: ProjectionSpec) -> HsiImage:
     Raises listing the offending pixel indices when any ``|x^T v|`` falls
     under the safety margin.
     """
-    bad = _offending_pixels(image, spec)
-    if bad.size:
-        raise ValueError(
-            f"pixels {bad[:8].tolist()} are near-orthogonal to the projection vector"
-        )
-    dots = image.data.T @ spec.v
+    dots = _checked_dots(image, spec)
     return HsiImage(image.data / dots, width=image.width, height=image.height)
 
 

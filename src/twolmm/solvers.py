@@ -40,14 +40,12 @@ class QpProblem:
 
     The gram matrix must be symmetric (to 1e-12 relative to its magnitude)
     and positive semidefinite (smallest eigenvalue >= -1e-10 on the same
-    scale). ``constraint_kind`` is ``"simplex"`` or ``("box", lo, hi)``;
-    box-constrained problems are handled by the clipped solve below, not
-    by the active-set routine.
+    scale). The constraint is always the probability simplex; box
+    constraints are handled by the clipped solve below.
     """
 
     gram: np.ndarray
     linear: np.ndarray
-    constraint_kind: str | tuple = "simplex"
 
     def __post_init__(self):
         gram = np.asarray(self.gram, dtype=np.float64)
@@ -56,13 +54,6 @@ class QpProblem:
             raise ValueError("gram must be a square matrix")
         if gram.shape[0] != linear.size:
             raise ValueError("gram and linear sizes are inconsistent")
-        kind = self.constraint_kind
-        if kind != "simplex" and not (
-            isinstance(kind, tuple) and len(kind) == 3 and kind[0] == "box"
-        ):
-            raise ValueError(
-                "constraint_kind must be 'simplex' or ('box', lo, hi)"
-            )
         scale = max(1.0, float(np.abs(gram).max()))
         if np.abs(gram - gram.T).max() > 1e-12 * scale:
             raise ValueError("gram matrix is not symmetric")
@@ -83,8 +74,6 @@ def solve_simplex_qp(problem: QpProblem) -> np.ndarray:
     with the sum-to-one constraint kept as a permanent equality; ties are
     broken toward the lowest index so the result is deterministic.
     """
-    if problem.constraint_kind != "simplex":
-        raise ValueError("solve_simplex_qp requires a simplex-constrained problem")
     return _simplex_qp(problem.gram, problem.linear)
 
 

@@ -33,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EndmemberMatrix, HsiImage, normalize_abundances
+from .core import (
+    AbundanceMatrix,
+    EndmemberMatrix,
+    HsiImage,
+    _index_summary,
+    normalize_abundances,
+    rmse_a,
+)
 from .solvers import SolverError, solve_least_squares
 from .trace import IterationRecord, SolverTrace, UnmixResult
 
@@ -63,12 +70,11 @@ class TwoLmmConfig:
     threshold. ``memory`` is the number of curvature pairs kept by the
     quasi-Newton solver (0 disables it, degenerating to plain ALS).
     Backtracking starts at ``step_init`` and multiplies by
-    ``step_shrink`` at most ``max_backtracks`` times; by default the
-    acceptance test evaluates the cost at the raw trial point and the box
-    projection is applied afterwards, but ``accept_post_clip`` moves the
-    test to the projected point instead. ``force_unit_step`` skips the
-    step-size search entirely (used with ``memory = 0`` to reproduce
-    plain ALS iterates bit for bit).
+    ``step_shrink`` at most ``max_backtracks`` times; the acceptance test
+    evaluates the cost at the raw trial point and the box projection is
+    applied afterwards. ``force_unit_step`` skips the step-size search
+    entirely (used with ``memory = 0`` to reproduce plain ALS iterates bit
+    for bit).
     """
 
     lower: float = 0.2
@@ -80,7 +86,6 @@ class TwoLmmConfig:
     step_init: float = 1.0
     step_shrink: float = 0.5
     max_backtracks: int = 30
-    accept_post_clip: bool = False
     force_unit_step: bool = False
 
     def __post_init__(self):
@@ -150,6 +155,30 @@ def _data(obj) -> np.ndarray:
     return obj.data if hasattr(obj, "data") else np.asarray(obj, dtype=np.float64)
 
 
+# The residual, cost and gradient below are the only implementations; the
+# solver kernel and the public helpers all call them.
+def _residual(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) -> np.ndarray:
+    return (e * s_e) @ a_s - x
+
+
+def _cost(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) -> float:
+    resid = _residual(e, x, a_s, s_e)
+    return float(np.sum(resid * resid))
+
+
+def _gradient(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) -> np.ndarray:
+    et_resid = e.T @ _residual(e, x, a_s, s_e)
+    grad_a = 2.0 * s_e[:, None] * et_resid
+    grad_s = 2.0 * np.einsum("kn,kn->k", et_resid, a_s)
+    return _pack(grad_a, grad_s)
+
+
+def _scaled_clip(fit: np.ndarray, s_e: np.ndarray, upper: float) -> np.ndarray:
+    """Abundance block update from the unconstrained fit: divide row k by
+    ``s_e[k]`` and clip into ``[0, upper]``."""
+    return np.clip(fit / s_e[:, None], 0.0, upper)
+
+
 class _Kernel:
     """Cached factorizations and products for a fixed (E, X) pair."""
 
@@ -167,22 +196,11 @@ class _Kernel:
         self.gram = 0.5 * (gram + gram.T)
 
     def cost(self, a_s: np.ndarray, s_e: np.ndarray) -> float:
-        resid = (self.e * s_e) @ a_s - self.x
-        return float(np.sum(resid * resid))
+        return _cost(self.e, self.x, a_s, s_e)
 
     def cost_packed(self, z: np.ndarray) -> float:
         a_s, s_e = _unpack(z, self.k, self.n)
         return self.cost(a_s, s_e)
-
-    def gradient(self, a_s: np.ndarray, s_e: np.ndarray) -> np.ndarray:
-        resid = (self.e * s_e) @ a_s - self.x
-        et_resid = self.e.T @ resid
-        grad_a = 2.0 * s_e[:, None] * et_resid
-        grad_s = 2.0 * np.einsum("kn,kn->k", et_resid, a_s)
-        return _pack(grad_a, grad_s)
-
-    def update_a(self, s_e: np.ndarray, upper: float) -> np.ndarray:
-        return np.clip(self.base_fit / s_e[:, None], 0.0, upper)
 
     def update_s(
         self,
@@ -208,8 +226,8 @@ class _Kernel:
             s[k] = min(max((b[k] - cross) / den, lower), upper)
         if absent and report_absent:
             warnings.warn(
-                f"endmembers {absent} are absent from the scene; their "
-                "scales were left unchanged",
+                "endmembers absent from the scene kept their scales: "
+                + _index_summary(absent),
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -218,7 +236,7 @@ class _Kernel:
     def als_step(
         self, a_s: np.ndarray, s_e: np.ndarray, cfg: TwoLmmConfig
     ) -> tuple[np.ndarray, np.ndarray]:
-        a_new = self.update_a(s_e, cfg.upper)
+        a_new = _scaled_clip(self.base_fit, s_e, cfg.upper)
         s_new = self.update_s(a_new, s_e, cfg.lower, cfg.upper)
         return a_new, s_new
 
@@ -237,8 +255,7 @@ def cost(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -> fl
         raise ValueError("endmember and image band counts must match")
     if state.a_s.shape != (e.shape[1], x.shape[1]):
         raise ValueError("state shape does not match image/endmembers")
-    resid = (e * state.s_e) @ state.a_s - x
-    return float(np.sum(resid * resid))
+    return _cost(e, x, state.a_s, state.s_e)
 
 
 def gradient(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -> np.ndarray:
@@ -248,12 +265,7 @@ def gradient(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -
     With ``R = E diag(s_e) A_s - X`` the blocks are
     ``2 diag(s_e) E^T R`` and ``2 diag(E^T R A_s^T)``.
     """
-    e, x = _data(endmembers), _data(image)
-    resid = (e * state.s_e) @ state.a_s - x
-    et_resid = e.T @ resid
-    grad_a = 2.0 * state.s_e[:, None] * et_resid
-    grad_s = 2.0 * np.einsum("kn,kn->k", et_resid, state.a_s)
-    return _pack(grad_a, grad_s)
+    return _gradient(_data(endmembers), _data(image), state.a_s, state.s_e)
 
 
 def als_update_a(
@@ -272,8 +284,7 @@ def als_update_a(
     s_e = np.asarray(s_e, dtype=np.float64).ravel()
     if np.any(s_e <= 0):
         raise ValueError("s_e must be strictly positive")
-    fit = solve_least_squares(_data(endmembers), _data(image))
-    return np.clip(fit / s_e[:, None], 0.0, upper)
+    return _scaled_clip(solve_least_squares(_data(endmembers), _data(image)), s_e, upper)
 
 
 def als_update_se(
@@ -339,12 +350,10 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     return diff / denom
 
 
-def _quick_rmse_a(a_s: np.ndarray, truth_data: np.ndarray | None) -> float:
-    if truth_data is None:
+def _iterate_rmse_a(a_s: np.ndarray, truth: AbundanceMatrix | None) -> float:
+    if truth is None:
         return math.nan
-    sums = a_s.sum(axis=0)
-    a = a_s / np.where(sums > 0.0, sums, 1.0)
-    return float(np.sqrt(np.mean((a - truth_data) ** 2)))
+    return rmse_a(truth, normalize_abundances(a_s).abundances)
 
 
 def _finalize(
@@ -357,8 +366,8 @@ def _finalize(
     norm = normalize_abundances(a_s)
     if norm.degenerate_pixels.size:
         warnings.warn(
-            f"pixels {norm.degenerate_pixels.tolist()} ended with zero "
-            "abundance and were flagged degenerate",
+            "pixels that ended with zero abundance were flagged degenerate: "
+            + _index_summary(norm.degenerate_pixels),
             RuntimeWarning,
             stacklevel=3,
         )
@@ -386,12 +395,13 @@ def solve_als(
     Alternates the closed-form block updates until both relative changes
     fall below their thresholds or ``max_iter`` is reached. Kept as an
     ablation baseline; it shares every kernel with :func:`solve_lbfgs`.
+    When ``truth`` (a normalized :class:`~twolmm.core.AbundanceMatrix`)
+    is given, each trace record carries the iterate's abundance RMSE.
     """
     cfg = config or TwoLmmConfig()
     kernel = _Kernel(endmembers, image)
     state = init or TwoLmmState.uniform(kernel.k, kernel.n)
     _check_init(state, cfg, kernel.k, kernel.n)
-    truth_data = _data(truth) if truth is not None else None
 
     a_s, s_e = state.a_s, state.s_e
     trace = SolverTrace(initial_cost=kernel.cost(a_s, s_e))
@@ -410,7 +420,7 @@ def solve_als(
                 rel_change_a=rel_a,
                 rel_change_s=rel_s,
                 time_s=time.perf_counter() - t0,
-                rmse_a=_quick_rmse_a(a_new, truth_data),
+                rmse_a=_iterate_rmse_a(a_new, truth),
             )
         )
         a_s, s_e = a_new, s_new
@@ -458,18 +468,19 @@ def solve_lbfgs(
     ``J(z + step * p) <= (1 + exp(-t)) * J(z)`` accepts; the accepted
     point is then clipped into the box. If backtracking exhausts its
     budget, the raw ALS step is taken and the curvature history is
-    dropped. Terminates when the relative change of both blocks falls
-    below the thresholds.
+    dropped; when that step would itself fail the test, only the
+    endmember scales are updated, so every iteration meets the test.
+    Terminates when the relative change of both blocks falls below the
+    thresholds.
 
     With ``memory = 0`` the direction equals the ALS displacement, and
     adding ``force_unit_step`` makes the iterates reproduce
-    :func:`solve_als` bit for bit.
+    :func:`solve_als` bit for bit. ``truth`` is as in :func:`solve_als`.
     """
     cfg = config or TwoLmmConfig()
     kernel = _Kernel(endmembers, image)
     state = init or TwoLmmState.uniform(kernel.k, kernel.n)
     _check_init(state, cfg, kernel.k, kernel.n)
-    truth_data = _data(truth) if truth is not None else None
 
     z = state.packed
     current_cost = kernel.cost_packed(z)
@@ -503,10 +514,7 @@ def solve_lbfgs(
         trial_cost = math.inf
         budget = 1 if cfg.force_unit_step else cfg.max_backtracks + 1
         for _ in range(budget):
-            trial = z + gamma * direction
-            if cfg.accept_post_clip:
-                trial = kernel.clip_packed(trial, cfg)
-            trial_cost = kernel.cost_packed(trial)
+            trial_cost = kernel.cost_packed(z + gamma * direction)
             if not math.isfinite(trial_cost):
                 raise SolverError(f"non-finite cost during backtracking at t={t}")
             if cfg.force_unit_step or trial_cost <= allowance:
@@ -525,8 +533,15 @@ def solve_lbfgs(
         else:
             # Backtracking budget exhausted: take the plain ALS step, which
             # is feasible by construction, and drop the curvature history.
+            # The clipped abundance update is not an exact block minimizer,
+            # so the ALS step can raise the cost; then only the scales move,
+            # by the Gauss-Seidel sweep, which never raises it.
             z_new = z_plus
             accept_cost = kernel.cost_packed(z_plus)
+            if accept_cost > allowance:
+                s_swept = kernel.update_s(a_cur, s_cur, cfg.lower, cfg.upper)
+                z_new = _pack(a_cur, s_swept)
+                accept_cost = kernel.cost(a_cur, s_swept)
             gamma = cfg.step_init
             history.clear()
 
@@ -545,7 +560,7 @@ def solve_lbfgs(
                 rel_change_a=rel_a,
                 rel_change_s=rel_s,
                 time_s=time.perf_counter() - t0,
-                rmse_a=_quick_rmse_a(a_new, truth_data),
+                rmse_a=_iterate_rmse_a(a_new, truth),
             )
         )
         prev_z = z

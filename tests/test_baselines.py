@@ -96,6 +96,15 @@ class TestUnmixSlmm:
             res = unmix_slmm(HsiImage(x), em)
         assert res.s_x[1] == 0.0
 
+    def test_degenerate_warning_gives_count_and_first_eight(self):
+        em, a_gt = make_exact_scene(seed=7, n=30)
+        x = em.data @ a_gt.data
+        x[:, 3:23] = 0.0
+        with pytest.warns(RuntimeWarning, match="degenerate") as caught:
+            unmix_slmm(HsiImage(x), em)
+        message = str(caught[0].message)
+        assert message.endswith("20 (first indices [3, 4, 5, 6, 7, 8, 9, 10])")
+
     def test_scale_equivariance(self):
         em, a_gt = make_exact_scene(seed=8)
         rng = np.random.default_rng(9)

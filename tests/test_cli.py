@@ -255,6 +255,28 @@ class TestMainExitCodes:
     def test_bad_usage_is_config_error(self, capsys):
         assert main(["sweep", "--sweep", "nope", "--values", "1"]) == 1
 
+    def test_endmember_count_mismatch_is_config_error_before_any_method(
+        self, tmp_path, capsys
+    ):
+        from twolmm.core import EndmemberMatrix
+        from twolmm.fileio import save_endmembers
+
+        bundle = build_scene(small_cfg(tmp_path))
+        em_path = tmp_path / "two.emm"
+        save_endmembers(EndmemberMatrix(bundle.endmembers_truth.data[:, :2]), em_path)
+        cfg_path = write_config(
+            tmp_path, SMALL_SCENE.replace("run.em_source = truth", f"run.em_file = {em_path}")
+        )
+        out = tmp_path / "res"
+        code = main(
+            ["unmix", "--config", str(cfg_path), "--seed", "3", "--out", str(out),
+             "--em-source", "file"]
+        )
+        assert code == 1
+        assert "same size" in capsys.readouterr().err
+        assert not list(out.glob("trace_*.csv"))
+        assert not (out / "results.csv").exists()
+
     def test_generate_and_unmix_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_SCENE)
         out = str(tmp_path / "files")

@@ -30,15 +30,6 @@ class TestQpProblem:
         with pytest.raises(ValueError, match="semidefinite"):
             QpProblem(gram=np.array([[1.0, 0.0], [0.0, -1.0]]), linear=np.zeros(2))
 
-    def test_constraint_kind_validated(self):
-        with pytest.raises(ValueError, match="constraint_kind"):
-            QpProblem(gram=np.eye(2), linear=np.zeros(2), constraint_kind="cone")
-        box = QpProblem(
-            gram=np.eye(2), linear=np.zeros(2), constraint_kind=("box", 0.0, 1.0)
-        )
-        with pytest.raises(ValueError, match="simplex"):
-            solve_simplex_qp(box)
-
 
 class TestSolveSimplexQp:
     def test_point_already_on_simplex(self):

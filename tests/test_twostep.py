@@ -203,6 +203,16 @@ class TestAlsUpdateSe:
             got = als_update_se(x, EndmemberMatrix(e), a, np.array([1.0, 0.77]), (0.1, 10.0))
         assert got[1] == 0.77
 
+    def test_absent_warning_gives_count_and_first_eight(self):
+        rng = np.random.default_rng(11)
+        e = rng.uniform(0.1, 1.0, size=(12, 10))
+        a = np.vstack([rng.uniform(0.1, 1.0, size=(1, 6)), np.zeros((9, 6))])
+        with pytest.warns(RuntimeWarning, match="absent") as caught:
+            als_update_se(HsiImage(e @ a), EndmemberMatrix(e), a, np.ones(10), (0.1, 10.0))
+        assert str(caught[0].message).endswith(
+            "9 (first indices [1, 2, 3, 4, 5, 6, 7, 8])"
+        )
+
 
 class TestPrecondition:
     def test_zero_at_fixed_point(self):
@@ -262,6 +272,15 @@ class TestSolveAls:
         bad = TwoLmmState(a_s=state.a_s, s_e=np.full(3, 10.0))
         with pytest.raises(ValueError, match="bounds"):
             solve_als(x, e, TwoLmmConfig(), init=bad)
+
+    def test_degenerate_warning_gives_count_and_first_eight(self):
+        em, ab, scene = exact_scene(seed=48, width=6, height=5)
+        x = np.array(scene.image.data)
+        x[:, 10:22] = 0.0
+        with pytest.warns(RuntimeWarning, match="degenerate") as caught:
+            solve_als(HsiImage(x), em, TwoLmmConfig(max_iter=3))
+        message = [str(w.message) for w in caught if "degenerate" in str(w.message)][0]
+        assert message.endswith("12 (first indices [10, 11, 12, 13, 14, 15, 16, 17])")
 
 
 class TestSolveLbfgs:
@@ -340,15 +359,6 @@ class TestSolveLbfgs:
         assert all(math.isfinite(r.rmse_a) for r in res.trace)
         res_blind = solve_lbfgs(scene.image, em, TwoLmmConfig())
         assert all(math.isnan(r.rmse_a) for r in res_blind.trace)
-
-    def test_post_clip_acceptance_switch(self):
-        em, ab, scene = exact_scene(seed=48, width=8, height=8)
-        cfg = TwoLmmConfig(accept_post_clip=True, lower=0.5, upper=2.0)
-        res = solve_lbfgs(scene.image, em, cfg)
-        prev = res.trace.initial_cost
-        for rec in res.trace:
-            assert rec.cost_accept <= (1.0 + math.exp(-rec.iteration)) * prev * (1 + 1e-12)
-            prev = rec.cost
 
     def test_exhausted_backtracking_falls_back_to_als_step(self):
         # With no halvings allowed, any rejected unit step must fall back
