@@ -19,7 +19,8 @@ class IterationRecord:
 
     ``cost`` is the objective at the accepted (feasible) iterate;
     ``cost_accept`` is the objective at the point the step-size test
-    accepted, before any box projection. ``rmse_a`` is populated only when
+    accepted, before any box projection; it equals ``cost`` when no
+    step-size test ran (plain ALS). ``rmse_a`` is populated only when
     ground-truth abundances were supplied to the solver.
     """
 

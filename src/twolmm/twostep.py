@@ -8,16 +8,19 @@ blocks live in a box: ``0 <= A_s <= upper`` and ``lower <= s_e <= upper``.
 After optimization :func:`twolmm.core.normalize_abundances` splits ``A_s``
 back into simplex abundances and pixel scales.
 
-Two solvers are provided:
+Both solvers run one outer iteration loop:
 
-- :func:`solve_als` alternates the closed-form block updates (clipped
-  least squares for ``A_s``, a Gauss-Seidel sweep for ``s_e``).
 - :func:`solve_lbfgs` treats the displacement produced by one ALS
   iteration as a gradient substitute inside an L-BFGS two-loop recursion,
   with a non-monotone backtracking rule that accepts any step whose cost
   stays below ``(1 + exp(-t))`` times the current cost. Box bounds are
   enforced when the iterate is formed, not during step selection, so
   trial points may leave the feasible set temporarily.
+- :func:`solve_als` is the memory-0, unit-step mode of that loop: with no
+  curvature pairs the direction is the ALS displacement itself, and the
+  unit step lands on the ALS point, so each iteration alternates the
+  closed-form block updates (clipped least squares for ``A_s``, a
+  Gauss-Seidel sweep for ``s_e``) and evaluates the cost once.
 
 The outer iterations are sequential; the inner kernels are plain matrix
 products and per-column solves, independent across pixels.
@@ -29,7 +32,7 @@ import math
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,13 +71,15 @@ class TwoLmmConfig:
     ``eps_a``/``eps_s`` are the relative-change thresholds of the
     termination rule; iteration stops when both fall below their
     threshold. ``memory`` is the number of curvature pairs kept by the
-    quasi-Newton solver (0 disables it, degenerating to plain ALS).
-    Backtracking starts at ``step_init`` and multiplies by
+    quasi-Newton solver; with 0 the direction is the ALS displacement, but
+    the step-size search still runs, so ``memory = 0`` alone is not plain
+    ALS. Backtracking starts at ``step_init`` and multiplies by
     ``step_shrink`` at most ``max_backtracks`` times; the acceptance test
     evaluates the cost at the raw trial point and the box projection is
     applied afterwards. ``force_unit_step`` skips the step-size search
-    entirely (used with ``memory = 0`` to reproduce plain ALS iterates bit
-    for bit).
+    entirely: the step is 1, no trial point is evaluated, and
+    ``cost_accept`` equals ``cost``. Together with ``memory = 0`` it is
+    plain ALS, which is how :func:`solve_als` runs.
     """
 
     lower: float = 0.2
@@ -369,7 +374,7 @@ def _finalize(
             "pixels that ended with zero abundance were flagged degenerate: "
             + _index_summary(norm.degenerate_pixels),
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     recon = HsiImage(
         (_data(endmembers) * s_e) @ a_s, width=image.width, height=image.height
@@ -394,57 +399,30 @@ def solve_als(
 
     Alternates the closed-form block updates until both relative changes
     fall below their thresholds or ``max_iter`` is reached. Kept as an
-    ablation baseline; it shares every kernel with :func:`solve_lbfgs`.
-    When ``truth`` (a normalized :class:`~twolmm.core.AbundanceMatrix`)
-    is given, each trace record carries the iterate's abundance RMSE.
+    ablation baseline: it is the loop of :func:`solve_lbfgs` run with
+    ``memory = 0`` and ``force_unit_step``, whatever ``config`` sets for
+    those two fields, so every iteration takes the ALS point and costs one
+    cost evaluation. When ``truth`` (a normalized
+    :class:`~twolmm.core.AbundanceMatrix`) is given, each trace record
+    carries the iterate's abundance RMSE.
     """
-    cfg = config or TwoLmmConfig()
-    kernel = _Kernel(endmembers, image)
-    state = init or TwoLmmState.uniform(kernel.k, kernel.n)
-    _check_init(state, cfg, kernel.k, kernel.n)
-
-    a_s, s_e = state.a_s, state.s_e
-    trace = SolverTrace(initial_cost=kernel.cost(a_s, s_e))
-    for t in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter()
-        a_new, s_new = kernel.als_step(a_s, s_e, cfg)
-        rel_a = _rel_change(a_new, a_s)
-        rel_s = _rel_change(s_new, s_e)
-        value = kernel.cost(a_new, s_new)
-        trace.append(
-            IterationRecord(
-                iteration=t,
-                cost=value,
-                cost_accept=value,
-                step=1.0,
-                rel_change_a=rel_a,
-                rel_change_s=rel_s,
-                time_s=time.perf_counter() - t0,
-                rmse_a=_iterate_rmse_a(a_new, truth),
-            )
-        )
-        a_s, s_e = a_new, s_new
-        if rel_a <= cfg.eps_a and rel_s <= cfg.eps_s:
-            break
-    return _finalize(image, endmembers, a_s, s_e, trace)
+    cfg = replace(config or TwoLmmConfig(), memory=0, force_unit_step=True)
+    return _solve(image, endmembers, cfg, init, truth)
 
 
 def _two_loop(
     grad_like: np.ndarray, history: deque[tuple[np.ndarray, np.ndarray, float]]
 ) -> np.ndarray:
-    """Standard L-BFGS two-loop recursion: returns H @ grad_like."""
+    """Standard L-BFGS two-loop recursion on a nonempty history: returns
+    H @ grad_like."""
     q = grad_like.copy()
     alphas: list[float] = []
     for s_vec, y_vec, rho in reversed(history):
         alpha = rho * float(s_vec @ q)
         q -= alpha * y_vec
         alphas.append(alpha)
-    if history:
-        s_vec, y_vec, _ = history[-1]
-        scale = float(s_vec @ y_vec) / float(y_vec @ y_vec)
-    else:
-        scale = 1.0
-    r = scale * q
+    s_vec, y_vec, _ = history[-1]
+    r = (float(s_vec @ y_vec) / float(y_vec @ y_vec)) * q
     for (s_vec, y_vec, rho), alpha in zip(history, reversed(alphas)):
         beta = rho * float(y_vec @ r)
         r += (alpha - beta) * s_vec
@@ -463,21 +441,28 @@ def solve_lbfgs(
     Each iteration computes the ALS displacement ``d = als(z) - z``, feeds
     ``-d`` through the two-loop recursion in place of the gradient
     (curvature pairs are ``(dz, -dd)`` from successive iterates, skipped
-    when ``dz . (-dd)`` is not safely positive), and backtracks from a
-    unit step until the non-monotone test
+    when ``dz . (-dd)`` is not safely positive), and backtracks from
+    ``step_init`` until the non-monotone test
     ``J(z + step * p) <= (1 + exp(-t)) * J(z)`` accepts; the accepted
     point is then clipped into the box. If backtracking exhausts its
     budget, the raw ALS step is taken and the curvature history is
     dropped; when that step would itself fail the test, only the
     endmember scales are updated, so every iteration meets the test.
     Terminates when the relative change of both blocks falls below the
-    thresholds.
+    thresholds; stopping at ``max_iter`` instead raises a
+    ``RuntimeWarning``.
 
-    With ``memory = 0`` the direction equals the ALS displacement, and
-    adding ``force_unit_step`` makes the iterates reproduce
-    :func:`solve_als` bit for bit. ``truth`` is as in :func:`solve_als`.
+    With ``memory = 0`` the direction is the ALS displacement; adding
+    ``force_unit_step`` drops the step-size search and runs plain ALS,
+    which is what :func:`solve_als` does. ``truth`` is as in
+    :func:`solve_als`.
     """
-    cfg = config or TwoLmmConfig()
+    return _solve(image, endmembers, config or TwoLmmConfig(), init, truth)
+
+
+def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth) -> UnmixResult:
+    # The one outer iteration of both solvers (see solve_lbfgs). Both call it
+    # directly, so its warnings and _finalize's point at the solver's caller.
     kernel = _Kernel(endmembers, image)
     state = init or TwoLmmState.uniform(kernel.k, kernel.n)
     _check_init(state, cfg, kernel.k, kernel.n)
@@ -485,7 +470,7 @@ def solve_lbfgs(
     z = state.packed
     current_cost = kernel.cost_packed(z)
     trace = SolverTrace(initial_cost=current_cost)
-    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=max(cfg.memory, 0))
+    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.memory)
     prev_z: np.ndarray | None = None
     prev_dir: np.ndarray | None = None
 
@@ -496,7 +481,7 @@ def solve_lbfgs(
         z_plus = _pack(a_plus, s_plus)
         precond = z_plus - z
 
-        if prev_dir is not None:
+        if cfg.memory and prev_dir is not None:
             s_vec = z - prev_z
             y_vec = -(precond - prev_dir)
             curvature = float(s_vec @ y_vec)
@@ -506,30 +491,27 @@ def solve_lbfgs(
             if curvature > floor:
                 history.append((s_vec, y_vec, 1.0 / curvature))
 
-        direction = -_two_loop(-precond, history)
+        direction = -_two_loop(-precond, history) if history else precond
 
+        accepted = cfg.force_unit_step
+        gamma = 1.0 if accepted else cfg.step_init
         allowance = (1.0 + math.exp(-t)) * current_cost
-        gamma = cfg.step_init
-        accepted = False
-        trial_cost = math.inf
-        budget = 1 if cfg.force_unit_step else cfg.max_backtracks + 1
-        for _ in range(budget):
-            trial_cost = kernel.cost_packed(z + gamma * direction)
-            if not math.isfinite(trial_cost):
+        for _ in range(0 if accepted else cfg.max_backtracks + 1):
+            accept_cost = kernel.cost_packed(z + gamma * direction)
+            if not math.isfinite(accept_cost):
                 raise SolverError(f"non-finite cost during backtracking at t={t}")
-            if cfg.force_unit_step or trial_cost <= allowance:
+            if accept_cost <= allowance:
                 accepted = True
                 break
             gamma *= cfg.step_shrink
 
         if accepted:
-            if gamma == cfg.step_init and np.array_equal(direction, precond):
+            if gamma == 1.0 and direction is precond:
                 # Unit step along the raw ALS displacement is the ALS point
                 # itself; reuse it verbatim instead of re-adding the delta.
                 z_new = z_plus
             else:
                 z_new = kernel.clip_packed(z + gamma * direction, cfg)
-            accept_cost = trial_cost
         else:
             # Backtracking budget exhausted: take the plain ALS step, which
             # is feasible by construction, and drop the curvature history.
@@ -555,7 +537,7 @@ def solve_lbfgs(
             IterationRecord(
                 iteration=t,
                 cost=new_cost,
-                cost_accept=accept_cost,
+                cost_accept=new_cost if cfg.force_unit_step else accept_cost,
                 step=gamma,
                 rel_change_a=rel_a,
                 rel_change_s=rel_s,
@@ -569,6 +551,15 @@ def solve_lbfgs(
         current_cost = new_cost
         if rel_a <= cfg.eps_a and rel_s <= cfg.eps_s:
             break
+    else:
+        if cfg.max_iter:
+            warnings.warn(
+                f"stopped at max_iter={cfg.max_iter} without converging: last "
+                f"rel_change_a={rel_a:.3g}, rel_change_s={rel_s:.3g}, "
+                f"thresholds eps_a={cfg.eps_a:g}, eps_s={cfg.eps_s:g}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
     a_s, s_e = _unpack(z, kernel.k, kernel.n)
     return _finalize(image, endmembers, a_s, s_e, trace)

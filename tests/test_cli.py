@@ -1,6 +1,8 @@
 """Experiment harness: config handling, pipelines, determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +71,13 @@ class TestConfigParsing:
     def test_missing_em_file_rejected(self):
         with pytest.raises(ConfigError, match="em_file"):
             build_config({"run.em_source": "file"}, _args())
+
+    def test_readme_example_config_runs_as_written(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = build_config(read_config(write_config(tmp_path, block)), _args())
+        assert (cfg.scene_kind, cfg.snr_db, cfg.em_source) == ("2lmm", 40.0, "vca")
+        assert cfg.methods == ("lmm", "slmm", "als2lmm", "lbfgs2lmm")
 
 
 def _args(**kw):

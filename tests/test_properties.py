@@ -1,4 +1,4 @@
-"""Property tests of the L-BFGS two-step solver on random small instances.
+"""Property tests of the two-step solvers on random small instances.
 
 Each instance draws K in 2..4 endmembers, at most 20 bands and 30 pixels,
 scaling bounds around 1, and a noisy two-step scene inside those bounds.
@@ -9,13 +9,19 @@ elsewhere and are not repeated here.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolmm import EndmemberMatrix, HsiImage
-from twolmm.twostep import TwoLmmConfig, TwoLmmState, cost, solve_lbfgs
+from twolmm.twostep import TwoLmmConfig, TwoLmmState, cost, solve_als, solve_lbfgs
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+# The acceptance inequality is an L-BFGS property only: the clipped ALS step
+# can raise the cost. The other properties hold for both solvers.
+BOTH_SOLVERS = pytest.mark.parametrize(
+    "solver", [solve_lbfgs, solve_als], ids=lambda f: f.__name__
+)
 
 
 @st.composite
@@ -35,9 +41,9 @@ def instances(draw):
     return HsiImage(x), EndmemberMatrix(e), cfg
 
 
-def _solve(instance):
+def _solve(instance, solver=solve_lbfgs):
     image, em, cfg = instance
-    return image, em, cfg, solve_lbfgs(image, em, cfg)
+    return image, em, cfg, solver(image, em, cfg)
 
 
 @PROPERTY_SETTINGS
@@ -50,25 +56,28 @@ def test_every_accepted_step_meets_the_nonmonotone_bound(instance):
         prev = rec.cost
 
 
+@BOTH_SOLVERS
 @PROPERTY_SETTINGS
 @given(instances())
-def test_endmember_scales_stay_in_the_box(instance):
-    _, _, cfg, res = _solve(instance)
+def test_endmember_scales_stay_in_the_box(solver, instance):
+    _, _, cfg, res = _solve(instance, solver)
     assert np.all(res.s_e >= cfg.lower)
     assert np.all(res.s_e <= cfg.upper)
 
 
+@BOTH_SOLVERS
 @PROPERTY_SETTINGS
 @given(instances())
-def test_scaled_abundances_stay_under_the_upper_bound(instance):
-    _, _, cfg, res = _solve(instance)
+def test_scaled_abundances_stay_under_the_upper_bound(solver, instance):
+    _, _, cfg, res = _solve(instance, solver)
     assert (res.abundances.data * res.s_x).max() <= cfg.upper + 1e-12
 
 
+@BOTH_SOLVERS
 @PROPERTY_SETTINGS
 @given(instances())
-def test_last_trace_cost_is_the_public_cost_of_the_result(instance):
-    image, em, _, res = _solve(instance)
+def test_last_trace_cost_is_the_public_cost_of_the_result(solver, instance):
+    image, em, _, res = _solve(instance, solver)
     state = TwoLmmState(a_s=res.abundances.data * res.s_x, s_e=res.s_e)
     final = cost(image, em, state)
     assert math.isclose(res.trace[-1].cost, final, rel_tol=1e-12)

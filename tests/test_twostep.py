@@ -1,6 +1,8 @@
 """Two-step model: cost, gradient, block updates, and both solvers."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +260,27 @@ class TestSolveAls:
         assert res.iterations <= 2
         assert res.trace.records[-1].cost <= 1e-16
 
+    def test_converged_run_does_not_warn_about_max_iter(self):
+        em, ab, scene = exact_scene(seed=30, width=8, height=8)
+        init = TwoLmmState(a_s=ab.data * scene.scaling.s_x, s_e=scene.scaling.s_e)
+        cfg = TwoLmmConfig(lower=1.0 / 3.0, upper=3.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solve_als(scene.image, em, cfg, init=init)
+            # Meeting the thresholds on the last allowed iteration is convergence.
+            solve_als(scene.image, em, replace(cfg, max_iter=res.iterations), init=init)
+        assert not [w for w in caught if "max_iter" in str(w.message)]
+
+    def test_max_iter_stop_warns(self):
+        em, ab, scene = exact_scene(seed=31, width=8, height=8)
+        cfg = TwoLmmConfig(max_iter=3, eps_a=1e-30, eps_s=1e-30)
+        with pytest.warns(RuntimeWarning, match="max_iter") as caught:
+            res = solve_als(scene.image, em, cfg)
+        assert res.iterations == 3
+        message = [str(w.message) for w in caught if "max_iter" in str(w.message)][0]
+        for name in ("max_iter=3", "rel_change_a=", "rel_change_s=", "eps_a=1e-30", "eps_s=1e-30"):
+            assert name in message
+
     def test_zero_max_iter_returns_init(self):
         x, e, state = random_instance(12)
         res = solve_als(x, e, TwoLmmConfig(max_iter=0), init=state)
@@ -331,19 +354,28 @@ class TestSolveLbfgs:
         assert res.s_e.min() >= cfg.lower
         assert res.s_e.max() <= cfg.upper
 
-    def test_memory_zero_unit_step_reproduces_als(self):
+    @pytest.mark.parametrize("step_init", [1.0, 0.5])
+    def test_memory_zero_unit_step_reproduces_als(self, step_init):
         em, ab, scene = exact_scene(seed=45, width=8, height=8)
         cfg = TwoLmmConfig(
-            memory=0, force_unit_step=True, max_iter=10, eps_a=1e-30, eps_s=1e-30
+            memory=0, force_unit_step=True, max_iter=10, eps_a=1e-30, eps_s=1e-30,
+            step_init=step_init,
         )
         res_als = solve_als(scene.image, em, cfg)
         res_lb = solve_lbfgs(scene.image, em, cfg)
         assert len(res_als.trace) == len(res_lb.trace) == 10
         for ra, rb in zip(res_als.trace, res_lb.trace):
             assert ra.cost == rb.cost
+            assert ra.step == rb.step == 1.0
         np.testing.assert_array_equal(res_als.abundances.data, res_lb.abundances.data)
         np.testing.assert_array_equal(res_als.s_e, res_lb.s_e)
         np.testing.assert_array_equal(res_als.s_x, res_lb.s_x)
+
+    def test_unit_step_with_memory_steps_by_one_and_accepts_the_new_cost(self):
+        em, ab, scene = exact_scene(seed=45, width=8, height=8)
+        cfg = TwoLmmConfig(force_unit_step=True, step_init=0.5, max_iter=5)
+        res = solve_lbfgs(scene.image, em, cfg)
+        assert all(r.step == 1.0 and r.cost_accept == r.cost for r in res.trace)
 
     def test_deterministic_trace(self):
         em, ab, scene = exact_scene(seed=46, width=9, height=9)
@@ -377,6 +409,13 @@ class TestSolveLbfgs:
         a_s = res.abundances.data * res.s_x
         assert a_s.max() <= cfg.upper + 1e-12
         assert cfg.lower - 1e-12 <= res.s_e.min()
+
+    def test_max_iter_stop_warns(self):
+        em, ab, scene = exact_scene(seed=31, width=8, height=8)
+        cfg = TwoLmmConfig(max_iter=3, eps_a=1e-30, eps_s=1e-30)
+        with pytest.warns(RuntimeWarning, match="max_iter"):
+            res = solve_lbfgs(scene.image, em, cfg)
+        assert res.iterations == 3
 
     def test_out_of_bounds_init_rejected(self):
         x, e, state = random_instance(15)
