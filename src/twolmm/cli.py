@@ -421,7 +421,7 @@ def run_methods(
                 )
             if out is not None:
                 result.trace.write_csv(out / f"trace_{name}.csv")
-        except (SolverError, ValueError) as exc:
+        except SolverError as exc:
             row["error"] = str(exc)
         rows.append(row)
     return rows

@@ -1,14 +1,16 @@
-"""Per-iteration solver traces and the common unmixing result container."""
+"""Per-iteration solver traces, the common unmixing result container and
+the one function that builds it for every method."""
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import AbundanceMatrix, HsiImage
+from .core import AbundanceMatrix, HsiImage, NormalizationResult, _index_summary, rmse_a
 
 __all__ = ["IterationRecord", "SolverTrace", "UnmixResult"]
 
@@ -99,3 +101,56 @@ class UnmixResult:
     @property
     def iterations(self) -> int:
         return len(self.trace)
+
+
+def _unmix_result(
+    image: HsiImage,
+    e: np.ndarray,
+    a_s: np.ndarray,
+    s_e: np.ndarray,
+    norm: NormalizationResult,
+    trace: SolverTrace | float,
+    truth: AbundanceMatrix | None = None,
+) -> UnmixResult:
+    """The result of every unmixer, from its scaled abundances ``a_s``
+    (K, N), endmember scales ``s_e`` (K,) and ``norm``, the split of ``a_s``
+    into simplex abundances and pixel scales.
+
+    The reconstruction is ``(E * s_e) @ a_s``. ``trace`` is the solver's
+    trace; a single-shot method passes its elapsed seconds instead and gets
+    one record whose cost is ``||X - reconstruction||^2`` and whose
+    ``rmse_a`` is taken against ``truth`` when given. Degenerate pixels are
+    reported in one warning that points at the caller of the public
+    function, so that function must call this builder directly.
+    """
+    if norm.degenerate_pixels.size:
+        warnings.warn(
+            "pixels with zero fitted abundance were flagged degenerate: "
+            + _index_summary(norm.degenerate_pixels),
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    recon = HsiImage((e * s_e) @ a_s, width=image.width, height=image.height)
+    if not isinstance(trace, SolverTrace):
+        resid = image.data - recon.data
+        cost = float(np.sum(resid * resid))
+        elapsed, trace = trace, SolverTrace(initial_cost=cost)
+        trace.append(
+            IterationRecord(
+                iteration=1,
+                cost=cost,
+                cost_accept=cost,
+                step=1.0,
+                rel_change_a=0.0,
+                rel_change_s=0.0,
+                time_s=elapsed,
+                rmse_a=rmse_a(truth, norm.abundances) if truth is not None else math.nan,
+            )
+        )
+    return UnmixResult(
+        abundances=norm.abundances,
+        s_x=norm.s_x,
+        s_e=s_e.copy(),
+        reconstruction=recon,
+        trace=trace,
+    )

@@ -45,7 +45,7 @@ from .core import (
     rmse_a,
 )
 from .solvers import SolverError, solve_least_squares
-from .trace import IterationRecord, SolverTrace, UnmixResult
+from .trace import IterationRecord, SolverTrace, UnmixResult, _unmix_result
 
 __all__ = [
     "TwoLmmConfig",
@@ -160,6 +160,18 @@ def _data(obj) -> np.ndarray:
     return obj.data if hasattr(obj, "data") else np.asarray(obj, dtype=np.float64)
 
 
+def _checked(endmembers, image, a_s=None, s_e=None) -> tuple[np.ndarray, np.ndarray]:
+    """The (E, X) arrays, after checking that their band counts match and
+    that ``a_s`` is (K, N) and ``s_e`` is (K,) when given."""
+    e, x = _data(endmembers), _data(image)
+    if e.ndim != 2 or x.ndim != 2 or e.shape[0] != x.shape[0]:
+        raise ValueError("endmember and image band counts must match")
+    k, n = e.shape[1], x.shape[1]
+    if (a_s is not None and a_s.shape != (k, n)) or (s_e is not None and s_e.shape != (k,)):
+        raise ValueError("state shape does not match image/endmembers")
+    return e, x
+
+
 # The residual, cost and gradient below are the only implementations; the
 # solver kernel and the public helpers all call them.
 def _residual(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) -> np.ndarray:
@@ -188,10 +200,7 @@ class _Kernel:
     """Cached factorizations and products for a fixed (E, X) pair."""
 
     def __init__(self, endmembers, image):
-        self.e = _data(endmembers)
-        self.x = _data(image)
-        if self.e.ndim != 2 or self.x.ndim != 2 or self.e.shape[0] != self.x.shape[0]:
-            raise ValueError("endmember and image band counts must match")
+        self.e, self.x = _checked(endmembers, image)
         self.k = self.e.shape[1]
         self.n = self.x.shape[1]
         # Unconstrained per-column fit; reused by every abundance update.
@@ -208,13 +217,11 @@ class _Kernel:
         return self.cost(a_s, s_e)
 
     def update_s(
-        self,
-        a_s: np.ndarray,
-        s_e: np.ndarray,
-        lower: float,
-        upper: float,
-        report_absent: bool = False,
-    ) -> np.ndarray:
+        self, a_s: np.ndarray, s_e: np.ndarray, lower: float, upper: float
+    ) -> tuple[np.ndarray, list[int]]:
+        """Gauss-Seidel sweep over the scales (see :func:`als_update_se`);
+        also returns the endmembers with zero total abundance, whose scales
+        it left unchanged."""
         b = np.einsum("kn,kn->k", self.etx, a_s)
         overlap = a_s @ a_s.T
         s = s_e.astype(np.float64).copy()
@@ -229,20 +236,11 @@ class _Kernel:
                 if i != k:
                     cross += self.gram[k, i] * overlap[k, i] * s[i]
             s[k] = min(max((b[k] - cross) / den, lower), upper)
-        if absent and report_absent:
-            warnings.warn(
-                "endmembers absent from the scene kept their scales: "
-                + _index_summary(absent),
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return s
+        return s, absent
 
-    def als_step(
-        self, a_s: np.ndarray, s_e: np.ndarray, cfg: TwoLmmConfig
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def als_step(self, s_e: np.ndarray, cfg: TwoLmmConfig) -> tuple[np.ndarray, np.ndarray]:
         a_new = _scaled_clip(self.base_fit, s_e, cfg.upper)
-        s_new = self.update_s(a_new, s_e, cfg.lower, cfg.upper)
+        s_new, _ = self.update_s(a_new, s_e, cfg.lower, cfg.upper)
         return a_new, s_new
 
     def clip_packed(self, z: np.ndarray, cfg: TwoLmmConfig) -> np.ndarray:
@@ -255,11 +253,7 @@ class _Kernel:
 
 def cost(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -> float:
     """Squared Frobenius reconstruction error ``||X - E diag(s_e) A_s||^2``."""
-    e, x = _data(endmembers), _data(image)
-    if e.shape[0] != x.shape[0]:
-        raise ValueError("endmember and image band counts must match")
-    if state.a_s.shape != (e.shape[1], x.shape[1]):
-        raise ValueError("state shape does not match image/endmembers")
+    e, x = _checked(endmembers, image, state.a_s)
     return _cost(e, x, state.a_s, state.s_e)
 
 
@@ -270,7 +264,8 @@ def gradient(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -
     With ``R = E diag(s_e) A_s - X`` the blocks are
     ``2 diag(s_e) E^T R`` and ``2 diag(E^T R A_s^T)``.
     """
-    return _gradient(_data(endmembers), _data(image), state.a_s, state.s_e)
+    e, x = _checked(endmembers, image, state.a_s)
+    return _gradient(e, x, state.a_s, state.s_e)
 
 
 def als_update_a(
@@ -287,9 +282,10 @@ def als_update_a(
     :func:`twolmm.solvers.solve_nnls_clipped`.
     """
     s_e = np.asarray(s_e, dtype=np.float64).ravel()
+    e, x = _checked(endmembers, image, s_e=s_e)
     if np.any(s_e <= 0):
         raise ValueError("s_e must be strictly positive")
-    return _scaled_clip(solve_least_squares(_data(endmembers), _data(image)), s_e, upper)
+    return _scaled_clip(solve_least_squares(e, x), s_e, upper)
 
 
 def als_update_se(
@@ -310,12 +306,18 @@ def als_update_se(
     lower, upper = bounds
     if not (0.0 < lower <= upper):
         raise ValueError("bounds must satisfy 0 < lower <= upper")
-    kernel = _Kernel(endmembers, image)
     a_s = np.atleast_2d(np.asarray(a_s, dtype=np.float64))
     s_e = np.asarray(s_e, dtype=np.float64).ravel()
-    if a_s.shape != (kernel.k, kernel.n) or s_e.size != kernel.k:
-        raise ValueError("abundance/scale shapes do not match image/endmembers")
-    return kernel.update_s(a_s, s_e, lower, upper, report_absent=True)
+    _checked(endmembers, image, a_s, s_e)
+    s, absent = _Kernel(endmembers, image).update_s(a_s, s_e, lower, upper)
+    if absent:
+        warnings.warn(
+            "endmembers absent from the scene kept their scales: "
+            + _index_summary(absent),
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return s
 
 
 def precondition(
@@ -330,9 +332,8 @@ def precondition(
     fixed point. This vector replaces the gradient inside the
     quasi-Newton solver.
     """
-    cfg = config or TwoLmmConfig()
-    kernel = _Kernel(endmembers, image)
-    a_new, s_new = kernel.als_step(state.a_s, state.s_e, cfg)
+    _checked(endmembers, image, state.a_s)
+    a_new, s_new = _Kernel(endmembers, image).als_step(state.s_e, config or TwoLmmConfig())
     return _pack(a_new, s_new) - state.packed
 
 
@@ -361,33 +362,6 @@ def _iterate_rmse_a(a_s: np.ndarray, truth: AbundanceMatrix | None) -> float:
     return rmse_a(truth, normalize_abundances(a_s).abundances)
 
 
-def _finalize(
-    image: HsiImage,
-    endmembers: EndmemberMatrix,
-    a_s: np.ndarray,
-    s_e: np.ndarray,
-    trace: SolverTrace,
-) -> UnmixResult:
-    norm = normalize_abundances(a_s)
-    if norm.degenerate_pixels.size:
-        warnings.warn(
-            "pixels that ended with zero abundance were flagged degenerate: "
-            + _index_summary(norm.degenerate_pixels),
-            RuntimeWarning,
-            stacklevel=4,
-        )
-    recon = HsiImage(
-        (_data(endmembers) * s_e) @ a_s, width=image.width, height=image.height
-    )
-    return UnmixResult(
-        abundances=norm.abundances,
-        s_x=norm.s_x,
-        s_e=s_e.copy(),
-        reconstruction=recon,
-        trace=trace,
-    )
-
-
 def solve_als(
     image: HsiImage,
     endmembers: EndmemberMatrix,
@@ -407,7 +381,7 @@ def solve_als(
     carries the iterate's abundance RMSE.
     """
     cfg = replace(config or TwoLmmConfig(), memory=0, force_unit_step=True)
-    return _solve(image, endmembers, cfg, init, truth)
+    return _unmix_result(image, _data(endmembers), *_solve(image, endmembers, cfg, init, truth))
 
 
 def _two_loop(
@@ -457,12 +431,14 @@ def solve_lbfgs(
     which is what :func:`solve_als` does. ``truth`` is as in
     :func:`solve_als`.
     """
-    return _solve(image, endmembers, config or TwoLmmConfig(), init, truth)
+    cfg = config or TwoLmmConfig()
+    return _unmix_result(image, _data(endmembers), *_solve(image, endmembers, cfg, init, truth))
 
 
-def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth) -> UnmixResult:
-    # The one outer iteration of both solvers (see solve_lbfgs). Both call it
-    # directly, so its warnings and _finalize's point at the solver's caller.
+def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
+    # The one outer iteration of both solvers (see solve_lbfgs); returns the
+    # final a_s, s_e, their normalization and the trace. Both solvers call it
+    # and _unmix_result directly, so the warnings point at the solver's caller.
     kernel = _Kernel(endmembers, image)
     state = init or TwoLmmState.uniform(kernel.k, kernel.n)
     _check_init(state, cfg, kernel.k, kernel.n)
@@ -477,7 +453,7 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth) -> UnmixResult:
     for t in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         a_cur, s_cur = _unpack(z, kernel.k, kernel.n)
-        a_plus, s_plus = kernel.als_step(a_cur, s_cur, cfg)
+        a_plus, s_plus = kernel.als_step(s_cur, cfg)
         z_plus = _pack(a_plus, s_plus)
         precond = z_plus - z
 
@@ -521,7 +497,7 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth) -> UnmixResult:
             z_new = z_plus
             accept_cost = kernel.cost_packed(z_plus)
             if accept_cost > allowance:
-                s_swept = kernel.update_s(a_cur, s_cur, cfg.lower, cfg.upper)
+                s_swept, _ = kernel.update_s(a_cur, s_cur, cfg.lower, cfg.upper)
                 z_new = _pack(a_cur, s_swept)
                 accept_cost = kernel.cost(a_cur, s_swept)
             gamma = cfg.step_init
@@ -562,4 +538,4 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth) -> UnmixResult:
             )
 
     a_s, s_e = _unpack(z, kernel.k, kernel.n)
-    return _finalize(image, endmembers, a_s, s_e, trace)
+    return a_s, s_e, normalize_abundances(a_s), trace

@@ -286,6 +286,20 @@ class TestMainExitCodes:
         assert not list(out.glob("trace_*.csv"))
         assert not (out / "results.csv").exists()
 
+    def test_value_error_in_a_method_is_not_a_table_row(self, tmp_path, capsys, monkeypatch):
+        import twolmm.cli as cli
+
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic programming error")
+
+        monkeypatch.setitem(cli.__dict__, "unmix_slmm", boom)
+        path = write_config(tmp_path, SMALL_SCENE)
+        out = tmp_path / "res"
+        code = main(["unmix", "--config", str(path), "--out", str(out), "--methods", "slmm"])
+        assert code == 1
+        assert "synthetic programming error" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_generate_and_unmix_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_SCENE)
         out = str(tmp_path / "files")

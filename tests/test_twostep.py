@@ -216,6 +216,26 @@ class TestAlsUpdateSe:
         )
 
 
+class TestShapeChecks:
+    # 10 bands, 8 pixels, K = 3; the state below has one pixel.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, e, bad: cost(x, e, bad),
+            lambda x, e, bad: gradient(x, e, bad),
+            lambda x, e, bad: als_update_a(x, e, [2.0]),
+            lambda x, e, bad: als_update_se(x, e, bad.a_s, bad.s_e, (0.2, 5.0)),
+            lambda x, e, bad: precondition(x, e, bad),
+        ],
+        ids=["cost", "gradient", "als_update_a", "als_update_se", "precondition"],
+    )
+    def test_mismatched_state_rejected(self, call):
+        x, e, _ = random_instance(14)
+        bad = TwoLmmState(a_s=np.ones((3, 1)), s_e=np.ones(3))
+        with pytest.raises(ValueError, match="state shape does not match image/endmembers"):
+            call(x, e, bad)
+
+
 class TestPrecondition:
     def test_zero_at_fixed_point(self):
         em, ab, scene = exact_scene(seed=20, width=6, height=6)
