@@ -227,13 +227,15 @@ def build_config(entries: dict[str, str], args: argparse.Namespace) -> Experimen
 
 @dataclass
 class SceneBundle:
-    """A scene plus whatever ground truth is available for scoring."""
+    """A scene plus whatever ground truth is available for scoring, and the
+    endmember count ``k`` a loaded scene's manifest records."""
 
     image: HsiImage
     clean: HsiImage | None = None
     endmembers_truth: EndmemberMatrix | None = None
     abundances_truth: AbundanceMatrix | None = None
     scaling: ScalingState | None = None
+    k: int | None = None
 
 
 def build_scene(cfg: ExperimentConfig) -> SceneBundle:
@@ -308,6 +310,11 @@ def load_scene(scene_dir: str | Path) -> SceneBundle:
     except KeyError as exc:
         raise ConfigError(f"{manifest_path}: missing 'image' entry") from exc
     bundle = SceneBundle(image=image)
+    if "k" in entries:
+        try:
+            bundle.k = int(entries["k"])
+        except ValueError as exc:
+            raise ConfigError(f"{manifest_path}: malformed 'k' entry") from exc
     if "abundances" in entries:
         bundle.abundances_truth = load_abundances(scene_dir / entries["abundances"])
     if "endmembers" in entries:
@@ -355,7 +362,7 @@ def resolve_endmembers(
     their scale matches the image being unmixed. The columns are then
     projected onto the image's leading rank-k subspace, which strips the
     out-of-subspace noise a single noisy pixel carries (negative
-    excursions are zeroed).
+    excursions are zeroed). A known ``bundle.k`` overrides ``cfg.k``.
     """
     if cfg.em_source == "truth":
         if bundle.endmembers_truth is None:
@@ -363,11 +370,12 @@ def resolve_endmembers(
         return bundle.endmembers_truth
     if cfg.em_source == "file":
         return load_endmembers(cfg.em_file)
+    k = cfg.k if bundle.k is None else bundle.k
     source = vca_image if vca_image is not None else bundle.image
     spec = ProjectionSpec.for_image(source)
     projected = perspective_project(source, spec)
-    _, indices = vca_extract(projected, cfg.k, seed=_derive_seed(cfg.seed, _STREAM_VCA))
-    basis = np.linalg.svd(source.data, full_matrices=False)[0][:, : cfg.k]
+    _, indices = vca_extract(projected, k, seed=_derive_seed(cfg.seed, _STREAM_VCA))
+    basis = np.linalg.svd(source.data, full_matrices=False)[0][:, :k]
     columns = basis @ (basis.T @ source.data[:, indices])
     return EndmemberMatrix(np.maximum(columns, 0.0))
 
@@ -464,6 +472,8 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
         raise ConfigError(f"unknown sweep kind {sweep!r}; expected one of {SWEEP_KINDS}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if sweep == "bounds_alpha" and min(values) < 1.0:
+        raise ConfigError("bounds_alpha values must be >= 1")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -472,8 +482,6 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
         bundle = build_scene(cfg)
         em_used = resolve_endmembers(cfg, bundle)
         for alpha in values:
-            if alpha < 1.0:
-                raise ConfigError("bounds_alpha values must be >= 1")
             run_cfg = replace(cfg, solver=replace(cfg.solver, lower=1.0 / alpha, upper=alpha))
             for row in run_methods(run_cfg, bundle, em_used):
                 rows.append({"sweep": sweep, "value": alpha, **row})

@@ -138,18 +138,9 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
     return a
 
 
-def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """Column-wise least-squares fit ``argmin ||E a - x||`` via QR.
-
-    ``endmembers`` is (P, K) and must have full column rank; ``pixels`` is
-    (P, N). Raises :class:`SolverError` naming the smallest singular value
-    when E is rank deficient, and warns when cond(E^T E) exceeds
-    ``CONDITION_WARN_THRESHOLD``.
-    """
-    e = np.asarray(endmembers, dtype=np.float64)
-    x = np.asarray(pixels, dtype=np.float64)
-    if e.ndim != 2 or x.ndim != 2 or e.shape[0] != x.shape[0]:
-        raise ValueError("endmember and pixel band counts must match")
+def _check_full_rank(e: np.ndarray) -> None:
+    """Raise unless the (P, K) matrix ``e`` has full column rank; warn, at
+    the caller's caller, when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``."""
     p, k = e.shape
     if p < k:
         raise ValueError(f"need at least as many bands as endmembers ({p} < {k})")
@@ -164,8 +155,23 @@ def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarra
             f"cond(E^T E) = {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}; "
             "clipped least-squares solutions may be unreliable",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """Column-wise least-squares fit ``argmin ||E a - x||`` via QR.
+
+    ``endmembers`` is (P, K) and must have full column rank; ``pixels`` is
+    (P, N). Raises :class:`SolverError` naming the smallest singular value
+    when E is rank deficient, and warns when cond(E^T E) exceeds
+    ``CONDITION_WARN_THRESHOLD``.
+    """
+    e = np.asarray(endmembers, dtype=np.float64)
+    x = np.asarray(pixels, dtype=np.float64)
+    if e.ndim != 2 or x.ndim != 2 or e.shape[0] != x.shape[0]:
+        raise ValueError("endmember and pixel band counts must match")
+    _check_full_rank(e)
     q, r = np.linalg.qr(e)
     return scipy.linalg.solve_triangular(r, q.T @ x)
 

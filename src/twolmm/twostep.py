@@ -33,6 +33,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .core import (
     normalize_abundances,
     rmse_a,
 )
-from .solvers import SolverError, solve_least_squares
+from .solvers import SolverError, _check_full_rank, solve_least_squares
 from .trace import IterationRecord, SolverTrace, UnmixResult, _unmix_result
 
 __all__ = [
@@ -73,13 +74,13 @@ class TwoLmmConfig:
     threshold. ``memory`` is the number of curvature pairs kept by the
     quasi-Newton solver; with 0 the direction is the ALS displacement, but
     the step-size search still runs, so ``memory = 0`` alone is not plain
-    ALS. Backtracking starts at ``step_init`` and multiplies by
-    ``step_shrink`` at most ``max_backtracks`` times; the acceptance test
-    evaluates the cost at the raw trial point and the box projection is
-    applied afterwards. ``force_unit_step`` skips the step-size search
-    entirely: the step is 1, no trial point is evaluated, and
-    ``cost_accept`` equals ``cost``. Together with ``memory = 0`` it is
-    plain ALS, which is how :func:`solve_als` runs.
+    ALS. The step-size search is fixed: from step 1 it halves the step at
+    most 30 times (the class constants below), then takes the ALS step;
+    the acceptance test evaluates the cost at the raw trial point and the
+    box projection is applied afterwards. ``force_unit_step`` skips the
+    step-size search entirely: the step is 1, no trial point is
+    evaluated, and ``cost_accept`` equals ``cost``. Together with
+    ``memory = 0`` it is plain ALS, which is how :func:`solve_als` runs.
     """
 
     lower: float = 0.2
@@ -88,10 +89,10 @@ class TwoLmmConfig:
     eps_s: float = 1e-6
     max_iter: int = 500
     memory: int = 5
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    max_backtracks: int = 30
     force_unit_step: bool = False
+    step_init: ClassVar[float] = 1.0
+    step_shrink: ClassVar[float] = 0.5
+    max_backtracks: ClassVar[int] = 30
 
     def __post_init__(self):
         if not (0.0 < self.lower <= self.upper):
@@ -102,10 +103,6 @@ class TwoLmmConfig:
             raise ValueError("max_iter must be nonnegative")
         if self.memory < 0:
             raise ValueError("memory must be nonnegative")
-        if not (0.0 < self.step_shrink < 1.0) or self.step_init <= 0:
-            raise ValueError("invalid backtracking parameters")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ def _checked(endmembers, image, a_s=None, s_e=None) -> tuple[np.ndarray, np.ndar
 
 
 # The residual, cost and gradient below are the only implementations; the
-# solver kernel and the public helpers all call them.
+# solver loop and the public helpers all call them.
 def _residual(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) -> np.ndarray:
     return (e * s_e) @ a_s - x
 
@@ -196,59 +193,44 @@ def _scaled_clip(fit: np.ndarray, s_e: np.ndarray, upper: float) -> np.ndarray:
     return np.clip(fit / s_e[:, None], 0.0, upper)
 
 
-class _Kernel:
-    """Cached factorizations and products for a fixed (E, X) pair."""
+def _normal_parts(e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(E^T E, E^T X)``, the Gram matrix symmetrized."""
+    gram = e.T @ e
+    return 0.5 * (gram + gram.T), e.T @ x
 
-    def __init__(self, endmembers, image):
-        self.e, self.x = _checked(endmembers, image)
-        self.k = self.e.shape[1]
-        self.n = self.x.shape[1]
-        # Unconstrained per-column fit; reused by every abundance update.
-        self.base_fit = solve_least_squares(self.e, self.x)
-        self.etx = self.e.T @ self.x
-        gram = self.e.T @ self.e
-        self.gram = 0.5 * (gram + gram.T)
 
-    def cost(self, a_s: np.ndarray, s_e: np.ndarray) -> float:
-        return _cost(self.e, self.x, a_s, s_e)
+def _sweep_scales(
+    gram: np.ndarray, etx: np.ndarray, a_s: np.ndarray, s_e: np.ndarray, lower: float, upper: float
+) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Seidel sweep over the scales (see :func:`als_update_se`);
+    also returns the endmembers with zero total abundance, whose scales
+    it left unchanged."""
+    b = np.einsum("kn,kn->k", etx, a_s)
+    overlap = a_s @ a_s.T
+    s = s_e.astype(np.float64).copy()
+    absent = []
+    for k in range(s.size):
+        den = gram[k, k] * overlap[k, k]
+        if den == 0.0:
+            absent.append(k)
+            continue
+        cross = 0.0
+        for i in range(s.size):
+            if i != k:
+                cross += gram[k, i] * overlap[k, i] * s[i]
+        s[k] = min(max((b[k] - cross) / den, lower), upper)
+    return s, absent
 
-    def cost_packed(self, z: np.ndarray) -> float:
-        a_s, s_e = _unpack(z, self.k, self.n)
-        return self.cost(a_s, s_e)
 
-    def update_s(
-        self, a_s: np.ndarray, s_e: np.ndarray, lower: float, upper: float
-    ) -> tuple[np.ndarray, list[int]]:
-        """Gauss-Seidel sweep over the scales (see :func:`als_update_se`);
-        also returns the endmembers with zero total abundance, whose scales
-        it left unchanged."""
-        b = np.einsum("kn,kn->k", self.etx, a_s)
-        overlap = a_s @ a_s.T
-        s = s_e.astype(np.float64).copy()
-        absent = []
-        for k in range(self.k):
-            den = self.gram[k, k] * overlap[k, k]
-            if den == 0.0:
-                absent.append(k)
-                continue
-            cross = 0.0
-            for i in range(self.k):
-                if i != k:
-                    cross += self.gram[k, i] * overlap[k, i] * s[i]
-            s[k] = min(max((b[k] - cross) / den, lower), upper)
-        return s, absent
-
-    def als_step(self, s_e: np.ndarray, cfg: TwoLmmConfig) -> tuple[np.ndarray, np.ndarray]:
-        a_new = _scaled_clip(self.base_fit, s_e, cfg.upper)
-        s_new, _ = self.update_s(a_new, s_e, cfg.lower, cfg.upper)
-        return a_new, s_new
-
-    def clip_packed(self, z: np.ndarray, cfg: TwoLmmConfig) -> np.ndarray:
-        out = z.copy()
-        kn = self.k * self.n
-        np.clip(out[:kn], 0.0, cfg.upper, out=out[:kn])
-        np.clip(out[kn:], cfg.lower, cfg.upper, out=out[kn:])
-        return out
+def _als_point(
+    fit: np.ndarray, gram: np.ndarray, etx: np.ndarray, s_e: np.ndarray, cfg: TwoLmmConfig
+) -> np.ndarray:
+    """The packed point one ALS iteration reaches from scales ``s_e``, given
+    the unconstrained per-column fit: the scaled-clip abundance update, then
+    one sweep over the scales."""
+    a_new = _scaled_clip(fit, s_e, cfg.upper)
+    s_new, _ = _sweep_scales(gram, etx, a_new, s_e, cfg.lower, cfg.upper)
+    return _pack(a_new, s_new)
 
 
 def cost(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -> float:
@@ -308,8 +290,9 @@ def als_update_se(
         raise ValueError("bounds must satisfy 0 < lower <= upper")
     a_s = np.atleast_2d(np.asarray(a_s, dtype=np.float64))
     s_e = np.asarray(s_e, dtype=np.float64).ravel()
-    _checked(endmembers, image, a_s, s_e)
-    s, absent = _Kernel(endmembers, image).update_s(a_s, s_e, lower, upper)
+    e, x = _checked(endmembers, image, a_s, s_e)
+    _check_full_rank(e)
+    s, absent = _sweep_scales(*_normal_parts(e, x), a_s, s_e, lower, upper)
     if absent:
         warnings.warn(
             "endmembers absent from the scene kept their scales: "
@@ -332,20 +315,10 @@ def precondition(
     fixed point. This vector replaces the gradient inside the
     quasi-Newton solver.
     """
-    _checked(endmembers, image, state.a_s)
-    a_new, s_new = _Kernel(endmembers, image).als_step(state.s_e, config or TwoLmmConfig())
-    return _pack(a_new, s_new) - state.packed
-
-
-def _check_init(state: TwoLmmState, cfg: TwoLmmConfig, k: int, n: int) -> None:
-    if state.a_s.shape != (k, n):
-        raise ValueError(
-            f"initial state has shape {state.a_s.shape}, expected {(k, n)}"
-        )
-    if np.any(state.a_s > cfg.upper) or np.any(state.s_e < cfg.lower) or np.any(
-        state.s_e > cfg.upper
-    ):
-        raise ValueError("initial state violates the box bounds")
+    e, x = _checked(endmembers, image, state.a_s)
+    cfg = config or TwoLmmConfig()
+    z_plus = _als_point(solve_least_squares(e, x), *_normal_parts(e, x), state.s_e, cfg)
+    return z_plus - state.packed
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -415,11 +388,11 @@ def solve_lbfgs(
     Each iteration computes the ALS displacement ``d = als(z) - z``, feeds
     ``-d`` through the two-loop recursion in place of the gradient
     (curvature pairs are ``(dz, -dd)`` from successive iterates, skipped
-    when ``dz . (-dd)`` is not safely positive), and backtracks from
-    ``step_init`` until the non-monotone test
+    when ``dz . (-dd)`` is not safely positive), and halves the step from
+    1 until the non-monotone test
     ``J(z + step * p) <= (1 + exp(-t)) * J(z)`` accepts; the accepted
-    point is then clipped into the box. If backtracking exhausts its
-    budget, the raw ALS step is taken and the curvature history is
+    point is then clipped into the box. If 30 halvings do not reach an
+    accepted step, the raw ALS step is taken and the curvature history is
     dropped; when that step would itself fail the test, only the
     endmember scales are updated, so every iteration meets the test.
     Terminates when the relative change of both blocks falls below the
@@ -439,12 +412,19 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
     # The one outer iteration of both solvers (see solve_lbfgs); returns the
     # final a_s, s_e, their normalization and the trace. Both solvers call it
     # and _unmix_result directly, so the warnings point at the solver's caller.
-    kernel = _Kernel(endmembers, image)
-    state = init or TwoLmmState.uniform(kernel.k, kernel.n)
-    _check_init(state, cfg, kernel.k, kernel.n)
+    e, x = _checked(endmembers, image, None if init is None else init.a_s)
+    k, n = e.shape[1], x.shape[1]
+    # Unconstrained per-column fit; reused by every abundance update.
+    fit = solve_least_squares(e, x)
+    gram, etx = _normal_parts(e, x)
+    state = init or TwoLmmState.uniform(k, n)
+    if np.any(state.a_s > cfg.upper) or np.any(state.s_e < cfg.lower) or np.any(
+        state.s_e > cfg.upper
+    ):
+        raise ValueError("initial state violates the box bounds")
 
     z = state.packed
-    current_cost = kernel.cost_packed(z)
+    current_cost = _cost(e, x, *_unpack(z, k, n))
     trace = SolverTrace(initial_cost=current_cost)
     history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.memory)
     prev_z: np.ndarray | None = None
@@ -452,9 +432,8 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
 
     for t in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
-        a_cur, s_cur = _unpack(z, kernel.k, kernel.n)
-        a_plus, s_plus = kernel.als_step(s_cur, cfg)
-        z_plus = _pack(a_plus, s_plus)
+        a_cur, s_cur = _unpack(z, k, n)
+        z_plus = _als_point(fit, gram, etx, s_cur, cfg)
         precond = z_plus - z
 
         if cfg.memory and prev_dir is not None:
@@ -470,10 +449,10 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
         direction = -_two_loop(-precond, history) if history else precond
 
         accepted = cfg.force_unit_step
-        gamma = 1.0 if accepted else cfg.step_init
+        gamma = cfg.step_init
         allowance = (1.0 + math.exp(-t)) * current_cost
         for _ in range(0 if accepted else cfg.max_backtracks + 1):
-            accept_cost = kernel.cost_packed(z + gamma * direction)
+            accept_cost = _cost(e, x, *_unpack(z + gamma * direction, k, n))
             if not math.isfinite(accept_cost):
                 raise SolverError(f"non-finite cost during backtracking at t={t}")
             if accept_cost <= allowance:
@@ -487,7 +466,9 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
                 # itself; reuse it verbatim instead of re-adding the delta.
                 z_new = z_plus
             else:
-                z_new = kernel.clip_packed(z + gamma * direction, cfg)
+                z_new = z + gamma * direction
+                np.clip(z_new[: k * n], 0.0, cfg.upper, out=z_new[: k * n])
+                np.clip(z_new[k * n :], cfg.lower, cfg.upper, out=z_new[k * n :])
         else:
             # Backtracking budget exhausted: take the plain ALS step, which
             # is feasible by construction, and drop the curvature history.
@@ -495,18 +476,18 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
             # so the ALS step can raise the cost; then only the scales move,
             # by the Gauss-Seidel sweep, which never raises it.
             z_new = z_plus
-            accept_cost = kernel.cost_packed(z_plus)
+            accept_cost = _cost(e, x, *_unpack(z_plus, k, n))
             if accept_cost > allowance:
-                s_swept, _ = kernel.update_s(a_cur, s_cur, cfg.lower, cfg.upper)
+                s_swept, _ = _sweep_scales(gram, etx, a_cur, s_cur, cfg.lower, cfg.upper)
                 z_new = _pack(a_cur, s_swept)
-                accept_cost = kernel.cost(a_cur, s_swept)
+                accept_cost = _cost(e, x, a_cur, s_swept)
             gamma = cfg.step_init
             history.clear()
 
-        a_new, s_new = _unpack(z_new, kernel.k, kernel.n)
+        a_new, s_new = _unpack(z_new, k, n)
         rel_a = _rel_change(a_new, a_cur)
         rel_s = _rel_change(s_new, s_cur)
-        new_cost = kernel.cost(a_new, s_new)
+        new_cost = _cost(e, x, a_new, s_new)
         if not math.isfinite(new_cost):
             raise SolverError(f"non-finite cost at iteration {t}")
         trace.append(
@@ -537,5 +518,5 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
                 stacklevel=3,
             )
 
-    a_s, s_e = _unpack(z, kernel.k, kernel.n)
+    a_s, s_e = _unpack(z, k, n)
     return a_s, s_e, normalize_abundances(a_s), trace

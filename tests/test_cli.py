@@ -1,5 +1,6 @@
 """Experiment harness: config handling, pipelines, determinism, exit codes."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -78,6 +79,14 @@ class TestConfigParsing:
         cfg = build_config(read_config(write_config(tmp_path, block)), _args())
         assert (cfg.scene_kind, cfg.snr_db, cfg.em_source) == ("2lmm", 40.0, "vca")
         assert cfg.methods == ("lmm", "slmm", "als2lmm", "lbfgs2lmm")
+
+    def test_every_solver_setting_has_a_key(self):
+        from twolmm.cli import _CONFIG_KEYS
+        from twolmm.twostep import TwoLmmConfig
+
+        keyed = {name for key, (name, _) in _CONFIG_KEYS.items() if key.startswith("solver.")}
+        settable = {f.name for f in dataclasses.fields(TwoLmmConfig)} - {"force_unit_step"}
+        assert keyed == settable
 
 
 def _args(**kw):
@@ -192,6 +201,22 @@ class TestUnmix:
         for a, b in zip(rows, direct):
             assert a["rmse_a"] == pytest.approx(b["rmse_a"], rel=1e-12)
 
+    def test_vca_extracts_the_manifest_k(self, tmp_path, capsys):
+        scene_dir = tmp_path / "scene"
+        gen = write_config(tmp_path, SMALL_SCENE.replace("scene.k = 3", "scene.k = 4"))
+        assert main(["generate", "--config", str(gen), "--seed", "5", "--out", str(scene_dir)]) == 0
+        run = write_config(
+            tmp_path, SMALL_SCENE.replace("scene.k = 3\n", f"scene.dir = {scene_dir}\n")
+        )
+        out = tmp_path / "res"
+        code = main(
+            ["unmix", "--config", str(run), "--seed", "5", "--out", str(out),
+             "--em-source", "vca", "--methods", "slmm"]
+        )
+        assert code == 0, capsys.readouterr().err
+        row = json.loads((out / "results.json").read_text())[0]
+        assert row["error"] == "" and row["rmse_a"] is not None
+
     def test_truth_noiseless_reconstruction(self, tmp_path):
         from twolmm.twostep import TwoLmmConfig
 
@@ -232,6 +257,20 @@ class TestSweep:
             small_cfg(tmp_path, methods=("lbfgs2lmm",), out_dir=str(tmp_path / "u"))
         )
         assert sweep_rows[0]["rmse_a"] == pytest.approx(unmix_rows[0]["rmse_a"], rel=1e-12)
+
+    def test_bounds_alpha_values_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+        import twolmm.cli as cli
+
+        built = []
+        monkeypatch.setitem(cli.__dict__, "build_scene", lambda cfg: built.append(cfg))
+        path = write_config(tmp_path, SMALL_SCENE)
+        code = main(
+            ["sweep", "--config", str(path), "--out", str(tmp_path / "sw"),
+             "--sweep", "bounds_alpha", "--values", "3,0.5"]
+        )
+        assert code == 1
+        assert ">= 1" in capsys.readouterr().err
+        assert built == []
 
     def test_empty_values_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="value"):

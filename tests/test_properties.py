@@ -2,8 +2,9 @@
 
 Each instance draws K in 2..4 endmembers, at most 20 bands and 30 pixels,
 scaling bounds around 1, and a noisy two-step scene inside those bounds.
-Gauge invariance and SLMM scale equivariance have fixed-instance tests
-elsewhere and are not repeated here.
+The model's two invariances are checked on the same instances: the cost
+does not see the gauge ``a_s[k] / c_k``, ``s_e[k] * c_k``, and SLMM is
+equivariant to a global brightness factor.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolmm import EndmemberMatrix, HsiImage
+from twolmm import EndmemberMatrix, HsiImage, unmix_slmm
 from twolmm.twostep import TwoLmmConfig, TwoLmmState, cost, solve_als, solve_lbfgs
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -81,3 +82,27 @@ def test_last_trace_cost_is_the_public_cost_of_the_result(solver, instance):
     state = TwoLmmState(a_s=res.abundances.data * res.s_x, s_e=res.s_e)
     final = cost(image, em, state)
     assert math.isclose(res.trace[-1].cost, final, rel_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_cost_is_invariant_under_the_scale_gauge(instance, seed):
+    image, em, _ = instance
+    k, n = em.endmember_count, image.pixel_count
+    rng = np.random.default_rng(seed)
+    a_s = rng.uniform(0.0, 2.0, size=(k, n))
+    s_e = rng.uniform(0.2, 5.0, size=k)
+    c = rng.uniform(0.1, 10.0, size=k)
+    moved = TwoLmmState(a_s=a_s / c[:, None], s_e=s_e * c)
+    before = cost(image, em, TwoLmmState(a_s=a_s, s_e=s_e))
+    assert math.isclose(cost(image, em, moved), before, rel_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.floats(0.1, 10.0))
+def test_slmm_is_equivariant_to_a_brightness_factor(instance, c):
+    image, em, _ = instance
+    base = unmix_slmm(image, em)
+    scaled = unmix_slmm(HsiImage(c * image.data), em)
+    np.testing.assert_allclose(scaled.abundances.data, base.abundances.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scaled.s_x, c * base.s_x, rtol=1e-12)

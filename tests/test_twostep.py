@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,9 @@ from twolmm import (
     rmse_x,
     synthetic_endmembers,
 )
+from twolmm import twostep
 from twolmm.datagen import GrfSpec
+from twolmm.solvers import SolverError
 from twolmm.twostep import (
     TwoLmmConfig,
     TwoLmmState,
@@ -78,6 +80,16 @@ class TestConfig:
 
     def test_zero_memory_allowed(self):
         assert TwoLmmConfig(memory=0).memory == 0
+
+    def test_backtracking_rule_is_fixed(self):
+        names = [f.name for f in fields(TwoLmmConfig)]
+        assert names == [
+            "lower", "upper", "eps_a", "eps_s", "max_iter", "memory", "force_unit_step"
+        ]
+        cfg = TwoLmmConfig()
+        assert (cfg.step_init, cfg.step_shrink, cfg.max_backtracks) == (1.0, 0.5, 30)
+        with pytest.raises(TypeError):
+            TwoLmmConfig(step_init=0.5)
 
 
 class TestCost:
@@ -214,6 +226,26 @@ class TestAlsUpdateSe:
         assert str(caught[0].message).endswith(
             "9 (first indices [1, 2, 3, 4, 5, 6, 7, 8])"
         )
+
+    def test_rank_deficient_endmembers_rejected(self):
+        rng = np.random.default_rng(12)
+        e = rng.uniform(0.1, 1.0, size=(8, 2))
+        e = np.hstack([e, e[:, :1] + e[:, 1:]])
+        a = rng.uniform(0.1, 1.0, size=(3, 5))
+        with pytest.raises(SolverError, match="rank deficient"):
+            als_update_se(HsiImage(e @ a), EndmemberMatrix(e), a, np.ones(3), (0.1, 10.0))
+
+    def test_needs_no_least_squares_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("als_update_se must not fit the abundances")
+
+        rng = np.random.default_rng(13)
+        e = EndmemberMatrix(rng.uniform(0.1, 1.0, size=(6, 2)))
+        a = rng.uniform(0.1, 1.0, size=(2, 5))
+        x = HsiImage((e.data * [0.8, 1.5]) @ a)
+        expected = als_update_se(x, e, a, np.ones(2), (0.1, 10.0))
+        monkeypatch.setattr(twostep, "solve_least_squares", no_fit)
+        np.testing.assert_array_equal(als_update_se(x, e, a, np.ones(2), (0.1, 10.0)), expected)
 
 
 class TestShapeChecks:
@@ -374,12 +406,10 @@ class TestSolveLbfgs:
         assert res.s_e.min() >= cfg.lower
         assert res.s_e.max() <= cfg.upper
 
-    @pytest.mark.parametrize("step_init", [1.0, 0.5])
-    def test_memory_zero_unit_step_reproduces_als(self, step_init):
+    def test_memory_zero_unit_step_reproduces_als(self):
         em, ab, scene = exact_scene(seed=45, width=8, height=8)
         cfg = TwoLmmConfig(
-            memory=0, force_unit_step=True, max_iter=10, eps_a=1e-30, eps_s=1e-30,
-            step_init=step_init,
+            memory=0, force_unit_step=True, max_iter=10, eps_a=1e-30, eps_s=1e-30
         )
         res_als = solve_als(scene.image, em, cfg)
         res_lb = solve_lbfgs(scene.image, em, cfg)
@@ -393,7 +423,7 @@ class TestSolveLbfgs:
 
     def test_unit_step_with_memory_steps_by_one_and_accepts_the_new_cost(self):
         em, ab, scene = exact_scene(seed=45, width=8, height=8)
-        cfg = TwoLmmConfig(force_unit_step=True, step_init=0.5, max_iter=5)
+        cfg = TwoLmmConfig(force_unit_step=True, max_iter=5)
         res = solve_lbfgs(scene.image, em, cfg)
         assert all(r.step == 1.0 and r.cost_accept == r.cost for r in res.trace)
 
@@ -412,7 +442,7 @@ class TestSolveLbfgs:
         res_blind = solve_lbfgs(scene.image, em, TwoLmmConfig())
         assert all(math.isnan(r.rmse_a) for r in res_blind.trace)
 
-    def test_exhausted_backtracking_falls_back_to_als_step(self):
+    def test_exhausted_backtracking_falls_back_to_als_step(self, monkeypatch):
         # With no halvings allowed, any rejected unit step must fall back
         # to the plain ALS step. On a noisy scene (cost floor far above
         # machine zero) the run still satisfies the acceptance inequality
@@ -420,7 +450,8 @@ class TestSolveLbfgs:
         em = synthetic_endmembers(40, 3, seed=49)
         ab = generate_grf_abundances(GrfSpec(width=8, height=8, k=3, seed=50))
         scene = generate_2lmm_scene(em, ab, snr_db=30.0, seed=51, width=8, height=8)
-        cfg = TwoLmmConfig(max_backtracks=0, max_iter=40)
+        monkeypatch.setattr(TwoLmmConfig, "max_backtracks", 0)
+        cfg = TwoLmmConfig(max_iter=40)
         res = solve_lbfgs(scene.image, em, cfg)
         prev = res.trace.initial_cost
         for rec in res.trace:
