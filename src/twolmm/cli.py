@@ -452,10 +452,15 @@ def _write_rows(rows: list[dict], columns: list[str], csv_path: Path, json_path:
     json_path.write_text(json.dumps(rows, indent=2) + "\n", encoding="ascii")
 
 
+def _scene(cfg: ExperimentConfig) -> SceneBundle:
+    """The directory ``scene.dir`` names, else the generated scene."""
+    return load_scene(cfg.scene_dir) if cfg.scene_dir else build_scene(cfg)
+
+
 def cmd_unmix(cfg: ExperimentConfig) -> list[dict]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = load_scene(cfg.scene_dir) if cfg.scene_dir else build_scene(cfg)
+    bundle = _scene(cfg)
     em_used = resolve_endmembers(cfg, bundle)
     rows = run_methods(cfg, bundle, em_used, out=out)
     _write_rows(
@@ -474,12 +479,17 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
         raise ConfigError("sweep needs at least one value")
     if sweep == "bounds_alpha" and min(values) < 1.0:
         raise ConfigError("bounds_alpha values must be >= 1")
+    if sweep == "snr" and cfg.scene_dir:
+        raise ConfigError(
+            "an snr sweep adds noise to the generator's clean image, which a "
+            f"loaded scene lacks; unset scene.dir ({cfg.scene_dir})"
+        )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows: list[dict] = []
     if sweep == "bounds_alpha":
-        bundle = build_scene(cfg)
+        bundle = _scene(cfg)
         em_used = resolve_endmembers(cfg, bundle)
         for alpha in values:
             run_cfg = replace(cfg, solver=replace(cfg.solver, lower=1.0 / alpha, upper=alpha))

@@ -22,8 +22,13 @@ class IterationRecord:
     ``cost`` is the objective at the accepted (feasible) iterate;
     ``cost_accept`` is the objective at the point the step-size test
     accepted, before any box projection; it equals ``cost`` when no
-    step-size test ran (plain ALS). ``rmse_a`` is populated only when
-    ground-truth abundances were supplied to the solver.
+    step-size test ran (plain ALS). The two-step solvers evaluate both in
+    the K-dimensional coordinates of the fit, without the P x N residual;
+    they agree with ``||X - E diag(s_e) A_s||^2`` to rounding, about
+    ``eps ||X|| / sqrt(cost)`` relative, and a near-exact fit is evaluated
+    from the residual itself (see :mod:`twolmm.twostep`). ``rmse_a`` is
+    populated only when ground-truth abundances were supplied to the
+    solver.
     """
 
     iteration: int

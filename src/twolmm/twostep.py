@@ -22,6 +22,22 @@ Both solvers run one outer iteration loop:
   closed-form block updates (clipped least squares for ``A_s``, a
   Gauss-Seidel sweep for ``s_e``) and evaluates the cost once.
 
+The solver loop evaluates every cost in the K-dimensional coordinates of
+the fit (see :func:`_solver_cost`): with the thin QR ``E = QR``,
+
+    ``||X - E diag(s_e) A_s||^2 = c0 + ||Q^T X - R diag(s_e) A_s||^2``,
+
+where ``c0 = ||X - Q Q^T X||^2`` is the part of the image outside the span
+of ``E``. ``c0`` takes the solve's one P x N pass; each cost after it is
+O(K^2 N) and allocates one K x N array. Both terms are nonnegative, so the
+rounding error relative to the cost grows like ``eps ||X|| / sqrt(J)``, as
+for the direct residual, and stays below about 1e-13 while
+``c0 >= _NEAR_EXACT_FIT ||X||^2``. Below that (noiseless data, or about as
+many bands as endmembers) the relative rounding error of either form can
+be large, and the whole solve uses the direct residual, so that its costs
+are those of :func:`cost`. The public :func:`cost` and :func:`gradient`
+always form the P x N residual.
+
 The outer iterations are sequential; the inner kernels are plain matrix
 products and per-column solves, independent across pixels.
 """
@@ -33,6 +49,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -61,6 +78,9 @@ __all__ = [
 ]
 
 _CURVATURE_TOL = 1e-12
+# Share of ||X||^2 outside the span of E below which the solver evaluates
+# its costs from the full residual (see _solver_cost).
+_NEAR_EXACT_FIT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -187,6 +207,31 @@ def _gradient(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) ->
     return _pack(grad_a, grad_s)
 
 
+def _solver_cost(e: np.ndarray, x: np.ndarray):
+    """The cost function ``(a_s, s_e) -> J`` of the solver loop.
+
+    ``J = c0 + ||Q^T X - R diag(s_e) A_s||^2`` with ``E = QR`` and
+    ``c0 = ||X - Q Q^T X||^2`` (module docstring). On a near-exact fit,
+    ``c0 < _NEAR_EXACT_FIT * ||X||^2``, it returns :func:`_cost` itself.
+    """
+    q, r = np.linalg.qr(e)
+    qtx = q.T @ x
+    outside = q @ qtx
+    outside -= x
+    outside *= outside
+    c0 = float(outside.sum())
+    if c0 < _NEAR_EXACT_FIT * (c0 + float(np.sum(qtx * qtx))):
+        return partial(_cost, e, x)
+
+    def reduced_cost(a_s: np.ndarray, s_e: np.ndarray) -> float:
+        d = (r * s_e) @ a_s
+        d -= qtx
+        d *= d
+        return c0 + float(d.sum())
+
+    return reduced_cost
+
+
 def _scaled_clip(fit: np.ndarray, s_e: np.ndarray, upper: float) -> np.ndarray:
     """Abundance block update from the unconstrained fit: divide row k by
     ``s_e[k]`` and clip into ``[0, upper]``."""
@@ -256,11 +301,14 @@ def als_update_a(
     s_e: np.ndarray,
     upper: float = np.inf,
 ) -> np.ndarray:
-    """Exact block update of the scaled abundances, then box clipping.
+    """Scaled-clip update of the scaled abundances.
 
     Solves the per-column least-squares fit through QR, divides row k by
-    ``s_e[k]``, and clips the result into ``[0, upper]``. With unit scales
-    and an infinite bound this reduces to
+    ``s_e[k]``, and clips the result into ``[0, upper]``. This is the
+    minimiser of the cost over ``a_s`` only when nothing is clipped: the
+    columns of ``E`` are not orthogonal, so clipping one coordinate moves
+    the best value of the others, and the clipped fit can even raise the
+    cost. With unit scales and an infinite bound this reduces to
     :func:`twolmm.solvers.solve_nnls_clipped`.
     """
     s_e = np.asarray(s_e, dtype=np.float64).ravel()
@@ -423,8 +471,9 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
     ):
         raise ValueError("initial state violates the box bounds")
 
+    cost_at = _solver_cost(e, x)
     z = state.packed
-    current_cost = _cost(e, x, *_unpack(z, k, n))
+    current_cost = cost_at(*_unpack(z, k, n))
     trace = SolverTrace(initial_cost=current_cost)
     history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.memory)
     prev_z: np.ndarray | None = None
@@ -452,7 +501,7 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
         gamma = cfg.step_init
         allowance = (1.0 + math.exp(-t)) * current_cost
         for _ in range(0 if accepted else cfg.max_backtracks + 1):
-            accept_cost = _cost(e, x, *_unpack(z + gamma * direction, k, n))
+            accept_cost = cost_at(*_unpack(z + gamma * direction, k, n))
             if not math.isfinite(accept_cost):
                 raise SolverError(f"non-finite cost during backtracking at t={t}")
             if accept_cost <= allowance:
@@ -476,18 +525,18 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
             # so the ALS step can raise the cost; then only the scales move,
             # by the Gauss-Seidel sweep, which never raises it.
             z_new = z_plus
-            accept_cost = _cost(e, x, *_unpack(z_plus, k, n))
+            accept_cost = cost_at(*_unpack(z_plus, k, n))
             if accept_cost > allowance:
                 s_swept, _ = _sweep_scales(gram, etx, a_cur, s_cur, cfg.lower, cfg.upper)
                 z_new = _pack(a_cur, s_swept)
-                accept_cost = _cost(e, x, a_cur, s_swept)
+                accept_cost = cost_at(a_cur, s_swept)
             gamma = cfg.step_init
             history.clear()
 
         a_new, s_new = _unpack(z_new, k, n)
         rel_a = _rel_change(a_new, a_cur)
         rel_s = _rel_change(s_new, s_cur)
-        new_cost = _cost(e, x, a_new, s_new)
+        new_cost = cost_at(a_new, s_new)
         if not math.isfinite(new_cost):
             raise SolverError(f"non-finite cost at iteration {t}")
         trace.append(

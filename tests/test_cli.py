@@ -272,6 +272,26 @@ class TestSweep:
         assert ">= 1" in capsys.readouterr().err
         assert built == []
 
+    def test_bounds_alpha_sweep_runs_on_the_scene_directory(self, tmp_path):
+        cmd_generate(small_cfg(tmp_path, out_dir=str(tmp_path / "scene"), seed=5))
+        cfg = small_cfg(tmp_path, methods=("slmm",), scene_dir=str(tmp_path / "scene"))
+        sweep_rows = cmd_sweep(cfg, "bounds_alpha", [cfg.solver.upper])
+        unmix_rows = cmd_unmix(dataclasses.replace(cfg, out_dir=str(tmp_path / "u")))
+        assert sweep_rows[0]["rmse_a"] == unmix_rows[0]["rmse_a"]
+        assert sweep_rows[0]["rmse_x"] == unmix_rows[0]["rmse_x"]
+
+    def test_snr_sweep_on_a_scene_directory_is_a_config_error(self, tmp_path, capsys):
+        scene_dir = tmp_path / "scene"
+        cmd_generate(small_cfg(tmp_path, out_dir=str(scene_dir)))
+        path = write_config(tmp_path, SMALL_SCENE + f"scene.dir = {scene_dir}\n")
+        code = main(
+            ["sweep", "--config", str(path), "--out", str(tmp_path / "sw"),
+             "--sweep", "snr", "--values", "30"]
+        )
+        assert code == 1
+        assert "scene.dir" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_empty_values_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="value"):
             cmd_sweep(small_cfg(tmp_path), "snr", [])

@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -60,11 +61,11 @@ def finite_difference_gradient(x, e, state):
     return fd
 
 
-def exact_scene(seed=0, width=12, height=12, k=3, bands=40):
+def exact_scene(seed=0, width=12, height=12, k=3, bands=40, snr_db=None):
     em = synthetic_endmembers(bands, k, seed=seed)
     ab = generate_grf_abundances(GrfSpec(width=width, height=height, k=k, seed=seed + 1))
     scene = generate_2lmm_scene(
-        em, ab, snr_db=None, seed=seed + 2, width=width, height=height
+        em, ab, snr_db=snr_db, seed=seed + 2, width=width, height=height
     )
     return em, ab, scene
 
@@ -473,6 +474,52 @@ class TestSolveLbfgs:
         bad = TwoLmmState(a_s=state.a_s, s_e=np.full(3, 99.0))
         with pytest.raises(ValueError, match="bounds"):
             solve_lbfgs(x, e, TwoLmmConfig(), init=bad)
+
+
+class TestSolverCost:
+    def test_matches_public_cost_on_a_noisy_scene(self):
+        em, _, scene = exact_scene(seed=40, snr_db=40.0)
+        cost_at = twostep._solver_cost(em.data, scene.image.data)
+        assert not isinstance(cost_at, partial)  # the split form, not _cost
+        rng = np.random.default_rng(0)
+        k, n = em.endmember_count, scene.image.pixel_count
+        for _ in range(20):
+            state = TwoLmmState(
+                a_s=rng.uniform(0.0, 5.0, size=(k, n)), s_e=rng.uniform(0.2, 5.0, size=k)
+            )
+            assert cost_at(state.a_s, state.s_e) == pytest.approx(
+                cost(scene.image, em, state), rel=1e-13
+            )
+
+    @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
+    def test_solvers_form_no_full_residual_on_a_noisy_scene(self, solver, monkeypatch):
+        em, _, scene = exact_scene(seed=41, snr_db=40.0)
+
+        def full_residual_cost(*args):
+            raise AssertionError("the solver formed the P x N residual")
+
+        monkeypatch.setattr(twostep, "_cost", full_residual_cost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = solver(scene.image, em, TwoLmmConfig(max_iter=50))
+        assert res.iterations > 1
+
+    def test_near_exact_fit_takes_the_direct_residual(self, monkeypatch):
+        em, _, scene = exact_scene(seed=42)
+        calls = []
+        direct = twostep._cost
+
+        def counted(*args):
+            calls.append(1)
+            return direct(*args)
+
+        monkeypatch.setattr(twostep, "_cost", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = solve_als(scene.image, em, TwoLmmConfig(max_iter=20))
+        assert len(calls) == 1 + res.iterations  # initial cost + one per iteration
+        resid = scene.image.data - res.reconstruction.data
+        assert res.trace[-1].cost == float(np.sum(resid * resid))
 
 
 class TestGaugeProperty:
