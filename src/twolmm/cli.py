@@ -37,7 +37,14 @@ from .datagen import (
     smoothed_random_dsm,
     synthetic_endmembers,
 )
-from .endmembers import ProjectionSpec, align_abundances, match_endmembers, perspective_project, vca_extract
+from .endmembers import (
+    ProjectionSpec,
+    _leading_subspace,
+    align_abundances,
+    match_endmembers,
+    perspective_project,
+    vca_extract,
+)
 from .fileio import (
     FormatError,
     load_abundances,
@@ -362,7 +369,9 @@ def resolve_endmembers(
     their scale matches the image being unmixed. The columns are then
     projected onto the image's leading rank-k subspace, which strips the
     out-of-subspace noise a single noisy pixel carries (negative
-    excursions are zeroed). A known ``bundle.k`` overrides ``cfg.k``.
+    excursions are zeroed). Both subspaces come from a P x P triangle of
+    the band Gram matrix (``endmembers._leading_subspace``), never from an
+    SVD of the P x N image. A known ``bundle.k`` overrides ``cfg.k``.
     """
     if cfg.em_source == "truth":
         if bundle.endmembers_truth is None:
@@ -375,7 +384,7 @@ def resolve_endmembers(
     spec = ProjectionSpec.for_image(source)
     projected = perspective_project(source, spec)
     _, indices = vca_extract(projected, k, seed=_derive_seed(cfg.seed, _STREAM_VCA))
-    basis = np.linalg.svd(source.data, full_matrices=False)[0][:, :k]
+    basis = _leading_subspace(source.data, k)
     columns = basis @ (basis.T @ source.data[:, indices])
     return EndmemberMatrix(np.maximum(columns, 0.0))
 

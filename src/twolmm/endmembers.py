@@ -37,6 +37,11 @@ __all__ = [
 # division and must be excluded upstream.
 PROJECTION_MARGIN = 1e-9
 
+# _leading_subspace uses the band Gram's Cholesky factor only while the
+# factor's smallest singular value is at least this share of its largest:
+# squaring the data leaves them about eps / ratio^2 of relative precision.
+_GRAM_MIN_RATIO = 1e-6
+
 
 @dataclass(frozen=True)
 class ProjectionSpec:
@@ -97,29 +102,57 @@ def perspective_project(image: HsiImage, spec: ProjectionSpec) -> HsiImage:
     return HsiImage(image.data / dots, width=image.width, height=image.height)
 
 
+def _leading_subspace(y: np.ndarray, k: int) -> np.ndarray:
+    """The leading ``k`` left singular vectors of ``y``, from the SVD of a
+    P x P triangle instead of the P x N image.
+
+    ``L = cholesky(Y Y^T)`` is the triangle of the LQ factorisation
+    ``Y = L Q`` up to column signs, and LAPACK's SVD of a wide image
+    (N >= 11P/6 pixels) bidiagonalises exactly that triangle. Column signs
+    do not reach the left singular vectors, because a Householder
+    reflector maps ``x`` and ``-x`` alike, so on such images the basis
+    equals ``np.linalg.svd(y)[0][:, :k]``, signs included; with fewer
+    pixels LAPACK bidiagonalises ``Y`` directly and the columns agree only
+    up to sign. Squaring leaves the small singular values half their
+    precision, so when the factorisation fails (noiseless data, fewer
+    pixels than bands) or the triangle's smallest singular value is below
+    ``_GRAM_MIN_RATIO`` times its largest, the triangle comes from a
+    Householder QR of ``Y^T`` instead. Raises when ``y`` has rank below
+    ``k``.
+    """
+    p, n = y.shape
+    try:
+        basis, sv, _ = np.linalg.svd(np.linalg.cholesky(y @ y.T))
+    except np.linalg.LinAlgError:  # the band Gram is singular
+        sv = None
+    if sv is None or sv[-1] < _GRAM_MIN_RATIO * sv[0]:
+        basis, sv, _ = np.linalg.svd(np.linalg.qr(y.T, mode="r").T, full_matrices=False)
+    if k > sv.size or sv[k - 1] <= max(p, n) * np.finfo(np.float64).eps * sv[0]:
+        raise ValueError(f"image rank is below the requested count {k}")
+    return basis[:, :k]
+
+
 def vca_extract(
     image: HsiImage, count: int, seed: int = 0
 ) -> tuple[EndmemberMatrix, np.ndarray]:
     """Pure-pixel extraction by successive orthogonal projections.
 
-    Reduces the data to ``count`` dimensions with an SVD, then repeatedly
-    draws a random direction orthogonal to the endmembers found so far and
-    keeps the pixel with the largest absolute projection onto it. Returns
+    Reduces the data to its leading ``count`` left singular vectors (from
+    a P x P triangle, see :func:`_leading_subspace`), then repeatedly draws
+    a random direction orthogonal to the endmembers found so far and keeps
+    the pixel with the largest absolute projection onto it. Returns
     the selected pixel spectra and their column indices; results are
     deterministic for a fixed seed. Negative noise excursions in the
     selected columns are zeroed to meet the endmember nonnegativity
     contract; the indices recover the raw columns when needed.
     """
     y = image.data
-    p, n = y.shape
+    n = y.shape[1]
     if count < 1:
         raise ValueError("endmember count must be positive")
     if n < count:
         raise ValueError(f"image has {n} pixels, fewer than {count}")
-    basis, sv, _ = np.linalg.svd(y, full_matrices=False)
-    if count > sv.size or sv[count - 1] <= max(p, n) * np.finfo(np.float64).eps * sv[0]:
-        raise ValueError(f"image rank is below the requested count {count}")
-    reduced = basis[:, :count].T @ y
+    reduced = _leading_subspace(y, count).T @ y
 
     if count == 1:
         indices = np.array([int(np.argmax(np.abs(reduced[0])))])

@@ -28,15 +28,15 @@ the fit (see :func:`_solver_cost`): with the thin QR ``E = QR``,
     ``||X - E diag(s_e) A_s||^2 = c0 + ||Q^T X - R diag(s_e) A_s||^2``,
 
 where ``c0 = ||X - Q Q^T X||^2`` is the part of the image outside the span
-of ``E``. ``c0`` takes the solve's one P x N pass; each cost after it is
-O(K^2 N) and allocates one K x N array. Both terms are nonnegative, so the
-rounding error relative to the cost grows like ``eps ||X|| / sqrt(J)``, as
-for the direct residual, and stays below about 1e-13 while
-``c0 >= _NEAR_EXACT_FIT ||X||^2``. Below that (noiseless data, or about as
-many bands as endmembers) the relative rounding error of either form can
-be large, and the whole solve uses the direct residual, so that its costs
-are those of :func:`cost`. The public :func:`cost` and :func:`gradient`
-always form the P x N residual.
+of ``E``. ``c0`` takes the solve's one P x N pass, made over blocks of
+pixels; each cost after it is O(K^2 N) and allocates one K x N array.
+Both terms are nonnegative, so the rounding error relative to the cost
+grows like ``eps ||X|| / sqrt(J)``, as for the direct residual, and stays
+below about 1e-13 while ``c0 >= _NEAR_EXACT_FIT ||X||^2``. Below that
+(noiseless data, or about as many bands as endmembers) the relative
+rounding error of either form can be large, and the whole solve uses the
+direct residual, so that its costs are those of :func:`cost`. The public
+:func:`cost` and :func:`gradient` always form the P x N residual.
 
 The outer iterations are sequential; the inner kernels are plain matrix
 products and per-column solves, independent across pixels.
@@ -81,6 +81,9 @@ _CURVATURE_TOL = 1e-12
 # Share of ||X||^2 outside the span of E below which the solver evaluates
 # its costs from the full residual (see _solver_cost).
 _NEAR_EXACT_FIT = 1e-5
+# Pixels per block of the one P x N pass of _solver_cost, so that it never
+# holds a P x N temporary.
+_C0_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -216,10 +219,11 @@ def _solver_cost(e: np.ndarray, x: np.ndarray):
     """
     q, r = np.linalg.qr(e)
     qtx = q.T @ x
-    outside = q @ qtx
-    outside -= x
-    outside *= outside
-    c0 = float(outside.sum())
+    c0 = 0.0
+    for start in range(0, x.shape[1], _C0_BLOCK):
+        outside = q @ qtx[:, start : start + _C0_BLOCK]
+        outside -= x[:, start : start + _C0_BLOCK]
+        c0 += float(np.vdot(outside, outside))
     if c0 < _NEAR_EXACT_FIT * (c0 + float(np.sum(qtx * qtx))):
         return partial(_cost, e, x)
 

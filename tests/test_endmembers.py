@@ -18,6 +18,9 @@ from twolmm import (
     synthetic_endmembers,
     vca_extract,
 )
+from twolmm import cli
+from twolmm import endmembers as endmembers_module
+from twolmm.endmembers import _leading_subspace
 
 
 class TestPerspectiveProject:
@@ -138,6 +141,106 @@ class TestVcaExtract:
         img = HsiImage(e @ a)
         with pytest.raises(ValueError, match="rank"):
             vca_extract(img, 3, seed=0)
+
+
+def full_svd_basis(y, k):
+    return np.linalg.svd(y, full_matrices=False)[0][:, :k]
+
+
+def planted_image(bands, pixels, k=3, noise=0.0, seed=0):
+    rng = np.random.default_rng(seed)
+    e = synthetic_endmembers(bands, k, seed=seed).data
+    a = rng.dirichlet(np.ones(k), size=pixels).T
+    y = (e @ a) * rng.uniform(0.5, 2.0, size=pixels)
+    return y + noise * rng.standard_normal(y.shape)
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Records the calls of ``np.linalg.qr`` (the Householder route)."""
+    calls = []
+    qr = np.linalg.qr
+
+    def recording_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return calls
+
+
+class TestLeadingSubspace:
+    # 11P/6 pixels is where LAPACK's SVD of a wide matrix starts from its
+    # LQ triangle; below it the signs of a full SVD are not reproduced.
+    @pytest.mark.parametrize(
+        "y, householder",
+        [
+            (planted_image(40, 200, noise=0.01, seed=1), False),
+            (planted_image(40, 200, seed=2), True),
+        ],
+        ids=["noisy-cholesky", "noiseless-householder"],
+    )
+    def test_equals_full_svd_basis_with_signs(self, y, householder, qr_calls):
+        basis = _leading_subspace(y, 3)
+        assert bool(qr_calls) == householder
+        np.testing.assert_allclose(basis, full_svd_basis(y, 3), rtol=0, atol=1e-12)
+
+    def test_fewer_pixels_than_bands_spans_the_full_svd_basis(self, qr_calls):
+        y = planted_image(40, 25, noise=0.01, seed=3)
+        basis = _leading_subspace(y, 3)
+        assert qr_calls
+        # Column for column up to sign: LAPACK bidiagonalises such an image
+        # directly, so the signs need not match a full SVD.
+        overlap = full_svd_basis(y, 3).T @ basis
+        np.testing.assert_allclose(np.abs(overlap), np.eye(3), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pixels", [100, 25])
+    def test_rank_deficiency_rejected(self, pixels):
+        y = planted_image(40, pixels, k=2, seed=4)
+        with pytest.raises(ValueError, match="rank"):
+            _leading_subspace(y, 3)
+
+    def test_extraction_takes_no_svd_of_a_wide_matrix(self, monkeypatch):
+        cfg = cli.ExperimentConfig(width=20, height=20, bands=40, em_source="vca", seed=3)
+        bundle = cli.build_scene(cfg)
+        svd = np.linalg.svd
+
+        def square_or_tall_only(a, *args, **kwargs):
+            if a.shape[-1] > a.shape[-2]:
+                raise AssertionError(f"SVD of a {a.shape} matrix")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", square_or_tall_only)
+        with pytest.raises(AssertionError, match="SVD of a"):
+            np.linalg.svd(bundle.image.data)
+        _, idx = vca_extract(bundle.image, 3, seed=0)
+        assert idx.shape == (3,)
+        em = cli.resolve_endmembers(cfg, bundle)
+        assert em.endmember_count == 3
+
+    @pytest.mark.parametrize("seed", range(4, 10))
+    def test_cli_protocol_picks_match_the_full_svd(self, seed, monkeypatch):
+        """The picks of ``twolmm unmix`` on the paper's protocol scene (50 x 50,
+        120 bands, K=3, 40 dB) are those of a full-SVD basis."""
+        cfg = cli.ExperimentConfig(
+            width=50, height=50, k=3, bands=120, snr_db=40.0, em_source="vca", seed=seed
+        )
+        bundle = cli.build_scene(cfg)
+        picks = []
+        vca = cli.vca_extract
+
+        def recording_vca(*args, **kwargs):
+            em, idx = vca(*args, **kwargs)
+            picks.append(idx.tolist())
+            return em, idx
+
+        monkeypatch.setattr(cli, "vca_extract", recording_vca)
+        em = cli.resolve_endmembers(cfg, bundle)
+        monkeypatch.setattr(endmembers_module, "_leading_subspace", full_svd_basis)
+        monkeypatch.setattr(cli, "_leading_subspace", full_svd_basis)
+        expected = cli.resolve_endmembers(cfg, bundle)
+        assert picks[0] == picks[1]
+        np.testing.assert_allclose(em.data, expected.data, rtol=1e-10, atol=0)
 
 
 class TestMatchEndmembers:

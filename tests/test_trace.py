@@ -60,3 +60,25 @@ def test_one_result_contract(name):
         "10 (first indices [5, 6, 7, 8, 9, 10, 11, 12])"
     )
     assert degenerate[0].filename == __file__
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the L-BFGS two-loop direction mixes every pixel's coordinates, "
+    "so all-zero pixels leave zero once curvature pairs exist",
+)
+def test_lbfgs_keeps_all_zero_pixels_degenerate():
+    em, image = noisy_scene()
+    x = np.array(image.data)
+    x[:, 5:15] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = solve_lbfgs(
+            HsiImage(x, width=image.width, height=image.height), em, TwoLmmConfig(max_iter=10)
+        )
+    np.testing.assert_array_equal(res.s_x[5:15], 0.0)
+    degenerate = [str(w.message) for w in caught if "degenerate" in str(w.message)]
+    assert degenerate == [
+        "pixels with zero fitted abundance were flagged degenerate: "
+        "10 (first indices [5, 6, 7, 8, 9, 10, 11, 12])"
+    ]
