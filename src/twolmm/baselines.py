@@ -21,7 +21,7 @@ from .core import (
     NormalizationResult,
     normalize_abundances,
 )
-from .solvers import _simplex_qp, solve_nnls_clipped
+from .solvers import _check_full_rank, _simplex_qp, solve_nnls_clipped
 from .trace import UnmixResult, _unmix_result
 
 __all__ = ["unmix_lmm", "unmix_slmm"]
@@ -33,12 +33,11 @@ def _check_shapes(image: HsiImage, endmembers: EndmemberMatrix) -> None:
             f"band mismatch: image has {image.band_count}, "
             f"endmembers have {endmembers.band_count}"
         )
-    if image.band_count < endmembers.endmember_count:
-        raise ValueError("need at least as many bands as endmembers")
 
 
 def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> UnmixResult:
-    """Per-pixel simplex-constrained least squares (no scaling factors).
+    """Simplex-constrained least squares of every pixel in one batched
+    active-set call (no scaling factors); rank-deficient endmembers raise.
 
     Exact under the plain linear mixing assumption; biased whenever the
     scene carries scaling variability, which the simplex constraint cannot
@@ -46,14 +45,12 @@ def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> Unmix
     """
     _check_shapes(image, endmembers)
     e = endmembers.data
+    _check_full_rank(e)
     k, n = e.shape[1], image.pixel_count
     t0 = time.perf_counter()
     gram = e.T @ e
     gram = 0.5 * (gram + gram.T)
-    linear = e.T @ image.data
-    a = np.empty((k, n))
-    for j in range(n):
-        a[:, j] = _simplex_qp(gram, linear[:, j])
+    a = _simplex_qp(gram, e.T @ image.data)
     elapsed = time.perf_counter() - t0
     # The columns already lie on the simplex; normalize_abundances would
     # divide them by sums that differ from one in the last bit.

@@ -40,6 +40,7 @@ from .datagen import (
 from .endmembers import (
     ProjectionSpec,
     _leading_subspace,
+    _mean_direction,
     align_abundances,
     match_endmembers,
     perspective_project,
@@ -381,8 +382,8 @@ def resolve_endmembers(
         return load_endmembers(cfg.em_file)
     k = cfg.k if bundle.k is None else bundle.k
     source = vca_image if vca_image is not None else bundle.image
-    spec = ProjectionSpec.for_image(source)
-    projected = perspective_project(source, spec)
+    # for_image's default vector; perspective_project makes the margin check.
+    projected = perspective_project(source, ProjectionSpec(v=_mean_direction(source)))
     _, indices = vca_extract(projected, k, seed=_derive_seed(cfg.seed, _STREAM_VCA))
     basis = _leading_subspace(source.data, k)
     columns = basis @ (basis.T @ source.data[:, indices])

@@ -62,15 +62,18 @@ class ProjectionSpec:
         """Build a spec valid for ``image``, defaulting to the normalized
         mean spectrum (which maximizes the worst-case margin on
         nonnegative data)."""
-        if v is None:
-            mean = image.data.mean(axis=1)
-            norm = np.linalg.norm(mean)
-            if norm == 0.0:
-                raise ValueError("cannot derive a projection vector from an all-zero image")
-            v = mean / norm
-        spec = cls(v=v)
+        spec = cls(v=_mean_direction(image) if v is None else v)
         _checked_dots(image, spec)
         return spec
+
+
+def _mean_direction(image: HsiImage) -> np.ndarray:
+    """The image's mean spectrum scaled to unit length."""
+    mean = image.data.mean(axis=1)
+    norm = np.linalg.norm(mean)
+    if norm == 0.0:
+        raise ValueError("cannot derive a projection vector from an all-zero image")
+    return mean / norm
 
 
 def _checked_dots(image: HsiImage, spec: ProjectionSpec) -> np.ndarray:

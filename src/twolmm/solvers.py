@@ -1,10 +1,9 @@
 """Constrained least-squares kernels shared by the unmixers.
 
-Two building blocks live here: an exact active-set solver for the per-pixel
-simplex-constrained quadratic program, and a clipped linear least-squares
-solve that goes through a QR factorization rather than the normal
-equations. Per-pixel solves are independent (shared read-only inputs,
-disjoint outputs), so callers may parallelize over pixels.
+Two building blocks live here: an exact active-set solver for the
+simplex-constrained quadratic program, which solves every pixel of an
+image in one batched call, and a clipped linear least-squares solve that
+goes through a QR factorization rather than the normal equations.
 """
 
 from __future__ import annotations
@@ -25,6 +24,10 @@ __all__ = [
     "solve_nnls_clipped",
 ]
 
+# Columns per stacked solve of _simplex_qp, which keeps its memory at
+# O(_QP_BLOCK * K^2) however many pixels there are.
+_QP_BLOCK = 2048
+
 # Condition number of E^T E above which clipped least-squares solutions
 # are flagged as untrustworthy.
 CONDITION_WARN_THRESHOLD = 1e10
@@ -39,8 +42,8 @@ class QpProblem:
     """Per-pixel quadratic program data: gram = E^T E, linear = E^T x.
 
     The gram matrix must be symmetric (to 1e-12 relative to its magnitude)
-    and positive semidefinite (smallest eigenvalue >= -1e-10 on the same
-    scale). The constraint is always the probability simplex; box
+    and positive definite, which keeps every KKT system of the active set
+    nonsingular. The constraint is always the probability simplex; box
     constraints are handled by the clipped solve below.
     """
 
@@ -57,11 +60,14 @@ class QpProblem:
         scale = max(1.0, float(np.abs(gram).max()))
         if np.abs(gram - gram.T).max() > 1e-12 * scale:
             raise ValueError("gram matrix is not symmetric")
-        min_eig = float(np.linalg.eigvalsh(gram)[0])
-        if min_eig < -1e-10 * scale:
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(gram)[0])
+            kind = "semidefinite" if min_eig < -1e-10 * scale else "definite"
             raise ValueError(
-                f"gram matrix is not positive semidefinite (min eigenvalue {min_eig:g})"
-            )
+                f"gram matrix is not positive {kind} (min eigenvalue {min_eig:g})"
+            ) from None
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "linear", linear)
 
@@ -74,68 +80,60 @@ def solve_simplex_qp(problem: QpProblem) -> np.ndarray:
     with the sum-to-one constraint kept as a permanent equality; ties are
     broken toward the lowest index so the result is deterministic.
     """
-    return _simplex_qp(problem.gram, problem.linear)
+    return _simplex_qp(problem.gram, problem.linear[:, None])[:, 0]
 
 
 def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
-    k = linear.size
-    if k == 1:
-        return np.ones(1)
-    scale = max(1.0, float(np.abs(gram).max()), float(np.abs(linear).max()))
-    tol = 1e-11 * scale
-    a = np.full(k, 1.0 / k)
-    free = np.ones(k, dtype=bool)
-    for _ in range(50 * k + 50):
-        grad = gram @ a - linear
-        idx = np.flatnonzero(free)
-        nf = idx.size
-        kkt = np.empty((nf + 1, nf + 1))
-        kkt[:nf, :nf] = gram[np.ix_(idx, idx)]
-        kkt[:nf, nf] = 1.0
-        kkt[nf, :nf] = 1.0
-        kkt[nf, nf] = 0.0
-        rhs = np.empty(nf + 1)
-        rhs[:nf] = -grad[idx]
-        rhs[nf] = 0.0
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        step_f = sol[:nf]
-        nu = sol[nf]
-        if np.abs(step_f).max(initial=0.0) <= tol:
-            bound = np.flatnonzero(~free)
-            if bound.size == 0:
+    """Minimizers of ``0.5 a^T G a - f^T a`` over the simplex, one for each
+    column f of the (K, M) ``linear``; ``gram`` must be positive definite.
+
+    The columns of a block run the same primal active set in lockstep. A
+    bound coordinate's KKT row and column are those of the identity, so
+    every KKT system is (K+1) x (K+1) and one stacked solve serves them all.
+    """
+    k, m = linear.shape
+    out = np.empty((k, m))
+    kkt_all = np.block([[gram, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+    for start in range(0, m, _QP_BLOCK):
+        f = linear[:, start : start + _QP_BLOCK].T
+        cols = np.arange(start, start + f.shape[0])
+        tol = 1e-11 * np.maximum(max(1.0, np.abs(gram).max()), np.abs(f).max(axis=1))
+        a = np.full(f.shape, 1.0 / k)
+        free = np.ones(f.shape, dtype=bool)
+        for _ in range(50 * k + 50):
+            grad = a @ gram - f
+            on = np.pad(free, ((0, 0), (0, 1)), constant_values=True)
+            kkt = kkt_all * (on[:, :, None] & on[:, None, :])
+            kkt[:, :k, :k] += np.eye(k) * ~free[:, None, :]
+            rhs = np.pad(np.where(free, -grad, 0.0), ((0, 0), (0, 1)))
+            sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+            step, nu = sol[:, :k], sol[:, k]
+            # At the equality-constrained minimizer of the free set, free the
+            # bound coordinate with the most negative multiplier, or stop
+            # when none is negative. Ties go to the lowest index.
+            stationary = np.abs(step).max(axis=1) <= tol
+            mu = np.where(free, np.inf, grad + nu[:, None])
+            worst = np.argmin(mu, axis=1)
+            done = stationary & (mu.min(axis=1) >= -tol)
+            release = stationary & ~done
+            free[release, worst[release]] = True
+            # Elsewhere step to that minimizer, stopping at the first
+            # nonnegativity bound hit on the way; ties bind the lowest index.
+            decreasing = ~stationary[:, None] & (step < -tol[:, None])
+            limits = np.divide(a, -step, out=np.full(a.shape, np.inf), where=decreasing)
+            best = limits.min(axis=1)
+            blocked = best < 1.0
+            blocking = np.argmax(decreasing & (limits <= best[:, None] + 1e-15), axis=1)
+            a += (np.minimum(best, 1.0) * ~stationary)[:, None] * step
+            free[blocked, blocking[blocked]] = False
+            a = np.where(free, np.maximum(a, 0.0), 0.0)
+            out[:, cols[done]] = a[done].T
+            a, f, free, tol, cols = (v[~done] for v in (a, f, free, tol, cols))
+            if not cols.size:
                 break
-            mu = grad[bound] + nu
-            worst = np.argmin(mu)
-            if mu[worst] >= -tol:
-                break
-            free[bound[worst]] = True
-            continue
-        # Full step to the equality-constrained minimizer, capped at the
-        # first nonnegativity bound hit along the way. Ties bind the
-        # lowest index.
-        decreasing = step_f < -tol
-        alpha = 1.0
-        blocking = -1
-        if np.any(decreasing):
-            limits = a[idx[decreasing]] / -step_f[decreasing]
-            best = float(limits.min())
-            if best < 1.0:
-                alpha = best
-                tied = np.flatnonzero(limits <= best + 1e-15)
-                blocking = int(idx[decreasing][tied].min())
-        a[idx] += alpha * step_f
-        if blocking >= 0:
-            free[blocking] = False
-        a[~free] = 0.0
-        np.maximum(a, 0.0, out=a)
-    else:
-        raise SolverError("simplex QP active-set iteration limit exceeded")
-    a = a.copy()
-    a[~free] = 0.0
-    return a
+        else:
+            raise SolverError("simplex QP active-set iteration limit exceeded")
+    return out
 
 
 def _check_full_rank(e: np.ndarray) -> None:

@@ -12,6 +12,8 @@ from twolmm import (
     unmix_lmm,
     unmix_slmm,
 )
+from twolmm import solvers
+from twolmm.solvers import QpProblem, SolverError, solve_simplex_qp
 
 
 def make_exact_scene(seed=0, p=8, k=3, n=40):
@@ -64,6 +66,27 @@ class TestUnmixLmm:
         em = EndmemberMatrix(np.ones((2, 3)) + np.eye(2, 3))
         with pytest.raises(ValueError, match="bands"):
             unmix_lmm(HsiImage(np.ones((2, 4))), em)
+
+    def test_rank_deficient_endmembers_rejected(self):
+        em, a_gt = make_exact_scene(seed=5)
+        img = HsiImage(em.data @ a_gt.data)
+        duplicated = EndmemberMatrix(em.data[:, [0, 1, 2, 2]])
+        with pytest.raises(SolverError, match="rank deficient"):
+            unmix_lmm(img, duplicated)
+
+    def test_matches_per_pixel_solves_across_blocks(self):
+        n = 2 * solvers._QP_BLOCK + 5
+        rng = np.random.default_rng(11)
+        em, a_gt = make_exact_scene(seed=11, n=n)
+        x = (em.data @ a_gt.data) * rng.uniform(0.5, 1.5, n) + 0.02 * rng.normal(size=(8, n))
+        res = unmix_lmm(HsiImage(x), em)
+        gram = em.data.T @ em.data
+        gram = 0.5 * (gram + gram.T)
+        alone = np.stack(
+            [solve_simplex_qp(QpProblem(gram=gram, linear=em.data.T @ px)) for px in x.T],
+            axis=1,
+        )
+        np.testing.assert_allclose(res.abundances.data, alone, rtol=0.0, atol=1e-12)
 
 
 class TestUnmixSlmm:

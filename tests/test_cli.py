@@ -396,6 +396,21 @@ class TestResolveEndmembers:
         assert em.band_count == bundle.image.band_count
         assert em.endmember_count == cfg.k
 
+    def test_vca_checks_projection_margin_once(self, tmp_path, monkeypatch):
+        from twolmm import endmembers
+
+        calls = []
+        checked_dots = endmembers._checked_dots
+
+        def counting(image, spec):
+            calls.append(1)
+            return checked_dots(image, spec)
+
+        monkeypatch.setattr(endmembers, "_checked_dots", counting)
+        cfg = small_cfg(tmp_path, width=20, height=20, em_source="vca")
+        resolve_endmembers(cfg, build_scene(cfg))
+        assert len(calls) == 1
+
     def test_file_source_round_trips(self, tmp_path):
         from twolmm.fileio import save_endmembers
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twolmm import EndmemberMatrix, HsiImage, QpProblem, solve_nnls_clipped, solve_simplex_qp
-from twolmm.solvers import SolverError, solve_least_squares
+from twolmm.solvers import SolverError, _simplex_qp, solve_least_squares
 
 
 def qp_objective(problem: QpProblem, a: np.ndarray) -> float:
@@ -29,6 +29,15 @@ class TestQpProblem:
     def test_indefinite_gram_rejected(self):
         with pytest.raises(ValueError, match="semidefinite"):
             QpProblem(gram=np.array([[1.0, 0.0], [0.0, -1.0]]), linear=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "gram, linear",
+        [([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.5]), (np.zeros((2, 2)), [0.3, 0.1])],
+    )
+    def test_singular_gram_rejected(self, gram, linear):
+        # The active-set kernel's KKT systems can be singular for these.
+        with pytest.raises(ValueError, match="positive definite"):
+            QpProblem(gram=np.array(gram), linear=np.array(linear))
 
 
 class TestSolveSimplexQp:
@@ -102,6 +111,48 @@ class TestSolveSimplexQp:
         a1 = solve_simplex_qp(p)
         a2 = solve_simplex_qp(p)
         np.testing.assert_array_equal(a1, a2)
+
+
+def random_batch(k: int, m: int, seed: int):
+    """A positive-definite gram and a (K, M) batch whose minimizers mix
+    interior points, faces and vertices of the simplex."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(2 * k, k))
+    x = rng.normal(size=(2 * k, m))
+    gram = e.T @ e
+    return 0.5 * (gram + gram.T), e.T @ x
+
+
+class TestSimplexQpKernel:
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_every_column_meets_kkt(self, k):
+        gram, linear = random_batch(k, 300, seed=k)
+        a = _simplex_qp(gram, linear)
+        assert a.min() >= 0.0
+        np.testing.assert_allclose(a.sum(axis=0), 1.0, atol=1e-12)
+        grad = gram @ a - linear
+        for j in range(a.shape[1]):
+            support = a[:, j] > 0.0
+            nu = -grad[support, j].mean()
+            assert np.abs(grad[support, j] + nu).max() <= 1e-8
+            assert (grad[~support, j] + nu >= -1e-8).all()
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_columns_match_solves_alone(self, k):
+        gram, linear = random_batch(k, 200, seed=10 + k)
+        a = _simplex_qp(gram, linear)
+        alone = np.stack(
+            [solve_simplex_qp(QpProblem(gram=gram, linear=f)) for f in linear.T], axis=1
+        )
+        np.testing.assert_allclose(a, alone, rtol=0.0, atol=1e-12)
+
+    def test_single_endmember_is_one(self):
+        np.testing.assert_array_equal(_simplex_qp(np.eye(1), np.array([[0.2, -3.0]])), 1.0)
+
+    def test_iteration_limit_raises(self):
+        # A NaN right-hand side never reaches a stationary point.
+        with pytest.raises(SolverError, match="iteration limit"):
+            solve_simplex_qp(QpProblem(gram=np.eye(3), linear=np.array([np.nan, 0.0, 0.0])))
 
 
 class TestSolveNnlsClipped:
