@@ -21,18 +21,10 @@ from .core import (
     NormalizationResult,
     normalize_abundances,
 )
-from .solvers import _check_full_rank, _simplex_qp, solve_nnls_clipped
+from .solvers import _check_full_rank, _normal_parts, _simplex_qp, solve_nnls_clipped
 from .trace import UnmixResult, _unmix_result
 
 __all__ = ["unmix_lmm", "unmix_slmm"]
-
-
-def _check_shapes(image: HsiImage, endmembers: EndmemberMatrix) -> None:
-    if image.band_count != endmembers.band_count:
-        raise ValueError(
-            f"band mismatch: image has {image.band_count}, "
-            f"endmembers have {endmembers.band_count}"
-        )
 
 
 def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> UnmixResult:
@@ -43,14 +35,11 @@ def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> Unmix
     scene carries scaling variability, which the simplex constraint cannot
     absorb.
     """
-    _check_shapes(image, endmembers)
     e = endmembers.data
-    _check_full_rank(e)
+    _check_full_rank(e, image.data)
     k, n = e.shape[1], image.pixel_count
     t0 = time.perf_counter()
-    gram = e.T @ e
-    gram = 0.5 * (gram + gram.T)
-    a = _simplex_qp(gram, e.T @ image.data)
+    a = _simplex_qp(*_normal_parts(e, image.data))
     elapsed = time.perf_counter() - t0
     # The columns already lie on the simplex; normalize_abundances would
     # divide them by sums that differ from one in the last bit.
@@ -65,7 +54,6 @@ def unmix_slmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> Unmi
     rescaled columns are the abundances. Pixels whose fit collapses to
     zero are reported as degenerate rather than imputed.
     """
-    _check_shapes(image, endmembers)
     e = endmembers.data
     t0 = time.perf_counter()
     a_s = solve_nnls_clipped(endmembers, image)

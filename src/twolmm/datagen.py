@@ -148,8 +148,6 @@ def generate_2lmm_scene(
     s_x = rng.uniform(lo, hi, size=n)
     clean = (endmembers.data * s_e) @ (abundances.data * s_x)
     noisy = _add_noise(clean, snr_db, rng)
-    if width == 0 and height == 0:
-        width, height = n, 1
     return TwoLmmScene(
         image=HsiImage(noisy, width=width, height=height),
         clean=HsiImage(clean, width=width, height=height),

@@ -3,7 +3,10 @@
 Two building blocks live here: an exact active-set solver for the
 simplex-constrained quadratic program, which solves every pixel of an
 image in one batched call, and a clipped linear least-squares solve that
-goes through a QR factorization rather than the normal equations.
+goes through a QR factorization rather than the normal equations. Every
+check and factorization of the endmember matrix E that the unmixers use
+lives here too: the band check, the rank check, the thin QR fit and the
+normal equations.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class QpProblem:
             raise ValueError("gram must be a square matrix")
         if gram.shape[0] != linear.size:
             raise ValueError("gram and linear sizes are inconsistent")
+        if not (np.isfinite(gram).all() and np.isfinite(linear).all()):
+            raise ValueError("gram and linear must not hold non-finite values")
         scale = max(1.0, float(np.abs(gram).max()))
         if np.abs(gram - gram.T).max() > 1e-12 * scale:
             raise ValueError("gram matrix is not symmetric")
@@ -136,9 +141,17 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_full_rank(e: np.ndarray) -> None:
-    """Raise unless the (P, K) matrix ``e`` has full column rank; warn, at
-    the caller's caller, when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``."""
+def _check_bands(e: np.ndarray, x: np.ndarray) -> None:
+    """Raise unless ``e`` (P, K) and ``x`` (P, N) are matrices with the same P."""
+    if e.ndim != 2 or x.ndim != 2 or e.shape[0] != x.shape[0]:
+        raise ValueError(f"band mismatch: image has shape {x.shape}, endmembers {e.shape}")
+
+
+def _check_full_rank(e: np.ndarray, x: np.ndarray, stacklevel: int = 3) -> None:
+    """Raise unless ``e`` has the bands of ``x`` (:func:`_check_bands`) and
+    full column rank; warn, at ``stacklevel`` (the caller's caller by
+    default), when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``."""
+    _check_bands(e, x)
     p, k = e.shape
     if p < k:
         raise ValueError(f"need at least as many bands as endmembers ({p} < {k})")
@@ -153,8 +166,23 @@ def _check_full_rank(e: np.ndarray) -> None:
             f"cond(E^T E) = {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}; "
             "clipped least-squares solutions may be unreliable",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+def _qr_fit(e: np.ndarray, x: np.ndarray, stacklevel: int = 3):
+    """``(fit, q, r, qtx)``: the least-squares fit of each column of ``x`` from the
+    thin QR ``E = QR`` and ``qtx = Q^T X``, after :func:`_check_full_rank` at ``stacklevel``."""
+    _check_full_rank(e, x, stacklevel)
+    q, r = np.linalg.qr(e)
+    qtx = q.T @ x
+    return scipy.linalg.solve_triangular(r, qtx), q, r, qtx
+
+
+def _normal_parts(e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(E^T E, E^T X)``, the Gram matrix symmetrized."""
+    gram = e.T @ e
+    return 0.5 * (gram + gram.T), e.T @ x
 
 
 def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarray:
@@ -167,11 +195,7 @@ def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarra
     """
     e = np.asarray(endmembers, dtype=np.float64)
     x = np.asarray(pixels, dtype=np.float64)
-    if e.ndim != 2 or x.ndim != 2 or e.shape[0] != x.shape[0]:
-        raise ValueError("endmember and pixel band counts must match")
-    _check_full_rank(e)
-    q, r = np.linalg.qr(e)
-    return scipy.linalg.solve_triangular(r, q.T @ x)
+    return _qr_fit(e, x, stacklevel=4)[0]
 
 
 def solve_nnls_clipped(

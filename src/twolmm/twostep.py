@@ -28,7 +28,9 @@ the fit (see :func:`_solver_cost`): with the thin QR ``E = QR``,
     ``||X - E diag(s_e) A_s||^2 = c0 + ||Q^T X - R diag(s_e) A_s||^2``,
 
 where ``c0 = ||X - Q Q^T X||^2`` is the part of the image outside the span
-of ``E``. ``c0`` takes the solve's one P x N pass, made over blocks of
+of ``E``. ``Q``, ``R`` and ``Q^T X`` are those the solve's least-squares
+fit is taken from (:func:`twolmm.solvers._qr_fit`), so a solve factorizes
+``E`` once. ``c0`` takes the solve's one P x N pass, made over blocks of
 pixels; each cost after it is O(K^2 N) and allocates one K x N array.
 Both terms are nonnegative, so the rounding error relative to the cost
 grows like ``eps ||X|| / sqrt(J)``, as for the direct residual, and stays
@@ -62,7 +64,14 @@ from .core import (
     normalize_abundances,
     rmse_a,
 )
-from .solvers import SolverError, _check_full_rank, solve_least_squares
+from .solvers import (
+    SolverError,
+    _check_bands,
+    _check_full_rank,
+    _normal_parts,
+    _qr_fit,
+    solve_least_squares,
+)
 from .trace import IterationRecord, SolverTrace, UnmixResult, _unmix_result
 
 __all__ = [
@@ -184,8 +193,7 @@ def _checked(endmembers, image, a_s=None, s_e=None) -> tuple[np.ndarray, np.ndar
     """The (E, X) arrays, after checking that their band counts match and
     that ``a_s`` is (K, N) and ``s_e`` is (K,) when given."""
     e, x = _data(endmembers), _data(image)
-    if e.ndim != 2 or x.ndim != 2 or e.shape[0] != x.shape[0]:
-        raise ValueError("endmember and image band counts must match")
+    _check_bands(e, x)
     k, n = e.shape[1], x.shape[1]
     if (a_s is not None and a_s.shape != (k, n)) or (s_e is not None and s_e.shape != (k,)):
         raise ValueError("state shape does not match image/endmembers")
@@ -210,15 +218,15 @@ def _gradient(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) ->
     return _pack(grad_a, grad_s)
 
 
-def _solver_cost(e: np.ndarray, x: np.ndarray):
+def _solver_cost(e: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray, qtx: np.ndarray):
     """The cost function ``(a_s, s_e) -> J`` of the solver loop.
 
-    ``J = c0 + ||Q^T X - R diag(s_e) A_s||^2`` with ``E = QR`` and
-    ``c0 = ||X - Q Q^T X||^2`` (module docstring). On a near-exact fit,
-    ``c0 < _NEAR_EXACT_FIT * ||X||^2``, it returns :func:`_cost` itself.
+    ``J = c0 + ||Q^T X - R diag(s_e) A_s||^2`` with ``c0 = ||X - Q Q^T X||^2``
+    (module docstring), from the thin QR ``E = QR`` and the ``Q^T X`` of the
+    solve's least-squares fit (:func:`twolmm.solvers._qr_fit`), so E is not
+    factorized again. On a near-exact fit, ``c0 < _NEAR_EXACT_FIT * ||X||^2``,
+    it returns :func:`_cost` itself.
     """
-    q, r = np.linalg.qr(e)
-    qtx = q.T @ x
     c0 = 0.0
     for start in range(0, x.shape[1], _C0_BLOCK):
         outside = q @ qtx[:, start : start + _C0_BLOCK]
@@ -240,12 +248,6 @@ def _scaled_clip(fit: np.ndarray, s_e: np.ndarray, upper: float) -> np.ndarray:
     """Abundance block update from the unconstrained fit: divide row k by
     ``s_e[k]`` and clip into ``[0, upper]``."""
     return np.clip(fit / s_e[:, None], 0.0, upper)
-
-
-def _normal_parts(e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(E^T E, E^T X)``, the Gram matrix symmetrized."""
-    gram = e.T @ e
-    return 0.5 * (gram + gram.T), e.T @ x
 
 
 def _sweep_scales(
@@ -343,7 +345,7 @@ def als_update_se(
     a_s = np.atleast_2d(np.asarray(a_s, dtype=np.float64))
     s_e = np.asarray(s_e, dtype=np.float64).ravel()
     e, x = _checked(endmembers, image, a_s, s_e)
-    _check_full_rank(e)
+    _check_full_rank(e, x)
     s, absent = _sweep_scales(*_normal_parts(e, x), a_s, s_e, lower, upper)
     if absent:
         warnings.warn(
@@ -447,6 +449,8 @@ def solve_lbfgs(
     accepted step, the raw ALS step is taken and the curvature history is
     dropped; when that step would itself fail the test, only the
     endmember scales are updated, so every iteration meets the test.
+    Every new iterate puts all-zero pixels back at ``a_s = 0``, their
+    exact block minimizer, from which the two-loop direction can move them.
     Terminates when the relative change of both blocks falls below the
     thresholds; stopping at ``max_iter`` instead raises a
     ``RuntimeWarning``.
@@ -466,16 +470,18 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
     # and _unmix_result directly, so the warnings point at the solver's caller.
     e, x = _checked(endmembers, image, None if init is None else init.a_s)
     k, n = e.shape[1], x.shape[1]
-    # Unconstrained per-column fit; reused by every abundance update.
-    fit = solve_least_squares(e, x)
+    # Unconstrained per-column fit for every abundance update, and its QR for every cost.
+    fit, *qr = _qr_fit(e, x)
     gram, etx = _normal_parts(e, x)
+    # a_s = 0 minimizes the block of an all-zero pixel; every iterate keeps it.
+    zero_px = ~x.any(axis=0)
     state = init or TwoLmmState.uniform(k, n)
     if np.any(state.a_s > cfg.upper) or np.any(state.s_e < cfg.lower) or np.any(
         state.s_e > cfg.upper
     ):
         raise ValueError("initial state violates the box bounds")
 
-    cost_at = _solver_cost(e, x)
+    cost_at = _solver_cost(e, x, *qr)
     z = state.packed
     current_cost = cost_at(*_unpack(z, k, n))
     trace = SolverTrace(initial_cost=current_cost)
@@ -537,6 +543,7 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
             gamma = cfg.step_init
             history.clear()
 
+        z_new[: k * n].reshape(n, k)[zero_px] = 0.0
         a_new, s_new = _unpack(z_new, k, n)
         rel_a = _rel_change(a_new, a_cur)
         rel_s = _rel_change(s_new, s_cur)

@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from twolmm import EndmemberMatrix, HsiImage, QpProblem, solve_nnls_clipped, solve_simplex_qp
+from twolmm import (
+    EndmemberMatrix,
+    HsiImage,
+    QpProblem,
+    solve_nnls_clipped,
+    solve_simplex_qp,
+    unmix_lmm,
+    unmix_slmm,
+)
 from twolmm.solvers import SolverError, _simplex_qp, solve_least_squares
+from twolmm.twostep import TwoLmmState, als_update_se, cost, solve_als, solve_lbfgs
 
 
 def qp_objective(problem: QpProblem, a: np.ndarray) -> float:
@@ -38,6 +47,43 @@ class TestQpProblem:
         # The active-set kernel's KKT systems can be singular for these.
         with pytest.raises(ValueError, match="positive definite"):
             QpProblem(gram=np.array(gram), linear=np.array(linear))
+
+    @pytest.mark.parametrize(
+        "gram, linear",
+        [
+            (np.eye(3), [np.nan, 0.0, 0.0]),
+            (np.eye(3), [np.inf, 0.0, 0.0]),
+            ([[1.0, np.nan], [np.nan, 1.0]], [0.3, 0.1]),
+            ([[np.inf, 0.0], [0.0, 1.0]], [0.3, 0.1]),
+        ],
+        ids=["nan-linear", "inf-linear", "nan-gram", "inf-gram"],
+    )
+    def test_non_finite_data_rejected(self, gram, linear):
+        with pytest.raises(ValueError, match="non-finite"):
+            QpProblem(gram=np.array(gram), linear=np.array(linear))
+
+
+class TestBandCheck:
+    # 6 bands in the endmembers, 5 in the image.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            unmix_lmm,
+            unmix_slmm,
+            solve_als,
+            solve_lbfgs,
+            lambda x, e: cost(x, e, TwoLmmState.uniform(2, 4)),
+            lambda x, e: solve_least_squares(e.data, x.data),
+        ],
+        ids=["unmix_lmm", "unmix_slmm", "solve_als", "solve_lbfgs", "cost", "least_squares"],
+    )
+    def test_every_entry_point_gives_one_message(self, call):
+        rng = np.random.default_rng(3)
+        e = EndmemberMatrix(rng.uniform(0.1, 1.0, size=(6, 2)))
+        x = HsiImage(rng.uniform(0.1, 1.0, size=(5, 4)))
+        with pytest.raises(ValueError) as caught:
+            call(x, e)
+        assert str(caught.value) == "band mismatch: image has shape (5, 4), endmembers (6, 2)"
 
 
 class TestSolveSimplexQp:
@@ -150,9 +196,10 @@ class TestSimplexQpKernel:
         np.testing.assert_array_equal(_simplex_qp(np.eye(1), np.array([[0.2, -3.0]])), 1.0)
 
     def test_iteration_limit_raises(self):
-        # A NaN right-hand side never reaches a stationary point.
+        # A NaN right-hand side never reaches a stationary point; QpProblem
+        # rejects it, so the kernel is called directly.
         with pytest.raises(SolverError, match="iteration limit"):
-            solve_simplex_qp(QpProblem(gram=np.eye(3), linear=np.array([np.nan, 0.0, 0.0])))
+            _simplex_qp(np.eye(3), np.array([[np.nan], [0.0], [0.0]]))
 
 
 class TestSolveNnlsClipped:
@@ -195,3 +242,18 @@ class TestSolveNnlsClipped:
         e = np.array([[1.0, 1.0], [0.0, 1e-6]])
         with pytest.warns(RuntimeWarning, match="cond"):
             solve_least_squares(e, np.ones((2, 1)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, e: solve_least_squares(e.data, x.data),
+            unmix_lmm,
+            lambda x, e: als_update_se(x, e, np.ones((2, 1)), np.ones(2), (0.2, 5.0)),
+        ],
+        ids=["least_squares", "unmix_lmm", "als_update_se"],
+    )
+    def test_condition_warning_points_at_the_caller(self, call):
+        e = EndmemberMatrix(np.array([[1.0, 1.0], [0.0, 1e-6]]))
+        with pytest.warns(RuntimeWarning, match="cond") as caught:
+            call(HsiImage(np.ones((2, 1))), e)
+        assert [w.filename for w in caught] == [__file__]

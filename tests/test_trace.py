@@ -16,8 +16,6 @@ from twolmm import (
 from twolmm.datagen import GrfSpec
 from twolmm.twostep import TwoLmmConfig, solve_als, solve_lbfgs
 
-# Three iterations keep all-zero pixels at exactly zero abundance under
-# L-BFGS too; later curvature pairs couple the pixels and lift them slightly.
 METHODS = {
     "lmm": unmix_lmm,
     "slmm": unmix_slmm,
@@ -62,12 +60,9 @@ def test_one_result_contract(name):
     assert degenerate[0].filename == __file__
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the L-BFGS two-loop direction mixes every pixel's coordinates, "
-    "so all-zero pixels leave zero once curvature pairs exist",
-)
 def test_lbfgs_keeps_all_zero_pixels_degenerate():
+    # The two-loop direction mixes every pixel's coordinates once curvature
+    # pairs exist; the solver still keeps an all-zero pixel at a_s = 0.
     em, image = noisy_scene()
     x = np.array(image.data)
     x[:, 5:15] = 0.0

@@ -20,7 +20,7 @@ from twolmm import (
 )
 from twolmm import twostep
 from twolmm.datagen import GrfSpec
-from twolmm.solvers import SolverError
+from twolmm.solvers import SolverError, _qr_fit
 from twolmm.twostep import (
     TwoLmmConfig,
     TwoLmmState,
@@ -479,7 +479,8 @@ class TestSolveLbfgs:
 class TestSolverCost:
     def test_matches_public_cost_on_a_noisy_scene(self):
         em, _, scene = exact_scene(seed=40, snr_db=40.0)
-        cost_at = twostep._solver_cost(em.data, scene.image.data)
+        _, *qr = _qr_fit(em.data, scene.image.data)
+        cost_at = twostep._solver_cost(em.data, scene.image.data, *qr)
         assert not isinstance(cost_at, partial)  # the split form, not _cost
         rng = np.random.default_rng(0)
         k, n = em.endmember_count, scene.image.pixel_count
@@ -503,6 +504,22 @@ class TestSolverCost:
             warnings.simplefilter("ignore", RuntimeWarning)
             res = solver(scene.image, em, TwoLmmConfig(max_iter=50))
         assert res.iterations > 1
+
+    @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
+    def test_one_qr_per_solve(self, solver, monkeypatch):
+        em, _, scene = exact_scene(seed=43, snr_db=40.0)
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            solver(scene.image, em, TwoLmmConfig(max_iter=5))
+        assert len(calls) == 1
 
     def test_near_exact_fit_takes_the_direct_residual(self, monkeypatch):
         em, _, scene = exact_scene(seed=42)
