@@ -21,13 +21,13 @@ from .core import (
     NormalizationResult,
     normalize_abundances,
 )
-from .solvers import _check_full_rank, _normal_parts, _simplex_qp, solve_nnls_clipped
+from .solvers import _arrays, _check_full_rank, _normal_parts, _simplex_qp, solve_nnls_clipped
 from .trace import UnmixResult, _unmix_result
 
 __all__ = ["unmix_lmm", "unmix_slmm"]
 
 
-def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> UnmixResult:
+def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix) -> UnmixResult:
     """Simplex-constrained least squares of every pixel in one batched
     active-set call (no scaling factors); rank-deficient endmembers raise.
 
@@ -35,28 +35,27 @@ def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> Unmix
     scene carries scaling variability, which the simplex constraint cannot
     absorb.
     """
-    e = endmembers.data
-    _check_full_rank(e, image.data)
-    k, n = e.shape[1], image.pixel_count
+    e, x = _arrays(endmembers, image)
+    _check_full_rank(e, x)
+    k, n = e.shape[1], x.shape[1]
     t0 = time.perf_counter()
-    a = _simplex_qp(*_normal_parts(e, image.data))
+    a = _simplex_qp(*_normal_parts(e, x))
     elapsed = time.perf_counter() - t0
     # The columns already lie on the simplex; normalize_abundances would
     # divide them by sums that differ from one in the last bit.
     norm = NormalizationResult(AbundanceMatrix(a, normalized=True), s_x=np.ones(n))
-    return _unmix_result(image, e, a, np.ones(k), norm, elapsed, truth)
+    return _unmix_result(image, e, a, np.ones(k), norm, elapsed)
 
 
-def unmix_slmm(image: HsiImage, endmembers: EndmemberMatrix, truth=None) -> UnmixResult:
+def unmix_slmm(image: HsiImage, endmembers: EndmemberMatrix) -> UnmixResult:
     """Clipped least squares plus per-pixel normalization.
 
     The column sums of the clipped fit become the pixel scales s_x; the
     rescaled columns are the abundances. Pixels whose fit collapses to
     zero are reported as degenerate rather than imputed.
     """
-    e = endmembers.data
     t0 = time.perf_counter()
     a_s = solve_nnls_clipped(endmembers, image)
     norm = normalize_abundances(a_s)
     elapsed = time.perf_counter() - t0
-    return _unmix_result(image, e, a_s, np.ones(e.shape[1]), norm, elapsed, truth)
+    return _unmix_result(image, endmembers.data, a_s, np.ones(a_s.shape[0]), norm, elapsed)

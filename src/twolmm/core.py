@@ -19,6 +19,8 @@ this module is pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +47,19 @@ def _index_summary(indices, limit: int = 8) -> str:
     so that messages stay short on large images."""
     idx = np.asarray(indices).ravel()
     return f"{idx.size} (first indices {idx[:limit].tolist()})"
+
+
+def _warn(message: str) -> None:
+    """Issue ``message`` as a ``RuntimeWarning`` at the first stack frame
+    outside twolmm's library modules, so that it points at the line that
+    called into the library; :mod:`twolmm.cli` counts as such a caller."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if not module.startswith("twolmm.") or module == "twolmm.cli":
+            break
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 def _freeze(data: np.ndarray) -> np.ndarray:

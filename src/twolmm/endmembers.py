@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, _index_summary, sad
 
@@ -261,6 +260,10 @@ def check_sufficiently_scattered(
         raise ValueError("the scatter condition needs at least two endmembers")
     if not abundances.normalized:
         raise ValueError("abundances must be normalized")
+    # Imported here, not at module level: nothing else in twolmm uses scipy,
+    # and loading it would add most of a second to every CLI start.
+    import scipy.optimize
+
     cols = np.asarray(abundances.data)
     rng = np.random.default_rng(seed)
     center = math.sqrt(k - 1) / k

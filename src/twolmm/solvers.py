@@ -11,13 +11,11 @@ normal equations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import EndmemberMatrix, HsiImage
+from .core import EndmemberMatrix, HsiImage, _warn
 
 __all__ = [
     "SolverError",
@@ -141,16 +139,24 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
     return out
 
 
+def _arrays(endmembers: EndmemberMatrix, image: HsiImage) -> tuple[np.ndarray, np.ndarray]:
+    """The (E, X) arrays of the two containers, after :func:`_check_bands`."""
+    if not (isinstance(endmembers, EndmemberMatrix) and isinstance(image, HsiImage)):
+        got = f"{type(image).__name__} and {type(endmembers).__name__}"
+        raise TypeError(f"image and endmembers must be HsiImage and EndmemberMatrix, got {got}")
+    _check_bands(endmembers.data, image.data)
+    return endmembers.data, image.data
+
+
 def _check_bands(e: np.ndarray, x: np.ndarray) -> None:
     """Raise unless ``e`` (P, K) and ``x`` (P, N) are matrices with the same P."""
     if e.ndim != 2 or x.ndim != 2 or e.shape[0] != x.shape[0]:
         raise ValueError(f"band mismatch: image has shape {x.shape}, endmembers {e.shape}")
 
 
-def _check_full_rank(e: np.ndarray, x: np.ndarray, stacklevel: int = 3) -> None:
+def _check_full_rank(e: np.ndarray, x: np.ndarray) -> None:
     """Raise unless ``e`` has the bands of ``x`` (:func:`_check_bands`) and
-    full column rank; warn, at ``stacklevel`` (the caller's caller by
-    default), when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``."""
+    full column rank; warn when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``."""
     _check_bands(e, x)
     p, k = e.shape
     if p < k:
@@ -162,21 +168,20 @@ def _check_full_rank(e: np.ndarray, x: np.ndarray, stacklevel: int = 3) -> None:
         )
     cond = (sv[0] / sv[-1]) ** 2
     if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
+        _warn(
             f"cond(E^T E) = {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:g}; "
-            "clipped least-squares solutions may be unreliable",
-            RuntimeWarning,
-            stacklevel=stacklevel,
+            "clipped least-squares solutions may be unreliable"
         )
 
 
-def _qr_fit(e: np.ndarray, x: np.ndarray, stacklevel: int = 3):
+def _qr_fit(e: np.ndarray, x: np.ndarray):
     """``(fit, q, r, qtx)``: the least-squares fit of each column of ``x`` from the
-    thin QR ``E = QR`` and ``qtx = Q^T X``, after :func:`_check_full_rank` at ``stacklevel``."""
-    _check_full_rank(e, x, stacklevel)
+    thin QR ``E = QR`` and ``qtx = Q^T X``, after :func:`_check_full_rank`."""
+    _check_full_rank(e, x)
     q, r = np.linalg.qr(e)
     qtx = q.T @ x
-    return scipy.linalg.solve_triangular(r, qtx), q, r, qtx
+    # Column-major like the images: numpy sums a C-ordered fit in another order.
+    return np.asfortranarray(np.linalg.solve(r, qtx)), q, r, qtx
 
 
 def _normal_parts(e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +200,7 @@ def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarra
     """
     e = np.asarray(endmembers, dtype=np.float64)
     x = np.asarray(pixels, dtype=np.float64)
-    return _qr_fit(e, x, stacklevel=4)[0]
+    return _qr_fit(e, x)[0]
 
 
 def solve_nnls_clipped(
@@ -209,5 +214,5 @@ def solve_nnls_clipped(
     """
     if hi <= 0:
         raise ValueError("upper clip bound must be positive")
-    a = solve_least_squares(endmembers.data, image.data)
+    a = solve_least_squares(*_arrays(endmembers, image))
     return np.clip(a, 0.0, hi)

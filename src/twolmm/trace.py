@@ -4,13 +4,12 @@ the one function that builds it for every method."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import AbundanceMatrix, HsiImage, NormalizationResult, _index_summary, rmse_a
+from .core import AbundanceMatrix, HsiImage, NormalizationResult, _index_summary, _warn
 
 __all__ = ["IterationRecord", "SolverTrace", "UnmixResult"]
 
@@ -115,7 +114,6 @@ def _unmix_result(
     s_e: np.ndarray,
     norm: NormalizationResult,
     trace: SolverTrace | float,
-    truth: AbundanceMatrix | None = None,
 ) -> UnmixResult:
     """The result of every unmixer, from its scaled abundances ``a_s``
     (K, N), endmember scales ``s_e`` (K,) and ``norm``, the split of ``a_s``
@@ -123,18 +121,12 @@ def _unmix_result(
 
     The reconstruction is ``(E * s_e) @ a_s``. ``trace`` is the solver's
     trace; a single-shot method passes its elapsed seconds instead and gets
-    one record whose cost is ``||X - reconstruction||^2`` and whose
-    ``rmse_a`` is taken against ``truth`` when given. Degenerate pixels are
-    reported in one warning that points at the caller of the public
-    function, so that function must call this builder directly.
+    one record whose cost is ``||X - reconstruction||^2``. Degenerate pixels
+    are reported in one warning.
     """
     if norm.degenerate_pixels.size:
-        warnings.warn(
-            "pixels with zero fitted abundance were flagged degenerate: "
-            + _index_summary(norm.degenerate_pixels),
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        summary = _index_summary(norm.degenerate_pixels)
+        _warn(f"pixels with zero fitted abundance were flagged degenerate: {summary}")
     recon = HsiImage((e * s_e) @ a_s, width=image.width, height=image.height)
     if not isinstance(trace, SolverTrace):
         resid = image.data - recon.data
@@ -149,7 +141,6 @@ def _unmix_result(
                 rel_change_a=0.0,
                 rel_change_s=0.0,
                 time_s=elapsed,
-                rmse_a=rmse_a(truth, norm.abundances) if truth is not None else math.nan,
             )
         )
     return UnmixResult(

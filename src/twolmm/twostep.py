@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
@@ -61,12 +60,13 @@ from .core import (
     EndmemberMatrix,
     HsiImage,
     _index_summary,
+    _warn,
     normalize_abundances,
     rmse_a,
 )
 from .solvers import (
     SolverError,
-    _check_bands,
+    _arrays,
     _check_full_rank,
     _normal_parts,
     _qr_fit,
@@ -185,15 +185,10 @@ def _unpack(z: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z[: k * n].reshape((k, n), order="F"), z[k * n :]
 
 
-def _data(obj) -> np.ndarray:
-    return obj.data if hasattr(obj, "data") else np.asarray(obj, dtype=np.float64)
-
-
 def _checked(endmembers, image, a_s=None, s_e=None) -> tuple[np.ndarray, np.ndarray]:
-    """The (E, X) arrays, after checking that their band counts match and
+    """The (E, X) arrays (:func:`twolmm.solvers._arrays`), after checking
     that ``a_s`` is (K, N) and ``s_e`` is (K,) when given."""
-    e, x = _data(endmembers), _data(image)
-    _check_bands(e, x)
+    e, x = _arrays(endmembers, image)
     k, n = e.shape[1], x.shape[1]
     if (a_s is not None and a_s.shape != (k, n)) or (s_e is not None and s_e.shape != (k,)):
         raise ValueError("state shape does not match image/endmembers")
@@ -348,12 +343,7 @@ def als_update_se(
     _check_full_rank(e, x)
     s, absent = _sweep_scales(*_normal_parts(e, x), a_s, s_e, lower, upper)
     if absent:
-        warnings.warn(
-            "endmembers absent from the scene kept their scales: "
-            + _index_summary(absent),
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _warn("endmembers absent from the scene kept their scales: " + _index_summary(absent))
     return s
 
 
@@ -408,7 +398,7 @@ def solve_als(
     carries the iterate's abundance RMSE.
     """
     cfg = replace(config or TwoLmmConfig(), memory=0, force_unit_step=True)
-    return _unmix_result(image, _data(endmembers), *_solve(image, endmembers, cfg, init, truth))
+    return _solve(image, endmembers, cfg, init, truth)
 
 
 def _two_loop(
@@ -460,14 +450,11 @@ def solve_lbfgs(
     which is what :func:`solve_als` does. ``truth`` is as in
     :func:`solve_als`.
     """
-    cfg = config or TwoLmmConfig()
-    return _unmix_result(image, _data(endmembers), *_solve(image, endmembers, cfg, init, truth))
+    return _solve(image, endmembers, config or TwoLmmConfig(), init, truth)
 
 
-def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
-    # The one outer iteration of both solvers (see solve_lbfgs); returns the
-    # final a_s, s_e, their normalization and the trace. Both solvers call it
-    # and _unmix_result directly, so the warnings point at the solver's caller.
+def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth) -> UnmixResult:
+    # The one outer iteration of both solvers (see solve_lbfgs).
     e, x = _checked(endmembers, image, None if init is None else init.a_s)
     k, n = e.shape[1], x.shape[1]
     # Unconstrained per-column fit for every abundance update, and its QR for every cost.
@@ -570,13 +557,11 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth):
             break
     else:
         if cfg.max_iter:
-            warnings.warn(
+            _warn(
                 f"stopped at max_iter={cfg.max_iter} without converging: last "
                 f"rel_change_a={rel_a:.3g}, rel_change_s={rel_s:.3g}, "
-                f"thresholds eps_a={cfg.eps_a:g}, eps_s={cfg.eps_s:g}",
-                RuntimeWarning,
-                stacklevel=3,
+                f"thresholds eps_a={cfg.eps_a:g}, eps_s={cfg.eps_s:g}"
             )
 
     a_s, s_e = _unpack(z, k, n)
-    return a_s, s_e, normalize_abundances(a_s), trace
+    return _unmix_result(image, e, a_s, s_e, normalize_abundances(a_s), trace)

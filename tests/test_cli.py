@@ -2,12 +2,18 @@
 
 import dataclasses
 import json
+import linecache
+import os
 import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twolmm import HsiImage, cli
 from twolmm.cli import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +25,7 @@ from twolmm.cli import (
     main,
     read_config,
     resolve_endmembers,
+    run_methods,
 )
 from twolmm.fileio import load_abundances, load_endmembers, load_image
 
@@ -173,6 +180,21 @@ class TestUnmix:
                 if isinstance(row[col], float):
                     assert float(cell) == row[col]
         assert [r["method"] for r in jrows] == [r["method"] for r in rows]
+
+    def test_each_method_warns_at_its_own_line(self, tmp_path):
+        cfg = small_cfg(tmp_path, methods=("slmm", "als2lmm", "lbfgs2lmm"))
+        bundle = build_scene(cfg)
+        x = np.array(bundle.image.data)
+        x[:, 5:15] = 0.0
+        bundle.image = HsiImage(x, width=cfg.width, height=cfg.height)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_methods(cfg, bundle, bundle.endmembers_truth)
+        degenerate = [w for w in caught if "degenerate" in str(w.message)]
+        assert [w.filename for w in degenerate] == [cli.__file__] * 3
+        lines = [linecache.getline(w.filename, w.lineno) for w in degenerate]
+        for line, function in zip(lines, ("unmix_slmm", "solve_als", "solve_lbfgs")):
+            assert f"return {function}(" in line
 
     def test_trace_files_written(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -421,3 +443,16 @@ class TestResolveEndmembers:
         cfg2 = small_cfg(tmp_path, em_source="file", em_file=str(path))
         em = resolve_endmembers(cfg2, bundle)
         np.testing.assert_array_equal(em.data, bundle.endmembers_truth.data)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, twolmm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -13,7 +13,16 @@ from twolmm import (
     unmix_slmm,
 )
 from twolmm.solvers import SolverError, _simplex_qp, solve_least_squares
-from twolmm.twostep import TwoLmmState, als_update_se, cost, solve_als, solve_lbfgs
+from twolmm.twostep import (
+    TwoLmmState,
+    als_update_a,
+    als_update_se,
+    cost,
+    gradient,
+    precondition,
+    solve_als,
+    solve_lbfgs,
+)
 
 
 def qp_objective(problem: QpProblem, a: np.ndarray) -> float:
@@ -84,6 +93,46 @@ class TestBandCheck:
         with pytest.raises(ValueError) as caught:
             call(x, e)
         assert str(caught.value) == "band mismatch: image has shape (5, 4), endmembers (6, 2)"
+
+
+class TestContainerCheck:
+    # Plain arrays instead of the containers: 5 bands, 3 pixels, K = 2.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            unmix_lmm,
+            unmix_slmm,
+            solve_als,
+            solve_lbfgs,
+            lambda x, e: cost(x, e, TwoLmmState.uniform(2, 3)),
+            lambda x, e: gradient(x, e, TwoLmmState.uniform(2, 3)),
+            lambda x, e: als_update_a(x, e, np.ones(2)),
+            lambda x, e: als_update_se(x, e, np.ones((2, 3)), np.ones(2), (0.2, 5.0)),
+            lambda x, e: precondition(x, e, TwoLmmState.uniform(2, 3)),
+            lambda x, e: solve_nnls_clipped(e, x),
+        ],
+        ids=[
+            "unmix_lmm",
+            "unmix_slmm",
+            "solve_als",
+            "solve_lbfgs",
+            "cost",
+            "gradient",
+            "als_update_a",
+            "als_update_se",
+            "precondition",
+            "nnls_clipped",
+        ],
+    )
+    def test_plain_arrays_rejected_with_one_message(self, call):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.1, 1.0, size=(5, 3))
+        e = rng.uniform(0.1, 1.0, size=(5, 2))
+        with pytest.raises(TypeError) as caught:
+            call(x, e)
+        assert str(caught.value) == (
+            "image and endmembers must be HsiImage and EndmemberMatrix, got ndarray and ndarray"
+        )
 
 
 class TestSolveSimplexQp:
@@ -248,12 +297,24 @@ class TestSolveNnlsClipped:
         [
             lambda x, e: solve_least_squares(e.data, x.data),
             unmix_lmm,
+            unmix_slmm,
+            solve_als,
+            solve_lbfgs,
             lambda x, e: als_update_se(x, e, np.ones((2, 1)), np.ones(2), (0.2, 5.0)),
         ],
-        ids=["least_squares", "unmix_lmm", "als_update_se"],
+        ids=[
+            "least_squares",
+            "unmix_lmm",
+            "unmix_slmm",
+            "solve_als",
+            "solve_lbfgs",
+            "als_update_se",
+        ],
     )
     def test_condition_warning_points_at_the_caller(self, call):
         e = EndmemberMatrix(np.array([[1.0, 1.0], [0.0, 1e-6]]))
         with pytest.warns(RuntimeWarning, match="cond") as caught:
             call(HsiImage(np.ones((2, 1))), e)
-        assert [w.filename for w in caught] == [__file__]
+        assert [w.filename for w in caught if "cond" in str(w.message)] == [__file__]
+        # The solvers may also stop at max_iter; every warning points here.
+        assert {w.filename for w in caught} == {__file__}

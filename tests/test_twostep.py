@@ -227,6 +227,7 @@ class TestAlsUpdateSe:
         assert str(caught[0].message).endswith(
             "9 (first indices [1, 2, 3, 4, 5, 6, 7, 8])"
         )
+        assert caught[0].filename == __file__
 
     def test_rank_deficient_endmembers_rejected(self):
         rng = np.random.default_rng(12)
@@ -333,6 +334,7 @@ class TestSolveAls:
         message = [str(w.message) for w in caught if "max_iter" in str(w.message)][0]
         for name in ("max_iter=3", "rel_change_a=", "rel_change_s=", "eps_a=1e-30", "eps_s=1e-30"):
             assert name in message
+        assert [w.filename for w in caught if "max_iter" in str(w.message)] == [__file__]
 
     def test_zero_max_iter_returns_init(self):
         x, e, state = random_instance(12)
@@ -465,9 +467,10 @@ class TestSolveLbfgs:
     def test_max_iter_stop_warns(self):
         em, ab, scene = exact_scene(seed=31, width=8, height=8)
         cfg = TwoLmmConfig(max_iter=3, eps_a=1e-30, eps_s=1e-30)
-        with pytest.warns(RuntimeWarning, match="max_iter"):
+        with pytest.warns(RuntimeWarning, match="max_iter") as caught:
             res = solve_lbfgs(scene.image, em, cfg)
         assert res.iterations == 3
+        assert [w.filename for w in caught if "max_iter" in str(w.message)] == [__file__]
 
     def test_out_of_bounds_init_rejected(self):
         x, e, state = random_instance(15)
