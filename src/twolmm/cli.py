@@ -192,12 +192,40 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "solver.memory": ("memory", int),
 }
 
+# Command-line flag -> the config key it sets; ``--bounds`` sets two keys.
+_FLAG_KEYS = {
+    "seed": "run.seed",
+    "out": "run.out",
+    "methods": "run.methods",
+    "em_source": "run.em_source",
+    "snr": "scene.snr_db",
+}
+
+# The columns of results.csv/.json, and of sweep.csv after its sweep and value.
+_RESULT_COLUMNS = ("method", "rmse_a", "rmse_x", "time_s", "iters", "error")
+
 
 def build_config(entries: dict[str, str], args: argparse.Namespace) -> ExperimentConfig:
+    """The configuration of file ``entries`` with the flags in ``args`` set
+    over it. An unset flag, an empty ``--methods`` and an empty ``--bounds``
+    leave the file's value."""
+    flags = {
+        key: str(getattr(args, flag))
+        for flag, key in _FLAG_KEYS.items()
+        if getattr(args, flag, None) is not None
+    }
+    if flags.get("run.methods") == "":
+        del flags["run.methods"]
+    if getattr(args, "bounds", None):
+        try:
+            lo, hi = (float(v) for v in args.bounds.split(","))
+        except ValueError as exc:
+            raise ConfigError("--bounds expects 'lo,hi'") from exc
+        flags["solver.lower"], flags["solver.upper"] = repr(lo), repr(hi)
     cfg = ExperimentConfig()
     solver_kwargs: dict[str, float | int] = {}
     try:
-        for key, value in entries.items():
+        for key, value in [*entries.items(), *flags.items()]:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown configuration key {key!r}")
             name, parse = _CONFIG_KEYS[key]
@@ -207,24 +235,6 @@ def build_config(entries: dict[str, str], args: argparse.Namespace) -> Experimen
                 setattr(cfg, name, parse(value))
     except ValueError as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc
-
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "methods", None):
-        cfg.methods = _parse_methods(args.methods)
-    if getattr(args, "em_source", None):
-        cfg.em_source = args.em_source
-    if getattr(args, "snr", None) is not None:
-        cfg.snr_db = _parse_snr(args.snr)
-    if getattr(args, "bounds", None):
-        try:
-            lo, hi = (float(v) for v in args.bounds.split(","))
-        except ValueError as exc:
-            raise ConfigError("--bounds expects 'lo,hi'") from exc
-        solver_kwargs["lower"] = lo
-        solver_kwargs["upper"] = hi
     try:
         cfg.solver = TwoLmmConfig(**solver_kwargs)
     except ValueError as exc:
@@ -416,14 +426,8 @@ def run_methods(
             raise ConfigError(f"endmembers do not fit the scene: {exc}") from exc
     rows = []
     for name in cfg.methods:
-        row = {
-            "method": name,
-            "rmse_a": None,
-            "rmse_x": None,
-            "time_s": None,
-            "iters": 0,
-            "error": "",
-        }
+        row = dict.fromkeys(_RESULT_COLUMNS)
+        row.update(method=name, iters=0, error="")
         try:
             t0 = time.perf_counter()
             result = _run_method(name, bundle.image, em_used, cfg.solver)
@@ -454,7 +458,9 @@ def _cell(value) -> str:
     return str(value).replace(",", ";").replace("\n", " ")
 
 
-def _write_rows(rows: list[dict], columns: list[str], csv_path: Path, json_path: Path) -> None:
+def _write_rows(
+    rows: list[dict], columns: tuple[str, ...], csv_path: Path, json_path: Path
+) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_cell(row[c]) for c in columns))
@@ -473,12 +479,7 @@ def cmd_unmix(cfg: ExperimentConfig) -> list[dict]:
     bundle = _scene(cfg)
     em_used = resolve_endmembers(cfg, bundle)
     rows = run_methods(cfg, bundle, em_used, out=out)
-    _write_rows(
-        rows,
-        ["method", "rmse_a", "rmse_x", "time_s", "iters", "error"],
-        out / "results.csv",
-        out / "results.json",
-    )
+    _write_rows(rows, _RESULT_COLUMNS, out / "results.csv", out / "results.json")
     return rows
 
 
@@ -519,12 +520,7 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
             for row in run_methods(cfg, noisy_bundle, em_used):
                 rows.append({"sweep": sweep, "value": snr, **row})
 
-    _write_rows(
-        rows,
-        ["sweep", "value", "method", "rmse_a", "rmse_x", "time_s", "iters", "error"],
-        out / "sweep.csv",
-        out / "sweep.json",
-    )
+    _write_rows(rows, ("sweep", "value", *_RESULT_COLUMNS), out / "sweep.csv", out / "sweep.json")
     return rows
 
 

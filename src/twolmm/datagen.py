@@ -111,8 +111,10 @@ class TwoLmmScene:
 def _add_noise(
     clean: np.ndarray, snr_db: float | None, rng: np.random.Generator
 ) -> np.ndarray:
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db is None or snr_db == math.inf:
         return clean.copy()
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
     signal_power = float(np.mean(clean**2))
     noise_power = signal_power / 10.0 ** (snr_db / 10.0)
     return clean + rng.normal(0.0, math.sqrt(noise_power), size=clean.shape)
@@ -132,7 +134,7 @@ def generate_2lmm_scene(
     Draws K + N scaling factors uniformly from ``s_range`` (endmember
     scales first, then pixel scales), mixes, and adds white Gaussian noise
     whose variance realizes the requested SNR. ``snr_db = None`` or ``inf``
-    skips the noise entirely.
+    skips the noise entirely; NaN and ``-inf`` raise ``ValueError``.
     """
     if not abundances.normalized:
         raise ValueError("ground-truth abundances must be normalized")

@@ -4,7 +4,8 @@ the one function that builds it for every method."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,8 @@ __all__ = ["IterationRecord", "SolverTrace", "UnmixResult"]
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One solver iteration.
+    """One solver iteration, and one row of a trace CSV: the columns are
+    these fields, in this order.
 
     ``cost`` is the objective at the accepted (feasible) iterate;
     ``cost_accept`` is the objective at the point the step-size test
@@ -25,9 +27,7 @@ class IterationRecord:
     the K-dimensional coordinates of the fit, without the P x N residual;
     they agree with ``||X - E diag(s_e) A_s||^2`` to rounding, about
     ``eps ||X|| / sqrt(cost)`` relative, and a near-exact fit is evaluated
-    from the residual itself (see :mod:`twolmm.twostep`). ``rmse_a`` is
-    populated only when ground-truth abundances were supplied to the
-    solver.
+    from the residual itself (see :mod:`twolmm.twostep`).
     """
 
     iteration: int
@@ -37,15 +37,12 @@ class IterationRecord:
     rel_change_a: float
     rel_change_s: float
     time_s: float
-    rmse_a: float = math.nan
 
 
 class SolverTrace:
     """Ordered list of :class:`IterationRecord` plus the starting cost."""
 
-    _CSV_HEADER = "iteration,cost,cost_accept,step,rel_change_a,rel_change_s,time_s,rmse_a"
-
-    def __init__(self, initial_cost: float = math.nan):
+    def __init__(self, initial_cost: float):
         self.initial_cost = float(initial_cost)
         self.records: list[IterationRecord] = []
 
@@ -68,21 +65,10 @@ class SolverTrace:
         return np.array([r.cost for r in self.records])
 
     def write_csv(self, path: str | Path) -> None:
-        lines = [self._CSV_HEADER]
-        for r in self.records:
-            lines.append(
-                "%d,%s,%s,%s,%s,%s,%s,%s"
-                % (
-                    r.iteration,
-                    repr(r.cost),
-                    repr(r.cost_accept),
-                    repr(r.step),
-                    repr(r.rel_change_a),
-                    repr(r.rel_change_s),
-                    repr(r.time_s),
-                    repr(r.rmse_a),
-                )
-            )
+        names = [f.name for f in fields(IterationRecord)]
+        row = attrgetter(*names)
+        lines = [",".join(names)]
+        lines += [",".join(map(repr, row(r))) for r in self.records]
         Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -100,7 +86,7 @@ class UnmixResult:
     s_x: np.ndarray
     s_e: np.ndarray
     reconstruction: HsiImage
-    trace: SolverTrace = field(default_factory=SolverTrace, repr=False)
+    trace: SolverTrace = field(repr=False)
 
     @property
     def iterations(self) -> int:

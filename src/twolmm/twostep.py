@@ -55,15 +55,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (
-    AbundanceMatrix,
-    EndmemberMatrix,
-    HsiImage,
-    _index_summary,
-    _warn,
-    normalize_abundances,
-    rmse_a,
-)
+from .core import EndmemberMatrix, HsiImage, _index_summary, _warn, normalize_abundances
 from .solvers import (
     SolverError,
     _arrays,
@@ -129,7 +121,7 @@ class TwoLmmConfig:
     def __post_init__(self):
         if not (0.0 < self.lower <= self.upper):
             raise ValueError("bounds must satisfy 0 < lower <= upper")
-        if self.eps_a <= 0 or self.eps_s <= 0:
+        if not (self.eps_a > 0 and self.eps_s > 0):
             raise ValueError("termination thresholds must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
@@ -373,18 +365,11 @@ def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
     return diff / denom
 
 
-def _iterate_rmse_a(a_s: np.ndarray, truth: AbundanceMatrix | None) -> float:
-    if truth is None:
-        return math.nan
-    return rmse_a(truth, normalize_abundances(a_s).abundances)
-
-
 def solve_als(
     image: HsiImage,
     endmembers: EndmemberMatrix,
     config: TwoLmmConfig | None = None,
     init: TwoLmmState | None = None,
-    truth=None,
 ) -> UnmixResult:
     """Plain alternating least squares on the two-step model.
 
@@ -393,12 +378,10 @@ def solve_als(
     ablation baseline: it is the loop of :func:`solve_lbfgs` run with
     ``memory = 0`` and ``force_unit_step``, whatever ``config`` sets for
     those two fields, so every iteration takes the ALS point and costs one
-    cost evaluation. When ``truth`` (a normalized
-    :class:`~twolmm.core.AbundanceMatrix`) is given, each trace record
-    carries the iterate's abundance RMSE.
+    cost evaluation.
     """
     cfg = replace(config or TwoLmmConfig(), memory=0, force_unit_step=True)
-    return _solve(image, endmembers, cfg, init, truth)
+    return _solve(image, endmembers, cfg, init)
 
 
 def _two_loop(
@@ -425,7 +408,6 @@ def solve_lbfgs(
     endmembers: EndmemberMatrix,
     config: TwoLmmConfig | None = None,
     init: TwoLmmState | None = None,
-    truth=None,
 ) -> UnmixResult:
     """Nonlinearly preconditioned limited-memory quasi-Newton unmixing.
 
@@ -447,13 +429,12 @@ def solve_lbfgs(
 
     With ``memory = 0`` the direction is the ALS displacement; adding
     ``force_unit_step`` drops the step-size search and runs plain ALS,
-    which is what :func:`solve_als` does. ``truth`` is as in
-    :func:`solve_als`.
+    which is what :func:`solve_als` does.
     """
-    return _solve(image, endmembers, config or TwoLmmConfig(), init, truth)
+    return _solve(image, endmembers, config or TwoLmmConfig(), init)
 
 
-def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth) -> UnmixResult:
+def _solve(image, endmembers, cfg: TwoLmmConfig, init) -> UnmixResult:
     # The one outer iteration of both solvers (see solve_lbfgs).
     e, x = _checked(endmembers, image, None if init is None else init.a_s)
     k, n = e.shape[1], x.shape[1]
@@ -546,7 +527,6 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init, truth) -> UnmixResult:
                 rel_change_a=rel_a,
                 rel_change_s=rel_s,
                 time_s=time.perf_counter() - t0,
-                rmse_a=_iterate_rmse_a(a_new, truth),
             )
         )
         prev_z = z

@@ -249,6 +249,20 @@ class TestApplyNoise:
         np.testing.assert_array_equal(n1.data, n2.data)
 
 
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+def test_undefined_snr_rejected_by_every_noise_path(snr_db):
+    # Only None and +inf mean "no noise"; -inf and NaN name no noise level.
+    em = synthetic_endmembers(20, 2, seed=30, reflectance_range=(0.05, 0.6))
+    ab = generate_grf_abundances(GrfSpec(width=5, height=5, k=2, seed=31))
+    clean = generate_2lmm_scene(em, ab, snr_db=math.inf, seed=32).clean
+    with pytest.raises(ValueError, match="snr_db"):
+        generate_2lmm_scene(em, ab, snr_db=snr_db, seed=32)
+    with pytest.raises(ValueError, match="snr_db"):
+        generate_hapke_scene(em, ab, Dsm(np.zeros((5, 5))), snr_db=snr_db)
+    with pytest.raises(ValueError, match="snr_db"):
+        apply_noise(clean, snr_db)
+
+
 class TestSyntheticEndmembers:
     def test_within_range_and_labeled(self):
         em = synthetic_endmembers(50, 4, seed=30, reflectance_range=(0.1, 0.7))
