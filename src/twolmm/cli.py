@@ -249,7 +249,6 @@ class SceneBundle:
     endmember count ``k`` a loaded scene's manifest records."""
 
     image: HsiImage
-    clean: HsiImage | None = None
     endmembers_truth: EndmemberMatrix | None = None
     abundances_truth: AbundanceMatrix | None = None
     scaling: ScalingState | None = None
@@ -285,7 +284,6 @@ def build_scene(cfg: ExperimentConfig) -> SceneBundle:
         )
         return SceneBundle(
             image=scene.image,
-            clean=scene.clean,
             endmembers_truth=endmembers,
             abundances_truth=abundances,
             scaling=scene.scaling,
@@ -310,7 +308,6 @@ def build_scene(cfg: ExperimentConfig) -> SceneBundle:
     )
     return SceneBundle(
         image=scene.image,
-        clean=scene.clean,
         endmembers_truth=endmembers,
         abundances_truth=abundances,
     )
@@ -341,9 +338,9 @@ def load_scene(scene_dir: str | Path) -> SceneBundle:
 
 
 def cmd_generate(cfg: ExperimentConfig) -> Path:
+    bundle = build_scene(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = build_scene(cfg)
     save_image(bundle.image, out / "scene.hsi")
     save_abundances(bundle.abundances_truth, out / "abundances_gt.abn")
     save_endmembers(bundle.endmembers_truth, out / "endmembers_gt.emm")
@@ -369,9 +366,7 @@ def cmd_generate(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def resolve_endmembers(
-    cfg: ExperimentConfig, bundle: SceneBundle, vca_image: HsiImage | None = None
-) -> EndmemberMatrix:
+def resolve_endmembers(cfg: ExperimentConfig, bundle: SceneBundle) -> EndmemberMatrix:
     """Pick the endmembers a run will unmix with.
 
     ``vca`` projects the image perspectively so pixel scaling cannot bias
@@ -391,12 +386,12 @@ def resolve_endmembers(
     if cfg.em_source == "file":
         return load_endmembers(cfg.em_file)
     k = cfg.k if bundle.k is None else bundle.k
-    source = vca_image if vca_image is not None else bundle.image
+    image = bundle.image
     # for_image's default vector; perspective_project makes the margin check.
-    projected = perspective_project(source, ProjectionSpec(v=_mean_direction(source)))
+    projected = perspective_project(image, ProjectionSpec(v=_mean_direction(image)))
     _, indices = vca_extract(projected, k, seed=_derive_seed(cfg.seed, _STREAM_VCA))
-    basis = _leading_subspace(source.data, k)
-    columns = basis @ (basis.T @ source.data[:, indices])
+    basis = _leading_subspace(image.data, k)
+    columns = basis @ (basis.T @ image.data[:, indices])
     return EndmemberMatrix(np.maximum(columns, 0.0))
 
 
@@ -433,7 +428,7 @@ def run_methods(
             result = _run_method(name, bundle.image, em_used, cfg.solver)
             row["time_s"] = time.perf_counter() - t0
             row["iters"] = result.iterations
-            row["rmse_x"] = rmse_x(bundle.image, result.reconstruction)
+            row["rmse_x"] = rmse_x(bundle.image, result)
             if bundle.abundances_truth is not None:
                 a_est = result.abundances.data
                 if match is not None:
@@ -474,10 +469,10 @@ def _scene(cfg: ExperimentConfig) -> SceneBundle:
 
 
 def cmd_unmix(cfg: ExperimentConfig) -> list[dict]:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     bundle = _scene(cfg)
     em_used = resolve_endmembers(cfg, bundle)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = run_methods(cfg, bundle, em_used, out=out)
     _write_rows(rows, _RESULT_COLUMNS, out / "results.csv", out / "results.json")
     return rows
@@ -495,9 +490,6 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
             "an snr sweep adds noise to the generator's clean image, which a "
             f"loaded scene lacks; unset scene.dir ({cfg.scene_dir})"
         )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     rows: list[dict] = []
     if sweep == "bounds_alpha":
         bundle = _scene(cfg)
@@ -507,19 +499,21 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
             for row in run_methods(run_cfg, bundle, em_used):
                 rows.append({"sweep": sweep, "value": alpha, **row})
     else:
-        clean_cfg = replace(cfg, snr_db=None)
-        bundle = build_scene(clean_cfg)
-        # Endmembers come from the noise-free image so the sweep isolates
-        # solver noise robustness from extraction noise.
-        em_used = resolve_endmembers(cfg, bundle, vca_image=bundle.clean)
+        # The noiseless scene's image is the clean composition itself.
+        # Endmembers come from it so the sweep isolates solver noise
+        # robustness from extraction noise.
+        bundle = build_scene(replace(cfg, snr_db=None))
+        em_used = resolve_endmembers(cfg, bundle)
         for i, snr in enumerate(values):
             noisy = apply_noise(
-                bundle.clean, snr, seed=_derive_seed(cfg.seed, _STREAM_NOISE + i)
+                bundle.image, snr, seed=_derive_seed(cfg.seed, _STREAM_NOISE + i)
             )
             noisy_bundle = replace(bundle, image=noisy)
             for row in run_methods(cfg, noisy_bundle, em_used):
                 rows.append({"sweep": sweep, "value": snr, **row})
 
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_rows(rows, ("sweep", "value", *_RESULT_COLUMNS), out / "sweep.csv", out / "sweep.json")
     return rows
 

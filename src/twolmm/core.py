@@ -10,10 +10,17 @@ Array shape conventions
 - Scaling vectors: s_e (K,) scales endmembers globally, s_x (N,) scales
   pixels individually.
 
-All containers convert their payload to float64 in column-major (Fortran)
-layout, so per-pixel solves touch contiguous memory, and mark the arrays
-read-only. Instances are immutable after construction; every function in
-this module is pure and safe to call concurrently.
+All containers hold their payload as float64 in column-major (Fortran)
+layout, so per-pixel solves touch contiguous memory, and read-only. A
+payload that already is such an array and owns its memory is adopted as
+it is; any other payload (a writable array, a view, another layout or
+dtype) is copied, so that changing the caller's array never changes a
+container. twolmm's own producers of P x N arrays (the scene generators,
+the perspective projection, the raw-file reader and the lazy
+reconstruction of a result) mark their fresh array read-only before
+wrapping it, so an image is never copied. Instances are immutable after
+construction; every function in this module is pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -22,8 +29,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .trace import UnmixResult
 
 __all__ = [
     "HsiImage",
@@ -40,6 +51,10 @@ __all__ = [
 # Tolerances for constructor validation.
 ANC_TOL = 1e-12
 ASC_TOL = 1e-9
+
+# Pixels per block of every pass over a P x N image that would otherwise
+# need a P x N temporary: finiteness checks, squared errors, the simplex QP.
+_BLOCK = 2048
 
 
 def _index_summary(indices, limit: int = 8) -> str:
@@ -63,11 +78,36 @@ def _warn(message: str) -> None:
 
 
 def _freeze(data: np.ndarray) -> np.ndarray:
-    out = np.asfortranarray(data, dtype=np.float64)
-    if out is data:
-        out = out.copy(order="F")
+    """``data`` itself when it is a read-only, Fortran-ordered float64 array
+    that owns its memory, else a read-only Fortran-ordered float64 copy."""
+    flags = data.flags
+    if data.dtype == np.float64 and flags.f_contiguous and flags.owndata and not flags.writeable:
+        return data
+    out = np.array(data, dtype=np.float64, order="F")
     out.flags.writeable = False
     return out
+
+
+def _all_finite(data: np.ndarray) -> bool:
+    """Whether every entry of the 2-D ``data`` is finite, checked over
+    blocks of columns so that no P x N mask is formed."""
+    return all(
+        np.isfinite(data[:, start : start + _BLOCK]).all()
+        for start in range(0, data.shape[1], _BLOCK)
+    )
+
+
+def _squared_error(x: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """``||X - B C||^2`` for ``x`` (P, N), ``b`` (P, K) and ``c`` (K, N),
+    accumulated over blocks of ``_BLOCK`` pixels, so that neither the
+    product nor the residual is ever held whole."""
+    total = 0.0
+    for start in range(0, x.shape[1], _BLOCK):
+        resid = b @ c[:, start : start + _BLOCK]
+        resid -= x[:, start : start + _BLOCK]
+        total += float(np.vdot(resid, resid))
+        del resid  # before the next block's product is allocated
+    return total
 
 
 @dataclass(frozen=True)
@@ -90,7 +130,7 @@ class HsiImage:
         p, n = data.shape
         if p < 1 or n < 1:
             raise ValueError("image must have at least one band and one pixel")
-        if not np.all(np.isfinite(data)):
+        if not _all_finite(data):
             raise ValueError("image data contains non-finite values")
         width, height = self.width, self.height
         if width == 0 and height == 0:
@@ -235,18 +275,25 @@ class NormalizationResult:
     degenerate_pixels: np.ndarray = field(default_factory=lambda: np.empty(0, int))
 
 
-def rmse_x(x_true: HsiImage, x_est: HsiImage) -> float:
+def rmse_x(x_true: HsiImage, x_est: HsiImage | UnmixResult) -> float:
     """Root mean square reconstruction error over all bands and pixels.
 
-    Returns ``sqrt(sum_n ||x_n - xhat_n||^2 / (N * P))``. Symmetric in its
+    Returns ``sqrt(sum_n ||x_n - xhat_n||^2 / (N * P))``. ``x_est`` is an
+    :class:`HsiImage`, or an unmixing result (:class:`twolmm.trace.UnmixResult`),
+    whose reconstruction is then evaluated blockwise from its ``factors``
+    without being formed. For two images the error is symmetric in its
     arguments and zero iff the images are identical.
     """
-    if x_true.data.shape != x_est.data.shape:
-        raise ValueError(
-            f"image shapes differ: {x_true.data.shape} vs {x_est.data.shape}"
-        )
-    diff = x_true.data - x_est.data
-    return float(np.sqrt(np.mean(diff * diff)))
+    x = x_true.data
+    if isinstance(x_est, HsiImage):
+        if x.shape != x_est.data.shape:
+            raise ValueError(f"image shapes differ: {x.shape} vs {x_est.data.shape}")
+        diff = x - x_est.data
+        return float(np.sqrt(np.mean(diff * diff)))
+    b, c = x_est.factors
+    if x.shape != (b.shape[0], c.shape[1]):
+        raise ValueError(f"image shapes differ: {x.shape} vs {(b.shape[0], c.shape[1])}")
+    return math.sqrt(_squared_error(x, b, c) / x.size)
 
 
 def rmse_a(a_true: AbundanceMatrix, a_est: AbundanceMatrix) -> float:

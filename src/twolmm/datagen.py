@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _index_summary
+from .core import _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _index_summary
 
 __all__ = [
     "GrfSpec",
@@ -98,26 +99,66 @@ def generate_grf_abundances(spec: GrfSpec) -> AbundanceMatrix:
 class TwoLmmScene:
     """A generated scene with two-step scaling variability.
 
-    ``image`` is the observed (noisy) image, ``clean`` the noise-free
-    composition, and ``scaling`` the drawn ground-truth factors; the noise
-    realization is exactly ``image.data - clean.data``.
+    ``image`` is the observed (noisy) image, ``scaling`` the drawn
+    ground-truth factors, and ``endmembers``/``abundances`` the inputs they
+    scale. :attr:`clean`, the noise-free composition, is recomputed from
+    these on first access and cached; the noise realization is exactly
+    ``image.data - clean.data``.
     """
 
     image: HsiImage
-    clean: HsiImage
     scaling: ScalingState
+    endmembers: EndmemberMatrix
+    abundances: AbundanceMatrix
+
+    @cached_property
+    def clean(self) -> HsiImage:
+        """``E diag(s_e) A diag(s_x)``, bit for bit the composition the
+        noise was added to."""
+        return HsiImage(
+            _compose(self.endmembers, self.abundances, self.scaling),
+            width=self.image.width,
+            height=self.image.height,
+        )
+
+
+def _compose(endmembers: EndmemberMatrix, abundances: AbundanceMatrix, scaling: ScalingState):
+    """The C-ordered product ``E diag(s_e) A diag(s_x)``."""
+    return (endmembers.data * scaling.s_e) @ (abundances.data * scaling.s_x)
+
+
+def _check_snr(snr_db: float | None) -> None:
+    """Raise unless ``snr_db`` is None, finite or ``+inf``."""
+    if snr_db is not None and not (math.isfinite(snr_db) or snr_db == math.inf):
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
 
 
 def _add_noise(
     clean: np.ndarray, snr_db: float | None, rng: np.random.Generator
 ) -> np.ndarray:
+    """``clean`` plus white Gaussian noise of the SNR ``snr_db`` (none for
+    None or ``inf``), as a new read-only Fortran-ordered array.
+
+    The noise power comes from the mean squared entry of ``clean`` as
+    given, and the noise is drawn in C order over the (P, N) shape, a
+    block of rows at a time, written straight into the result; so the
+    result equals ``clean + rng.normal(0, sigma, size=clean.shape)`` bit
+    for bit, holding no more noise at a time than a block of ``_BLOCK``
+    pixels (or one row). Callers check ``snr_db`` with :func:`_check_snr`.
+    """
+    out = np.empty(clean.shape, order="F")
     if snr_db is None or snr_db == math.inf:
-        return clean.copy()
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
-    signal_power = float(np.mean(clean**2))
-    noise_power = signal_power / 10.0 ** (snr_db / 10.0)
-    return clean + rng.normal(0.0, math.sqrt(noise_power), size=clean.shape)
+        out[...] = clean
+    else:
+        signal_power = float(np.mean(clean**2))
+        sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
+        p, n = clean.shape
+        rows = max(1, _BLOCK * p // max(n, 1))
+        for start in range(0, p, rows):
+            stop = min(start + rows, p)
+            out[start:stop] = clean[start:stop] + rng.normal(0.0, sigma, size=(stop - start, n))
+    out.flags.writeable = False
+    return out
 
 
 def generate_2lmm_scene(
@@ -136,6 +177,7 @@ def generate_2lmm_scene(
     whose variance realizes the requested SNR. ``snr_db = None`` or ``inf``
     skips the noise entirely; NaN and ``-inf`` raise ``ValueError``.
     """
+    _check_snr(snr_db)
     if not abundances.normalized:
         raise ValueError("ground-truth abundances must be normalized")
     if endmembers.endmember_count != abundances.endmember_count:
@@ -148,17 +190,19 @@ def generate_2lmm_scene(
     rng = np.random.default_rng(seed)
     s_e = rng.uniform(lo, hi, size=k)
     s_x = rng.uniform(lo, hi, size=n)
-    clean = (endmembers.data * s_e) @ (abundances.data * s_x)
-    noisy = _add_noise(clean, snr_db, rng)
+    scaling = ScalingState(s_e=s_e, s_x=s_x, lower=lo, upper=hi)
+    noisy = _add_noise(_compose(endmembers, abundances, scaling), snr_db, rng)
     return TwoLmmScene(
         image=HsiImage(noisy, width=width, height=height),
-        clean=HsiImage(clean, width=width, height=height),
-        scaling=ScalingState(s_e=s_e, s_x=s_x, lower=lo, upper=hi),
+        scaling=scaling,
+        endmembers=endmembers,
+        abundances=abundances,
     )
 
 
 def apply_noise(clean: HsiImage, snr_db: float | None, seed: int = 0) -> HsiImage:
     """Add SNR-calibrated white Gaussian noise to a clean image."""
+    _check_snr(snr_db)
     rng = np.random.default_rng(seed)
     noisy = _add_noise(clean.data, snr_db, rng)
     return HsiImage(noisy, width=clean.width, height=clean.height)
@@ -349,6 +393,7 @@ def generate_hapke_scene(
     self-shadowed cell aborts generation with its indices, since clamping
     would fabricate radiometry.
     """
+    _check_snr(snr_db)
     if not abundances.normalized:
         raise ValueError("ground-truth abundances must be normalized")
     e0 = endmembers.data

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, _index_summary, sad
+from .core import _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, _index_summary, sad
 
 __all__ = [
     "ProjectionSpec",
@@ -81,8 +81,12 @@ def _checked_dots(image: HsiImage, spec: ProjectionSpec) -> np.ndarray:
     v = spec.v
     if v.size != image.band_count:
         raise ValueError("projection vector length must match the band count")
-    dots = image.data.T @ v
-    max_norm = float(np.linalg.norm(image.data, axis=0).max())
+    x = image.data
+    dots = x.T @ v
+    max_norm = max(
+        float(np.linalg.norm(x[:, start : start + _BLOCK], axis=0).max())
+        for start in range(0, x.shape[1], _BLOCK)
+    )
     threshold = PROJECTION_MARGIN * float(np.linalg.norm(v)) * max_norm
     bad = np.flatnonzero(np.abs(dots) <= threshold)
     if bad.size:
@@ -101,7 +105,9 @@ def perspective_project(image: HsiImage, spec: ProjectionSpec) -> HsiImage:
     under the safety margin.
     """
     dots = _checked_dots(image, spec)
-    return HsiImage(image.data / dots, width=image.width, height=image.height)
+    projected = image.data / dots
+    projected.flags.writeable = False
+    return HsiImage(projected, width=image.width, height=image.height)
 
 
 def _leading_subspace(y: np.ndarray, k: int) -> np.ndarray:

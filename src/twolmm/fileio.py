@@ -20,12 +20,13 @@ csv
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState
+from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _all_finite
 
 __all__ = [
     "FormatError",
@@ -62,29 +63,34 @@ def _write_raw(path: Path, magic: bytes, matrix: np.ndarray, aux: int) -> None:
     payload = np.asfortranarray(matrix, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, rows, cols, aux))
-        fh.write(payload.tobytes(order="F"))
+        # The transpose of the column-major payload is row-major, which
+        # tofile writes straight from memory.
+        payload.T.tofile(fh)
 
 
 def _read_raw(path: Path, magic: bytes) -> tuple[np.ndarray, int]:
-    blob = Path(path).read_bytes()
-    if len(blob) == 0:
-        raise FormatError(f"{path}: empty file")
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    got_magic, rows, cols, aux = _HEADER.unpack_from(blob)
-    if got_magic != magic:
-        raise FormatError(
-            f"{path}: bad magic {got_magic!r}, expected {magic!r}"
-        )
-    expected = _HEADER.size + rows * cols * 8
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload size {len(blob) - _HEADER.size} does not match "
-            f"{rows}x{cols} float64 matrix"
-        )
-    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    matrix = flat.reshape((rows, cols), order="F")
-    if not np.all(np.isfinite(matrix)):
+    """The payload matrix, read straight into a read-only Fortran-ordered
+    array that the containers adopt without a copy, and the auxiliary field."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0:
+            raise FormatError(f"{path}: empty file")
+        if size < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        got_magic, rows, cols, aux = _HEADER.unpack(fh.read(_HEADER.size))
+        if got_magic != magic:
+            raise FormatError(
+                f"{path}: bad magic {got_magic!r}, expected {magic!r}"
+            )
+        if size != _HEADER.size + rows * cols * 8:
+            raise FormatError(
+                f"{path}: payload size {size - _HEADER.size} does not match "
+                f"{rows}x{cols} float64 matrix"
+            )
+        matrix = np.empty((rows, cols), dtype="<f8", order="F")
+        fh.readinto(matrix.T)
+    matrix.flags.writeable = False
+    if not _all_finite(matrix):
         raise FormatError(f"{path}: payload contains non-finite values")
     return matrix, aux
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EndmemberMatrix, HsiImage, _warn
+from .core import _BLOCK, EndmemberMatrix, HsiImage, _warn
 
 __all__ = [
     "SolverError",
@@ -24,10 +24,6 @@ __all__ = [
     "solve_least_squares",
     "solve_nnls_clipped",
 ]
-
-# Columns per stacked solve of _simplex_qp, which keeps its memory at
-# O(_QP_BLOCK * K^2) however many pixels there are.
-_QP_BLOCK = 2048
 
 # Condition number of E^T E above which clipped least-squares solutions
 # are flagged as untrustworthy.
@@ -93,12 +89,13 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
     The columns of a block run the same primal active set in lockstep. A
     bound coordinate's KKT row and column are those of the identity, so
     every KKT system is (K+1) x (K+1) and one stacked solve serves them all.
+    Blocks of ``_BLOCK`` columns keep the memory at O(_BLOCK * K^2).
     """
     k, m = linear.shape
     out = np.empty((k, m))
     kkt_all = np.block([[gram, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
-    for start in range(0, m, _QP_BLOCK):
-        f = linear[:, start : start + _QP_BLOCK].T
+    for start in range(0, m, _BLOCK):
+        f = linear[:, start : start + _BLOCK].T
         cols = np.arange(start, start + f.shape[0])
         tol = 1e-11 * np.maximum(max(1.0, np.abs(gram).max()), np.abs(f).max(axis=1))
         a = np.full(f.shape, 1.0 / k)

@@ -5,12 +5,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .core import AbundanceMatrix, HsiImage, NormalizationResult, _index_summary, _warn
+from .core import (
+    AbundanceMatrix,
+    HsiImage,
+    NormalizationResult,
+    _index_summary,
+    _squared_error,
+    _warn,
+)
 
 __all__ = ["IterationRecord", "SolverTrace", "UnmixResult"]
 
@@ -78,19 +86,33 @@ class UnmixResult:
 
     ``abundances`` is normalized; ``s_x``/``s_e`` hold the pixel and
     endmember scaling factors (all-ones when a method does not estimate
-    them) and ``reconstruction`` equals ``E diag(s_e) A diag(s_x)``
-    recomputed from these factors.
+    them). ``factors`` is the pair ``(E diag(s_e), A_s)`` of (P, K) and
+    (K, N) arrays whose product is the reconstruction, with
+    ``A_s = A diag(s_x)`` the scaled abundances the method fitted, and
+    ``grid`` the image's ``(width, height)``. A result holds no P x N
+    array: :attr:`reconstruction` is computed from the factors on first
+    access and cached.
     """
 
     abundances: AbundanceMatrix
     s_x: np.ndarray
     s_e: np.ndarray
-    reconstruction: HsiImage
     trace: SolverTrace = field(repr=False)
+    factors: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    grid: tuple[int, int] = field(repr=False)
 
     @property
     def iterations(self) -> int:
         return len(self.trace)
+
+    @cached_property
+    def reconstruction(self) -> HsiImage:
+        """``E diag(s_e) A_s``, the image the result models."""
+        b, a_s = self.factors
+        recon = np.empty((b.shape[0], a_s.shape[1]), order="F")
+        np.matmul(b, a_s, out=recon)
+        recon.flags.writeable = False
+        return HsiImage(recon, *self.grid)
 
 
 def _unmix_result(
@@ -103,20 +125,22 @@ def _unmix_result(
 ) -> UnmixResult:
     """The result of every unmixer, from its scaled abundances ``a_s``
     (K, N), endmember scales ``s_e`` (K,) and ``norm``, the split of ``a_s``
-    into simplex abundances and pixel scales.
+    into simplex abundances and pixel scales. The result keeps ``a_s``
+    itself, read-only.
 
-    The reconstruction is ``(E * s_e) @ a_s``. ``trace`` is the solver's
-    trace; a single-shot method passes its elapsed seconds instead and gets
-    one record whose cost is ``||X - reconstruction||^2``. Degenerate pixels
-    are reported in one warning.
+    ``trace`` is the solver's trace; a single-shot method passes its
+    elapsed seconds instead and gets one record whose cost is
+    ``||X - E diag(s_e) A_s||^2``, accumulated over blocks of pixels.
+    Degenerate pixels are reported in one warning.
     """
     if norm.degenerate_pixels.size:
         summary = _index_summary(norm.degenerate_pixels)
         _warn(f"pixels with zero fitted abundance were flagged degenerate: {summary}")
-    recon = HsiImage((e * s_e) @ a_s, width=image.width, height=image.height)
+    b = e * s_e
+    for factor in (b, a_s):
+        factor.flags.writeable = False
     if not isinstance(trace, SolverTrace):
-        resid = image.data - recon.data
-        cost = float(np.sum(resid * resid))
+        cost = _squared_error(image.data, b, a_s)
         elapsed, trace = trace, SolverTrace(initial_cost=cost)
         trace.append(
             IterationRecord(
@@ -133,6 +157,7 @@ def _unmix_result(
         abundances=norm.abundances,
         s_x=norm.s_x,
         s_e=s_e.copy(),
-        reconstruction=recon,
         trace=trace,
+        factors=(b, a_s),
+        grid=(image.width, image.height),
     )

@@ -55,7 +55,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import EndmemberMatrix, HsiImage, _index_summary, _warn, normalize_abundances
+from .core import (
+    EndmemberMatrix,
+    HsiImage,
+    _index_summary,
+    _squared_error,
+    _warn,
+    normalize_abundances,
+)
 from .solvers import (
     SolverError,
     _arrays,
@@ -82,9 +89,6 @@ _CURVATURE_TOL = 1e-12
 # Share of ||X||^2 outside the span of E below which the solver evaluates
 # its costs from the full residual (see _solver_cost).
 _NEAR_EXACT_FIT = 1e-5
-# Pixels per block of the one P x N pass of _solver_cost, so that it never
-# holds a P x N temporary.
-_C0_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -214,11 +218,7 @@ def _solver_cost(e: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray, qtx
     factorized again. On a near-exact fit, ``c0 < _NEAR_EXACT_FIT * ||X||^2``,
     it returns :func:`_cost` itself.
     """
-    c0 = 0.0
-    for start in range(0, x.shape[1], _C0_BLOCK):
-        outside = q @ qtx[:, start : start + _C0_BLOCK]
-        outside -= x[:, start : start + _C0_BLOCK]
-        c0 += float(np.vdot(outside, outside))
+    c0 = _squared_error(x, q, qtx)
     if c0 < _NEAR_EXACT_FIT * (c0 + float(np.sum(qtx * qtx))):
         return partial(_cost, e, x)
 

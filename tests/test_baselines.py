@@ -75,7 +75,7 @@ class TestUnmixLmm:
             unmix_lmm(img, duplicated)
 
     def test_matches_per_pixel_solves_across_blocks(self):
-        n = 2 * solvers._QP_BLOCK + 5
+        n = 2 * solvers._BLOCK + 5
         rng = np.random.default_rng(11)
         em, a_gt = make_exact_scene(seed=11, n=n)
         x = (em.data @ a_gt.data) * rng.uniform(0.5, 1.5, n) + 0.02 * rng.normal(size=(8, n))

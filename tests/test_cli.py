@@ -7,13 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twolmm import HsiImage, cli
+from twolmm import HsiImage, apply_noise, cli
 from twolmm.cli import (
     ConfigError,
     ExperimentConfig,
@@ -196,6 +197,23 @@ class TestUnmix:
         for line, function in zip(lines, ("unmix_slmm", "solve_als", "solve_lbfgs")):
             assert f"return {function}(" in line
 
+    def test_methods_hold_no_image_sized_array(self, tmp_path):
+        # Any P x N array alone would take the whole image size; what stays
+        # is O(K N) (L-BFGS keeps about 25 K x N vectors) and pixel blocks.
+        cfg = small_cfg(tmp_path, width=100, height=100, bands=120, methods=("slmm", "lbfgs2lmm"))
+        bundle = build_scene(cfg)
+        em = resolve_endmembers(cfg, bundle)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rows = run_methods(cfg, bundle, em)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(row["error"] for row in rows)
+        assert peak < 0.8 * bundle.image.data.nbytes
+
     def test_trace_files_written(self, tmp_path):
         cfg = small_cfg(tmp_path)
         cmd_unmix(cfg)
@@ -301,6 +319,22 @@ class TestSweep:
         unmix_rows = cmd_unmix(dataclasses.replace(cfg, out_dir=str(tmp_path / "u")))
         assert sweep_rows[0]["rmse_a"] == unmix_rows[0]["rmse_a"]
         assert sweep_rows[0]["rmse_x"] == unmix_rows[0]["rmse_x"]
+
+    def test_snr_sweep_is_run_methods_on_the_noised_noiseless_image(self, tmp_path):
+        cfg = small_cfg(tmp_path, methods=("slmm", "lbfgs2lmm"), em_source="vca")
+        values = [30.0, 50.0]
+        rows = cmd_sweep(cfg, "snr", values)
+        noiseless = build_scene(dataclasses.replace(cfg, snr_db=None))
+        em = resolve_endmembers(cfg, noiseless)
+        expected = []
+        for i, snr in enumerate(values):
+            seed = cli._derive_seed(cfg.seed, cli._STREAM_NOISE + i)
+            noisy = dataclasses.replace(noiseless, image=apply_noise(noiseless.image, snr, seed))
+            for row in run_methods(cfg, noisy, em):
+                expected.append({"sweep": "snr", "value": snr, **row})
+        assert len(rows) == len(expected) == 4
+        for got, want in zip(rows, expected):
+            assert {**got, "time_s": None} == {**want, "time_s": None}
 
     def test_snr_sweep_on_a_scene_directory_is_a_config_error(self, tmp_path, capsys):
         scene_dir = tmp_path / "scene"

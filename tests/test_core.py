@@ -13,6 +13,7 @@ from twolmm import (
     rmse_x,
     sad,
 )
+from twolmm.core import _freeze
 
 
 class TestHsiImage:
@@ -40,6 +41,32 @@ class TestHsiImage:
         img = HsiImage(np.ones((2, 2)))
         with pytest.raises(ValueError):
             img.data[0, 0] = 3.0
+
+
+class TestFreeze:
+    def test_copies_a_writable_array_and_a_view_but_adopts_an_owned_read_only_one(self):
+        owned = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        assert _freeze(owned) is not owned
+        owned.flags.writeable = False
+        assert _freeze(owned) is owned
+        view = owned[:, 1:]
+        frozen = _freeze(view)
+        assert frozen is not view and frozen.flags.owndata
+        c_ordered = np.arange(12.0).reshape(3, 4)
+        c_ordered.flags.writeable = False
+        assert _freeze(c_ordered).flags.f_contiguous
+        for frozen in (_freeze(owned), _freeze(view), _freeze(c_ordered)):
+            assert not frozen.flags.writeable
+
+    def test_changing_the_source_array_never_changes_an_image(self):
+        source = np.asfortranarray(np.ones((3, 4)))
+        base = np.asfortranarray(np.ones((3, 4)))
+        view = base.view()
+        view.flags.writeable = False
+        images = [HsiImage(source), HsiImage(view)]
+        source[0, 0] = base[0, 0] = 5.0
+        for img in images:
+            np.testing.assert_array_equal(img.data, np.ones((3, 4)))
 
 
 class TestEndmemberMatrix:

@@ -18,6 +18,7 @@ from twolmm import (
     smoothed_random_dsm,
     synthetic_endmembers,
 )
+from twolmm.datagen import _add_noise
 
 
 def spatial_autocorrelation(field: np.ndarray, lag: int) -> float:
@@ -71,7 +72,9 @@ class TestGenerate2lmmScene:
         ab = generate_grf_abundances(GrfSpec(width=10, height=10, k=3, seed=6))
         scene = generate_2lmm_scene(em, ab, snr_db=20.0, seed=7, width=10, height=10)
         rebuilt = (em.data * scene.scaling.s_e) @ (ab.data * scene.scaling.s_x)
+        assert "clean" not in vars(scene)  # composed again on first access
         np.testing.assert_array_equal(scene.clean.data, rebuilt)
+        assert scene.clean is scene.clean
         noise = scene.image.data - scene.clean.data
         assert np.abs(noise).max() > 0.0
 
@@ -247,6 +250,22 @@ class TestApplyNoise:
         n1 = apply_noise(scene.clean, 30.0, seed=5)
         n2 = apply_noise(scene.clean, 30.0, seed=5)
         np.testing.assert_array_equal(n1.data, n2.data)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("snr_db", [25.0, None])
+@pytest.mark.parametrize("shape", [(30, 5000), (5, 10001), (1, 4099), (40, 3)])
+def test_noise_writer_matches_the_one_shot_draw(shape, snr_db, order):
+    # Row blocks of 12, 1, 1 and 40 rows: the first splits 30 rows unevenly.
+    clean = np.asarray(np.random.default_rng(40).random(shape), order=order)
+    got = _add_noise(clean, snr_db, np.random.default_rng(41))
+    want = clean
+    if snr_db is not None:
+        noise_power = float(np.mean(clean**2)) / 10.0 ** (snr_db / 10.0)
+        rng = np.random.default_rng(41)
+        want = clean + rng.normal(0.0, math.sqrt(noise_power), size=clean.shape)
+    np.testing.assert_array_equal(got, want)
+    assert got.flags.f_contiguous and got.flags.owndata and not got.flags.writeable
 
 
 @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])

@@ -114,8 +114,10 @@ def test_undefined_settings_exit_with_a_configuration_error(
     path = tmp_path / "exp.cfg"
     path.write_text(SCENE + extra)
     out = tmp_path / "res"
-    code = main(["unmix", "--config", str(path), "--out", str(out), *argv])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and named in err
-    assert not (out / "results.csv").exists()
+    for verb in ("unmix", "generate"):
+        code = main([verb, "--config", str(path), "--out", str(out), *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and named in err
+        # A failed run leaves no output directory behind, not even an empty one.
+        assert not out.exists()

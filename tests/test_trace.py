@@ -9,6 +9,7 @@ from twolmm import (
     HsiImage,
     generate_2lmm_scene,
     generate_grf_abundances,
+    rmse_x,
     synthetic_endmembers,
     unmix_lmm,
     unmix_slmm,
@@ -29,6 +30,24 @@ def noisy_scene(width=8, height=6, k=3, bands=30):
     ab = generate_grf_abundances(GrfSpec(width=width, height=height, k=k, seed=61))
     scene = generate_2lmm_scene(em, ab, snr_db=40.0, seed=62, width=width, height=height)
     return em, scene.image
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_result_holds_factors_until_the_reconstruction_is_read(name):
+    em, image = noisy_scene()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = METHODS[name](image, em)
+    b, a_s = res.factors
+    held = [res.s_x, res.s_e, res.abundances.data, b, a_s]
+    assert max(a.size for a in held) < image.data.size
+    assert "reconstruction" not in vars(res)
+    np.testing.assert_array_equal(b, em.data * res.s_e)
+    recon = res.reconstruction
+    assert res.reconstruction is recon
+    np.testing.assert_array_equal(recon.data, b @ a_s)
+    assert (recon.width, recon.height) == (image.width, image.height)
+    assert rmse_x(image, res) == pytest.approx(rmse_x(image, recon), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))
