@@ -133,6 +133,8 @@ class HsiImage:
         if not _all_finite(data):
             raise ValueError("image data contains non-finite values")
         width, height = self.width, self.height
+        if width < 0 or height < 0:
+            raise ValueError(f"grid dimensions must be nonnegative, got {width}x{height}")
         if width == 0 and height == 0:
             width, height = n, 1
         if width * height != n:
@@ -166,6 +168,8 @@ class EndmemberMatrix:
         data = np.atleast_2d(np.asarray(self.data))
         if data.ndim != 2:
             raise ValueError("endmember data must be a 2-D (bands, K) array")
+        if data.shape[0] < 1 or data.shape[1] < 1:
+            raise ValueError("endmember matrix must have at least one band and one endmember")
         if not np.all(np.isfinite(data)):
             raise ValueError("endmember data contains non-finite values")
         if np.any(data < 0):
@@ -207,6 +211,8 @@ class AbundanceMatrix:
         data = np.atleast_2d(np.asarray(self.data))
         if data.ndim != 2:
             raise ValueError("abundance data must be a 2-D (K, pixels) array")
+        if data.shape[0] < 1 or data.shape[1] < 1:
+            raise ValueError("abundance matrix must have at least one endmember and one pixel")
         if not np.all(np.isfinite(data)):
             raise ValueError("abundance data contains non-finite values")
         if np.any(data < -ANC_TOL):

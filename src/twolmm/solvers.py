@@ -171,6 +171,12 @@ def _check_full_rank(e: np.ndarray, x: np.ndarray) -> None:
         )
 
 
+def _check_clip_bound(upper: float) -> None:
+    """Raise unless the upper clip bound is positive (NaN is not)."""
+    if not (upper > 0):
+        raise ValueError(f"upper clip bound must be positive, got {upper}")
+
+
 def _qr_fit(e: np.ndarray, x: np.ndarray):
     """``(fit, q, r, qtx)``: the least-squares fit of each column of ``x`` from the
     thin QR ``E = QR`` and ``qtx = Q^T X``, after :func:`_check_full_rank`."""
@@ -209,7 +215,6 @@ def solve_nnls_clipped(
     never by inverting E^T E) and the box is applied afterwards;
     ``hi = inf`` leaves only the projection onto the nonnegative orthant.
     """
-    if hi <= 0:
-        raise ValueError("upper clip bound must be positive")
+    _check_clip_bound(hi)
     a = solve_least_squares(*_arrays(endmembers, image))
     return np.clip(a, 0.0, hi)

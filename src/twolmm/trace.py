@@ -34,8 +34,9 @@ class IterationRecord:
     step-size test ran (plain ALS). The two-step solvers evaluate both in
     the K-dimensional coordinates of the fit, without the P x N residual;
     they agree with ``||X - E diag(s_e) A_s||^2`` to rounding, about
-    ``eps ||X|| / sqrt(cost)`` relative, and a near-exact fit is evaluated
-    from the residual itself (see :mod:`twolmm.twostep`).
+    ``eps ||X|| / sqrt(cost)`` relative. A near-exact fit is evaluated
+    from the residual itself, over the image in blocks of pixels (see
+    :mod:`twolmm.twostep`).
     """
 
     iteration: int

@@ -37,8 +37,11 @@ grows like ``eps ||X|| / sqrt(J)``, as for the direct residual, and stays
 below about 1e-13 while ``c0 >= _NEAR_EXACT_FIT ||X||^2``. Below that
 (noiseless data, or about as many bands as endmembers) the relative
 rounding error of either form can be large, and the whole solve uses the
-direct residual, so that its costs are those of :func:`cost`. The public
-:func:`cost` and :func:`gradient` always form the P x N residual.
+direct residual, so that its costs are those of :func:`cost`. Every
+``||X - B C||^2`` over the image, that direct residual included, is
+:func:`twolmm.core._squared_error`, accumulated over blocks of pixels; the
+gradient comes from the normal equations (:func:`_gradient`), so no
+function here forms a P x N array.
 
 The outer iterations are sequential; the inner kernels are plain matrix
 products and per-column solves, independent across pixels.
@@ -50,7 +53,6 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -66,6 +68,7 @@ from .core import (
 from .solvers import (
     SolverError,
     _arrays,
+    _check_clip_bound,
     _check_full_rank,
     _normal_parts,
     _qr_fit,
@@ -87,7 +90,7 @@ __all__ = [
 
 _CURVATURE_TOL = 1e-12
 # Share of ||X||^2 outside the span of E below which the solver evaluates
-# its costs from the full residual (see _solver_cost).
+# its costs from the direct residual, over the image in blocks (see _solver_cost).
 _NEAR_EXACT_FIT = 1e-5
 
 
@@ -191,22 +194,16 @@ def _checked(endmembers, image, a_s=None, s_e=None) -> tuple[np.ndarray, np.ndar
     return e, x
 
 
-# The residual, cost and gradient below are the only implementations; the
-# solver loop and the public helpers all call them.
-def _residual(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) -> np.ndarray:
-    return (e * s_e) @ a_s - x
-
-
-def _cost(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) -> float:
-    resid = _residual(e, x, a_s, s_e)
-    return float(np.sum(resid * resid))
-
-
-def _gradient(e: np.ndarray, x: np.ndarray, a_s: np.ndarray, s_e: np.ndarray) -> np.ndarray:
-    et_resid = e.T @ _residual(e, x, a_s, s_e)
-    grad_a = 2.0 * s_e[:, None] * et_resid
-    grad_s = 2.0 * np.einsum("kn,kn->k", et_resid, a_s)
-    return _pack(grad_a, grad_s)
+def _gradient(
+    gram: np.ndarray, etx: np.ndarray, a_s: np.ndarray, s_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(grad_a, grad_s)``, the blocks of the gradient of
+    ``||X - E diag(s_e) A_s||^2`` from the normal equations ``gram = E^T E``
+    and ``etx = E^T X``: with ``W = gram diag(s_e) A_s - etx``, they are
+    ``2 diag(s_e) W`` and ``2 diag(W A_s^T)``. The only gradient kernel."""
+    w = gram @ (s_e[:, None] * a_s)
+    w -= etx
+    return 2.0 * s_e[:, None] * w, 2.0 * np.einsum("kn,kn->k", w, a_s)
 
 
 def _solver_cost(e: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray, qtx: np.ndarray):
@@ -216,11 +213,11 @@ def _solver_cost(e: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray, qtx
     (module docstring), from the thin QR ``E = QR`` and the ``Q^T X`` of the
     solve's least-squares fit (:func:`twolmm.solvers._qr_fit`), so E is not
     factorized again. On a near-exact fit, ``c0 < _NEAR_EXACT_FIT * ||X||^2``,
-    it returns :func:`_cost` itself.
+    it returns the cost of :func:`cost`, evaluated over the image in blocks.
     """
     c0 = _squared_error(x, q, qtx)
     if c0 < _NEAR_EXACT_FIT * (c0 + float(np.sum(qtx * qtx))):
-        return partial(_cost, e, x)
+        return lambda a_s, s_e: _squared_error(x, e * s_e, a_s)
 
     def reduced_cost(a_s: np.ndarray, s_e: np.ndarray) -> float:
         d = (r * s_e) @ a_s
@@ -274,18 +271,18 @@ def _als_point(
 def cost(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -> float:
     """Squared Frobenius reconstruction error ``||X - E diag(s_e) A_s||^2``."""
     e, x = _checked(endmembers, image, state.a_s)
-    return _cost(e, x, state.a_s, state.s_e)
+    return _squared_error(x, e * state.s_e, state.a_s)
 
 
 def gradient(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -> np.ndarray:
     """Packed analytic gradient of :func:`cost` with respect to
     ``(vec(a_s), s_e)``.
 
-    With ``R = E diag(s_e) A_s - X`` the blocks are
-    ``2 diag(s_e) E^T R`` and ``2 diag(E^T R A_s^T)``.
+    From the normal equations, with ``W = E^T E diag(s_e) A_s - E^T X``
+    (K x N), the blocks are ``2 diag(s_e) W`` and ``2 diag(W A_s^T)``.
     """
     e, x = _checked(endmembers, image, state.a_s)
-    return _gradient(e, x, state.a_s, state.s_e)
+    return _pack(*_gradient(*_normal_parts(e, x), state.a_s, state.s_e))
 
 
 def als_update_a(
@@ -308,6 +305,7 @@ def als_update_a(
     e, x = _checked(endmembers, image, s_e=s_e)
     if np.any(s_e <= 0):
         raise ValueError("s_e must be strictly positive")
+    _check_clip_bound(upper)
     return _scaled_clip(solve_least_squares(e, x), s_e, upper)
 
 

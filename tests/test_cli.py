@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twolmm import HsiImage, apply_noise, cli
+from twolmm import HsiImage, apply_noise, cli, fileio
 from twolmm.cli import (
     ConfigError,
     ExperimentConfig,
@@ -28,7 +28,7 @@ from twolmm.cli import (
     resolve_endmembers,
     run_methods,
 )
-from twolmm.fileio import load_abundances, load_endmembers, load_image
+from twolmm.fileio import load_abundances, load_endmembers, load_image, save_image
 
 
 def write_config(tmp_path, text):
@@ -256,6 +256,23 @@ class TestUnmix:
         assert code == 0, capsys.readouterr().err
         row = json.loads((out / "results.json").read_text())[0]
         assert row["error"] == "" and row["rmse_a"] is not None
+
+    def test_empty_endmember_file_is_a_configuration_error(self, tmp_path, capsys):
+        scene_dir = tmp_path / "scene"
+        scene_dir.mkdir()
+        save_image(HsiImage(np.ones((40, 16)), width=4, height=4), scene_dir / "scene.hsi")
+        (scene_dir / "manifest.txt").write_text("image = scene.hsi\n")  # no truth
+        em_file = tmp_path / "empty.emm"
+        fileio._write_raw(em_file, fileio._MAGIC_ENDMEMBERS, np.zeros((40, 0)), 0)
+        run = write_config(
+            tmp_path,
+            f"scene.dir = {scene_dir}\nrun.em_source = file\nrun.em_file = {em_file}\n",
+        )
+        out = tmp_path / "res"
+        assert main(["unmix", "--config", str(run), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "at least one" in err
+        assert not out.exists()
 
     def test_truth_noiseless_reconstruction(self, tmp_path):
         from twolmm.twostep import TwoLmmConfig

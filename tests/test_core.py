@@ -37,6 +37,11 @@ class TestHsiImage:
         with pytest.raises(ValueError, match="finite"):
             HsiImage(bad)
 
+    @pytest.mark.parametrize("grid", [(-2, -3), (-6, -1), (0, -6)])
+    def test_negative_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="nonnegative"):
+            HsiImage(np.ones((3, 6)), width=grid[0], height=grid[1])
+
     def test_data_is_immutable(self):
         img = HsiImage(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -82,6 +87,11 @@ class TestEndmemberMatrix:
         with pytest.raises(ValueError, match="label"):
             EndmemberMatrix(np.ones((3, 2)), labels=("only-one",))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one"):
+            EndmemberMatrix(np.zeros(shape))
+
 
 class TestAbundanceMatrix:
     def test_normalized_flag_checked(self):
@@ -95,6 +105,12 @@ class TestAbundanceMatrix:
     def test_degenerate_zero_column_allowed_when_normalized(self):
         a = AbundanceMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), normalized=True)
         assert a.normalized
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_matrix_rejected(self, shape, normalized):
+        with pytest.raises(ValueError, match="at least one"):
+            AbundanceMatrix(np.zeros(shape), normalized=normalized)
 
 
 class TestScalingState:

@@ -126,6 +126,12 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="finite"):
             load_image(path)
 
+    def test_negative_grid_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("3,6,-2,-3\n" + "1,1,1,1,1,1\n" * 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            load_image(path)
+
 
 class TestFormatSniffing:
     def test_sniff_raw_vs_csv(self, image, tmp_path):

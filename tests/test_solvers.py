@@ -282,6 +282,21 @@ class TestSolveNnlsClipped:
         out = solve_nnls_clipped(EndmemberMatrix(np.eye(2)), HsiImage(x), hi=1.0)
         np.testing.assert_allclose(out[:, 0], [1.0, 0.5])
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, -np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "clip",
+        [
+            lambda x, e, hi: solve_nnls_clipped(e, x, hi=hi),
+            lambda x, e, hi: als_update_a(x, e, np.ones(2), upper=hi),
+        ],
+        ids=["nnls_clipped", "als_update_a"],
+    )
+    def test_nonpositive_or_nan_bound_rejected_with_one_message(self, clip, bound):
+        x = HsiImage(np.array([[3.0], [0.5]]))
+        with pytest.raises(ValueError) as caught:
+            clip(x, EndmemberMatrix(np.eye(2)), bound)
+        assert str(caught.value) == f"upper clip bound must be positive, got {bound}"
+
     def test_rank_deficient_named(self):
         e = np.ones((4, 2))
         with pytest.raises(SolverError, match="singular value"):

@@ -1,9 +1,9 @@
 """Two-step model: cost, gradient, block updates, and both solvers."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -478,34 +478,46 @@ class TestSolveLbfgs:
             solve_lbfgs(x, e, TwoLmmConfig(), init=bad)
 
 
+def counted_squared_error(monkeypatch):
+    """Patch ``twostep._squared_error`` to record the image of every call."""
+    images = []
+    kernel = twostep._squared_error
+
+    def counted(x, b, c):
+        images.append(x)
+        return kernel(x, b, c)
+
+    monkeypatch.setattr(twostep, "_squared_error", counted)
+    return images
+
+
 class TestSolverCost:
-    def test_matches_public_cost_on_a_noisy_scene(self):
+    def test_matches_public_cost_on_a_noisy_scene(self, monkeypatch):
         em, _, scene = exact_scene(seed=40, snr_db=40.0)
-        _, *qr = _qr_fit(em.data, scene.image.data)
-        cost_at = twostep._solver_cost(em.data, scene.image.data, *qr)
-        assert not isinstance(cost_at, partial)  # the split form, not _cost
+        x = scene.image.data
+        _, *qr = _qr_fit(em.data, x)
+        images = counted_squared_error(monkeypatch)
+        cost_at = twostep._solver_cost(em.data, x, *qr)
         rng = np.random.default_rng(0)
         k, n = em.endmember_count, scene.image.pixel_count
-        for _ in range(20):
-            state = TwoLmmState(
-                a_s=rng.uniform(0.0, 5.0, size=(k, n)), s_e=rng.uniform(0.2, 5.0, size=k)
-            )
-            assert cost_at(state.a_s, state.s_e) == pytest.approx(
-                cost(scene.image, em, state), rel=1e-13
-            )
+        states = [
+            TwoLmmState(a_s=rng.uniform(0.0, 5.0, size=(k, n)), s_e=rng.uniform(0.2, 5.0, size=k))
+            for _ in range(20)
+        ]
+        reduced = [cost_at(state.a_s, state.s_e) for state in states]
+        assert len(images) == 1 and images[0] is x  # c0 alone sees the image
+        for state, value in zip(states, reduced):
+            assert value == pytest.approx(cost(scene.image, em, state), rel=1e-13)
 
     @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
     def test_solvers_form_no_full_residual_on_a_noisy_scene(self, solver, monkeypatch):
         em, _, scene = exact_scene(seed=41, snr_db=40.0)
-
-        def full_residual_cost(*args):
-            raise AssertionError("the solver formed the P x N residual")
-
-        monkeypatch.setattr(twostep, "_cost", full_residual_cost)
+        images = counted_squared_error(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = solver(scene.image, em, TwoLmmConfig(max_iter=50))
         assert res.iterations > 1
+        assert len(images) == 1 and images[0] is scene.image.data  # c0 only
 
     @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
     def test_one_qr_per_solve(self, solver, monkeypatch):
@@ -525,20 +537,58 @@ class TestSolverCost:
 
     def test_near_exact_fit_takes_the_direct_residual(self, monkeypatch):
         em, _, scene = exact_scene(seed=42)
-        calls = []
-        direct = twostep._cost
-
-        def counted(*args):
-            calls.append(1)
-            return direct(*args)
-
-        monkeypatch.setattr(twostep, "_cost", counted)
+        images = counted_squared_error(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = solve_als(scene.image, em, TwoLmmConfig(max_iter=20))
-        assert len(calls) == 1 + res.iterations  # initial cost + one per iteration
+        # c0, the initial cost and one cost per iteration, all over the image
+        assert len(images) == 2 + res.iterations
+        assert all(x is scene.image.data for x in images)
+        final = TwoLmmState(a_s=res.factors[1], s_e=res.s_e)
+        assert res.trace[-1].cost == cost(scene.image, em, final)
         resid = scene.image.data - res.reconstruction.data
-        assert res.trace[-1].cost == float(np.sum(resid * resid))
+        assert res.trace[-1].cost == pytest.approx(float(np.sum(resid**2)), rel=1e-12)
+
+
+def traced_peak(call):
+    """Peak bytes allocated while ``call()`` runs, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryContract:
+    # Any P x N array alone would take one image size. What may remain is
+    # O(K N) and one block of pixels (P x core._BLOCK, 0.2 image sizes on
+    # the 100 x 100 scene).
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, e, state: cost(x, e, state),
+            lambda x, e, state: gradient(x, e, state),
+            lambda x, e, state: precondition(x, e, state),
+            lambda x, e, state: als_update_a(x, e, state.s_e, 5.0),
+            lambda x, e, state: als_update_se(x, e, state.a_s, state.s_e, (0.2, 5.0)),
+        ],
+        ids=["cost", "gradient", "precondition", "als_update_a", "als_update_se"],
+    )
+    def test_public_helpers_hold_no_image_sized_array(self, call):
+        em, _, scene = exact_scene(seed=44, width=100, height=100, bands=120, snr_db=40.0)
+        state = TwoLmmState.uniform(em.endmember_count, scene.image.pixel_count)
+        peak = traced_peak(lambda: call(scene.image, em, state))
+        assert peak < 0.25 * scene.image.data.nbytes
+
+    @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
+    def test_near_exact_fit_solve_holds_no_image_sized_array(self, solver):
+        # Noiseless, so every cost of the solve is taken over the image.
+        em, _, scene = exact_scene(seed=45, width=150, height=150, bands=120)
+        peak = traced_peak(lambda: solver(scene.image, em, TwoLmmConfig(max_iter=30)))
+        assert peak < 0.8 * scene.image.data.nbytes
 
 
 class TestGaugeProperty:
