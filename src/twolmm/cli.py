@@ -10,6 +10,15 @@ Configuration is a flat key-value text file with dotted section prefixes
 randomness derives from the single ``--seed``, so every output row can be
 re-derived from the manifest and seed. Exit codes: 0 success, 1
 configuration error, 2 solver error, 3 I/O error.
+
+The scene keys are ``scene.kind`` (``2lmm`` or ``hapke``),
+``scene.width``, ``scene.height``, ``scene.k``, ``scene.bands``,
+``scene.snr_db`` and ``scene.dir``. Every other scene setting is fixed by
+the protocol: abundance correlation length 15 pixels, endmember
+reflectances in (0.05, 0.95), scaling factors drawn from (1/3, 3) for
+``2lmm``, and for ``hapke`` a terrain of 20 m relief (smoothness 6 cells
+of 10 m) lit by a sun 40 degrees from zenith. The generators in
+:mod:`twolmm.datagen` take all of these as parameters.
 """
 
 from __future__ import annotations
@@ -88,6 +97,13 @@ _STREAM_ENDMEMBERS = 3
 _STREAM_VCA = 4
 _STREAM_NOISE = 5
 
+# Scene protocol: the two hapke settings that differ from the generators'
+# defaults (a relief of 30 m and a sun at nadir). Every other scene setting
+# is a generator default.
+_HAPKE_RELIEF = 20.0  # terrain height standard deviation, meters
+# A sun 40 degrees from zenith.
+_HAPKE_SUN = (math.sin(math.radians(40.0)), 0.0, math.cos(math.radians(40.0)))
+
 
 @dataclass
 class ExperimentConfig:
@@ -96,16 +112,7 @@ class ExperimentConfig:
     height: int = 30
     k: int = 3
     bands: int = 120
-    correlation_length: float = 15.0
-    s_lo: float = 1.0 / 3.0
-    s_hi: float = 3.0
     snr_db: float | None = 40.0
-    em_lo: float = 0.05
-    em_hi: float = 0.95
-    relief: float = 20.0
-    smoothness: float = 6.0
-    cell_size: float = 10.0
-    sun_zenith_deg: float = 40.0
     scene_dir: str | None = None
     methods: tuple[str, ...] = ("lmm", "slmm", "lbfgs2lmm")
     em_source: str = "truth"
@@ -168,16 +175,7 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "scene.height": ("height", int),
     "scene.k": ("k", int),
     "scene.bands": ("bands", int),
-    "scene.correlation_length": ("correlation_length", float),
-    "scene.s_lo": ("s_lo", float),
-    "scene.s_hi": ("s_hi", float),
     "scene.snr_db": ("snr_db", _parse_snr),
-    "scene.em_lo": ("em_lo", float),
-    "scene.em_hi": ("em_hi", float),
-    "scene.relief": ("relief", float),
-    "scene.smoothness": ("smoothness", float),
-    "scene.cell_size": ("cell_size", float),
-    "scene.sun_zenith_deg": ("sun_zenith_deg", float),
     "scene.dir": ("scene_dir", str),
     "run.methods": ("methods", _parse_methods),
     "run.em_source": ("em_source", str),
@@ -258,16 +256,12 @@ class SceneBundle:
 def build_scene(cfg: ExperimentConfig) -> SceneBundle:
     """Generate the configured scene in memory (deterministic in the seed)."""
     endmembers = synthetic_endmembers(
-        cfg.bands,
-        cfg.k,
-        seed=_derive_seed(cfg.seed, _STREAM_ENDMEMBERS),
-        reflectance_range=(cfg.em_lo, cfg.em_hi),
+        cfg.bands, cfg.k, seed=_derive_seed(cfg.seed, _STREAM_ENDMEMBERS)
     )
     abundances = generate_grf_abundances(
         GrfSpec(
             width=cfg.width,
             height=cfg.height,
-            correlation_length=cfg.correlation_length,
             k=cfg.k,
             seed=_derive_seed(cfg.seed, _STREAM_ABUNDANCES),
         )
@@ -276,7 +270,6 @@ def build_scene(cfg: ExperimentConfig) -> SceneBundle:
         scene = generate_2lmm_scene(
             endmembers,
             abundances,
-            s_range=(cfg.s_lo, cfg.s_hi),
             snr_db=cfg.snr_db,
             seed=_derive_seed(cfg.seed, _STREAM_SCENE),
             width=cfg.width,
@@ -288,21 +281,14 @@ def build_scene(cfg: ExperimentConfig) -> SceneBundle:
             abundances_truth=abundances,
             scaling=scene.scaling,
         )
-    zen = math.radians(cfg.sun_zenith_deg)
-    sun = (math.sin(zen), 0.0, math.cos(zen))
     dsm = smoothed_random_dsm(
-        cfg.width,
-        cfg.height,
-        relief=cfg.relief,
-        smoothness=cfg.smoothness,
-        cell_size=cfg.cell_size,
-        seed=_derive_seed(cfg.seed, _STREAM_DSM),
+        cfg.width, cfg.height, relief=_HAPKE_RELIEF, seed=_derive_seed(cfg.seed, _STREAM_DSM)
     )
     scene = generate_hapke_scene(
         endmembers,
         abundances,
         dsm,
-        sun_dir=sun,
+        sun_dir=_HAPKE_SUN,
         snr_db=cfg.snr_db,
         seed=_derive_seed(cfg.seed, _STREAM_SCENE),
     )
@@ -351,15 +337,12 @@ def cmd_generate(cfg: ExperimentConfig) -> Path:
         f"height = {cfg.height}",
         f"k = {cfg.k}",
         f"bands = {cfg.bands}",
-        "correlation_length = %.17g" % cfg.correlation_length,
         "snr_db = %s" % ("inf" if cfg.snr_db is None else "%.17g" % cfg.snr_db),
         "image = scene.hsi",
         "abundances = abundances_gt.abn",
         "endmembers = endmembers_gt.emm",
     ]
     if cfg.scene_kind == "2lmm":
-        manifest.insert(8, "s_lo = %.17g" % cfg.s_lo)
-        manifest.insert(9, "s_hi = %.17g" % cfg.s_hi)
         save_scaling_state(bundle.scaling, out / "scalings_gt.txt")
         manifest.append("scalings = scalings_gt.txt")
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="ascii")

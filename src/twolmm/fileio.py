@@ -45,6 +45,7 @@ FORMATS = ("raw-f64", "csv")
 _MAGIC_IMAGE = b"HSI0"
 _MAGIC_ENDMEMBERS = b"EMM0"
 _MAGIC_ABUNDANCES = b"ABN0"
+_MAGICS = (_MAGIC_IMAGE, _MAGIC_ENDMEMBERS, _MAGIC_ABUNDANCES)
 _HEADER = struct.Struct("<4sIII")
 
 
@@ -140,10 +141,12 @@ def _read_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...]]:
     return matrix, head[2:]
 
 
-def _sniff(path: Path, magic: bytes) -> str:
+def _sniff(path: Path) -> str:
+    """``raw-f64`` for a file that starts with any raw magic (so that
+    :func:`_read_raw` names a wrong one) or with a non-ASCII byte."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == magic or any(b > 127 for b in head):
+    if head in _MAGICS or any(b > 127 for b in head):
         return "raw-f64"
     return "csv"
 
@@ -161,7 +164,7 @@ def save_image(image: HsiImage, path: str | Path, fmt: str = "raw-f64") -> None:
 def load_image(path: str | Path, fmt: str | None = None) -> HsiImage:
     """Read an image; the format is sniffed from the file when omitted."""
     path = Path(path)
-    fmt = _check_format(fmt) if fmt else _sniff(path, _MAGIC_IMAGE)
+    fmt = _check_format(fmt) if fmt else _sniff(path)
     if fmt == "raw-f64":
         matrix, width = _read_raw(path, _MAGIC_IMAGE)
         n = matrix.shape[1]
@@ -189,7 +192,7 @@ def save_endmembers(em: EndmemberMatrix, path: str | Path, fmt: str = "raw-f64")
 
 def load_endmembers(path: str | Path, fmt: str | None = None) -> EndmemberMatrix:
     path = Path(path)
-    fmt = _check_format(fmt) if fmt else _sniff(path, _MAGIC_ENDMEMBERS)
+    fmt = _check_format(fmt) if fmt else _sniff(path)
     if fmt == "raw-f64":
         matrix, _ = _read_raw(path, _MAGIC_ENDMEMBERS)
     else:
@@ -209,7 +212,7 @@ def save_abundances(ab: AbundanceMatrix, path: str | Path, fmt: str = "raw-f64")
 
 def load_abundances(path: str | Path, fmt: str | None = None) -> AbundanceMatrix:
     path = Path(path)
-    fmt = _check_format(fmt) if fmt else _sniff(path, _MAGIC_ABUNDANCES)
+    fmt = _check_format(fmt) if fmt else _sniff(path)
     if fmt == "raw-f64":
         matrix, flag = _read_raw(path, _MAGIC_ABUNDANCES)
         return AbundanceMatrix(matrix, normalized=bool(flag))

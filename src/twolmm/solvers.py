@@ -152,10 +152,12 @@ def _check_bands(e: np.ndarray, x: np.ndarray) -> None:
 
 
 def _check_full_rank(e: np.ndarray, x: np.ndarray) -> None:
-    """Raise unless ``e`` has the bands of ``x`` (:func:`_check_bands`) and
-    full column rank; warn when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``."""
+    """Raise unless ``e`` has the bands of ``x`` (:func:`_check_bands`), a
+    column and full column rank; warn when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``."""
     _check_bands(e, x)
     p, k = e.shape
+    if k == 0:
+        raise ValueError("endmember matrix has no columns")
     if p < k:
         raise ValueError(f"need at least as many bands as endmembers ({p} < {k})")
     sv = np.linalg.svd(e, compute_uv=False)

@@ -454,12 +454,14 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init) -> UnmixResult:
     history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.memory)
     prev_z: np.ndarray | None = None
     prev_dir: np.ndarray | None = None
+    # Plain ALS takes the ALS point itself, so it never forms the displacement.
+    plain_als = cfg.force_unit_step and not cfg.memory
 
     for t in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         a_cur, s_cur = _unpack(z, k, n)
         z_plus = _als_point(fit, gram, etx, s_cur, cfg)
-        precond = z_plus - z
+        precond = None if plain_als else z_plus - z
 
         if cfg.memory and prev_dir is not None:
             s_vec = z - prev_z
@@ -486,7 +488,7 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init) -> UnmixResult:
             gamma *= cfg.step_shrink
 
         if accepted:
-            if gamma == 1.0 and direction is precond:
+            if plain_als or (gamma == 1.0 and direction is precond):
                 # Unit step along the raw ALS displacement is the ALS point
                 # itself; reuse it verbatim instead of re-adding the delta.
                 z_new = z_plus

@@ -96,6 +96,24 @@ class TestConfigParsing:
         settable = {f.name for f in dataclasses.fields(TwoLmmConfig)} - {"force_unit_step"}
         assert keyed == settable
 
+    def test_every_scene_and_run_setting_has_one_key(self):
+        from twolmm.cli import _CONFIG_KEYS
+
+        keyed = [name for key, (name, _) in _CONFIG_KEYS.items() if not key.startswith("solver.")]
+        settable = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "solver"]
+        assert sorted(keyed) == sorted(settable)
+
+    def test_protocol_scene_settings_are_not_keys(self, tmp_path, capsys):
+        for name in (
+            "correlation_length", "s_lo", "s_hi", "em_lo", "em_hi",
+            "relief", "smoothness", "cell_size", "sun_zenith_deg",
+        ):
+            with pytest.raises(ConfigError, match="unknown configuration key"):
+                build_config({f"scene.{name}": "1"}, _args())
+        path = write_config(tmp_path, SMALL_SCENE + "scene.relief = 30\n")
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "unknown configuration key 'scene.relief'" in capsys.readouterr().err
+
 
 def _args(**kw):
     class Args:
@@ -240,6 +258,24 @@ class TestUnmix:
         direct = cmd_unmix(small_cfg(tmp_path, out_dir=str(tmp_path / "direct")))
         for a, b in zip(rows, direct):
             assert a["rmse_a"] == pytest.approx(b["rmse_a"], rel=1e-12)
+
+    def test_manifest_with_generator_settings_loads(self, tmp_path):
+        # Manifests once also recorded correlation_length, s_lo and s_hi.
+        scene_dir = tmp_path / "scene"
+        cmd_generate(small_cfg(tmp_path, out_dir=str(scene_dir)))
+        direct = cmd_unmix(small_cfg(tmp_path, scene_dir=str(scene_dir)))
+        manifest = scene_dir / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        assert [ln.split(" = ")[0] for ln in lines] == [
+            "kind", "seed", "width", "height", "k", "bands", "snr_db",
+            "image", "abundances", "endmembers", "scalings",
+        ]
+        old_lines = ["correlation_length = 15", lines[6], "s_lo = 0.33333333333333331", "s_hi = 3"]
+        lines[6:7] = old_lines
+        manifest.write_text("\n".join(lines) + "\n")
+        rows = cmd_unmix(small_cfg(tmp_path, scene_dir=str(scene_dir)))
+        for a, b in zip(rows, direct, strict=True):
+            assert (a["rmse_a"], a["rmse_x"]) == (b["rmse_a"], b["rmse_x"])
 
     def test_vca_extracts_the_manifest_k(self, tmp_path, capsys):
         scene_dir = tmp_path / "scene"

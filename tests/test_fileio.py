@@ -141,6 +141,26 @@ class TestFormatSniffing:
         save_image(image, csv, fmt="csv")
         np.testing.assert_array_equal(load_image(raw).data, load_image(csv).data)
 
+    @pytest.mark.parametrize(
+        "load, magic",
+        [(load_image, b"HSI0"), (load_endmembers, b"EMM0"), (load_abundances, b"ABN0")],
+        ids=["image", "endmembers", "abundances"],
+    )
+    def test_raw_file_of_another_kind_names_its_magic(self, load, magic, tmp_path):
+        files = {
+            b"HSI0": (save_image, HsiImage(np.ones((3, 4)))),
+            b"EMM0": (save_endmembers, EndmemberMatrix(np.eye(3))),
+            b"ABN0": (save_abundances, AbundanceMatrix(np.full((3, 4), 0.25))),
+        }
+        for other, (save, obj) in files.items():
+            if other == magic:
+                continue
+            path = tmp_path / other.decode()
+            save(obj, path)
+            with pytest.raises(FormatError) as caught:
+                load(path)
+            assert str(caught.value).endswith(f"bad magic {other!r}, expected {magic!r}")
+
     def test_unknown_format_rejected(self, image, tmp_path):
         with pytest.raises(FormatError, match="unsupported"):
             save_image(image, tmp_path / "x", fmt="npz")

@@ -302,6 +302,10 @@ class TestSolveNnlsClipped:
         with pytest.raises(SolverError, match="singular value"):
             solve_least_squares(e, np.ones((4, 3)))
 
+    def test_no_endmember_columns_rejected(self):
+        with pytest.raises(ValueError, match="no columns"):
+            solve_least_squares(np.ones((4, 0)), np.ones((4, 3)))
+
     def test_condition_warning(self):
         e = np.array([[1.0, 1.0], [0.0, 1e-6]])
         with pytest.warns(RuntimeWarning, match="cond"):
