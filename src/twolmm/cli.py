@@ -57,6 +57,7 @@ from .endmembers import (
 )
 from .fileio import (
     FormatError,
+    _new_file,
     load_abundances,
     load_endmembers,
     load_image,
@@ -345,7 +346,8 @@ def cmd_generate(cfg: ExperimentConfig) -> Path:
     if cfg.scene_kind == "2lmm":
         save_scaling_state(bundle.scaling, out / "scalings_gt.txt")
         manifest.append("scalings = scalings_gt.txt")
-    (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="ascii")
+    with _new_file(out / "manifest.txt") as fh:
+        fh.write("\n".join(manifest) + "\n")
     return out
 
 
@@ -396,6 +398,9 @@ def run_methods(
     em_used: EndmemberMatrix,
     out: Path | None = None,
 ) -> list[dict]:
+    """One results row per method. With ``out``, the directory is created and
+    each method's trace written to it once every method has run, so a method
+    that raises leaves nothing behind; a :class:`SolverError` is a row."""
     match = None
     if bundle.abundances_truth is not None and bundle.endmembers_truth is not None:
         try:
@@ -403,6 +408,7 @@ def run_methods(
         except ValueError as exc:
             raise ConfigError(f"endmembers do not fit the scene: {exc}") from exc
     rows = []
+    traces = {}
     for name in cfg.methods:
         row = dict.fromkeys(_RESULT_COLUMNS)
         row.update(method=name, iters=0, error="")
@@ -419,11 +425,14 @@ def run_methods(
                 row["rmse_a"] = rmse_a(
                     bundle.abundances_truth, AbundanceMatrix(a_est, normalized=True)
                 )
-            if out is not None:
-                result.trace.write_csv(out / f"trace_{name}.csv")
+            traces[name] = result.trace
         except SolverError as exc:
             row["error"] = str(exc)
         rows.append(row)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, trace in traces.items():
+            trace.write_csv(out / f"trace_{name}.csv")
     return rows
 
 
@@ -442,8 +451,10 @@ def _write_rows(
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_cell(row[c]) for c in columns))
-    csv_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-    json_path.write_text(json.dumps(rows, indent=2) + "\n", encoding="ascii")
+    with _new_file(csv_path) as fh:
+        fh.write("\n".join(lines) + "\n")
+    with _new_file(json_path) as fh:
+        fh.write(json.dumps(rows, indent=2) + "\n")
 
 
 def _scene(cfg: ExperimentConfig) -> SceneBundle:
@@ -455,7 +466,6 @@ def cmd_unmix(cfg: ExperimentConfig) -> list[dict]:
     bundle = _scene(cfg)
     em_used = resolve_endmembers(cfg, bundle)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = run_methods(cfg, bundle, em_used, out=out)
     _write_rows(rows, _RESULT_COLUMNS, out / "results.csv", out / "results.json")
     return rows

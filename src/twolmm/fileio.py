@@ -59,14 +59,35 @@ def _check_format(fmt: str) -> str:
     return fmt
 
 
+def _new_file(path: str | Path, binary: bool = False):
+    """Open ``path`` for writing as a new file, ASCII text unless ``binary``;
+    every file the package writes is opened here.
+
+    An existing file at ``path`` is unlinked first, and the new one is
+    opened in exclusive-create mode, so the write lands on a fresh inode.
+    Truncating a file that holds data and writing it again makes ext4 flush
+    it on close (its ``auto_da_alloc`` default): about 55 ms per file,
+    against 0.02-0.3 ms for a new file, measured on an ext4 root filesystem.
+    Writing a temporary file and renaming it over the old one costs the
+    same. So a symlink at ``path`` is replaced rather than followed, a hard
+    link keeps the old bytes, the old mode is not kept, and the directory
+    must be writable. A crash mid-write leaves a partial file.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    if binary:
+        return open(path, "xb")
+    return open(path, "x", encoding="ascii")
+
+
 def _write_raw(path: Path, magic: bytes, matrix: np.ndarray, aux: int) -> None:
     rows, cols = matrix.shape
     payload = np.asfortranarray(matrix, dtype="<f8")
-    with open(path, "wb") as fh:
+    with _new_file(path, binary=True) as fh:
         fh.write(_HEADER.pack(magic, rows, cols, aux))
         # The transpose of the column-major payload is row-major, which
-        # tofile writes straight from memory.
-        payload.T.tofile(fh)
+        # the file writes straight from memory.
+        fh.write(payload.T)
 
 
 def _read_raw(path: Path, magic: bytes) -> tuple[np.ndarray, int]:
@@ -99,7 +120,7 @@ def _read_raw(path: Path, magic: bytes) -> tuple[np.ndarray, int]:
 def _write_csv(path: Path, matrix: np.ndarray, extras: tuple[int, ...] = ()) -> None:
     rows, cols = matrix.shape
     header = ",".join(str(v) for v in (rows, cols) + extras)
-    with open(path, "w", encoding="ascii") as fh:
+    with _new_file(path) as fh:
         fh.write(header + "\n")
         for r in range(rows):
             # 17 significant digits in scientific form round-trips float64.
@@ -228,7 +249,8 @@ def save_scaling_state(state: ScalingState, path: str | Path) -> None:
         "s_e = " + ",".join("%.17g" % v for v in state.s_e),
         "s_x = " + ",".join("%.17g" % v for v in state.s_x),
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with _new_file(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_scaling_state(path: str | Path) -> ScalingState:

@@ -19,6 +19,7 @@ from .core import (
     _squared_error,
     _warn,
 )
+from .fileio import _new_file
 
 __all__ = ["IterationRecord", "SolverTrace", "UnmixResult"]
 
@@ -78,7 +79,8 @@ class SolverTrace:
         row = attrgetter(*names)
         lines = [",".join(names)]
         lines += [",".join(map(repr, row(r))) for r in self.records]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        with _new_file(path) as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

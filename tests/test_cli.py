@@ -127,6 +127,19 @@ def _args(**kw):
     return Args()
 
 
+def _snapshot(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _without_time(name: str, data: bytes):
+    """A results or trace file's content with its ``time_s`` column dropped."""
+    if name.endswith(".json"):
+        return [{k: v for k, v in row.items() if k != "time_s"} for row in json.loads(data)]
+    rows = [line.split(",") for line in data.decode("ascii").splitlines()]
+    col = rows[0].index("time_s")
+    return [row[:col] + row[col + 1 :] for row in rows]
+
+
 def small_cfg(tmp_path, **overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(
         width=12,
@@ -177,6 +190,52 @@ class TestGenerate:
         em = load_endmembers(out / "endmembers_gt.emm")
         assert img.pixel_count == ab.pixel_count == 144
         assert em.endmember_count == 3
+
+
+class TestRerunIntoOneDirectory:
+    """Every output is written as a new file over the old one."""
+
+    def test_generate_twice_gives_identical_files(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        first = _snapshot(cmd_generate(cfg))
+        assert _snapshot(cmd_generate(cfg)) == first
+
+    def unmix(self, cfg) -> dict:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cmd_unmix(cfg)
+        out = Path(cfg.out_dir)
+        return {name: _without_time(name, data) for name, data in _snapshot(out).items()}
+
+    def test_unmix_twice_gives_identical_outputs_outside_time_s(self, tmp_path):
+        cfg = small_cfg(tmp_path, methods=("lmm", "slmm", "als2lmm", "lbfgs2lmm"))
+        first = self.unmix(cfg)
+        assert sorted(first) == [
+            "results.csv",
+            "results.json",
+            "trace_als2lmm.csv",
+            "trace_lbfgs2lmm.csv",
+            "trace_lmm.csv",
+            "trace_slmm.csv",
+        ]
+        assert self.unmix(cfg) == first
+
+    def test_stale_symlinked_and_hard_linked_outputs_are_replaced(self, tmp_path):
+        fresh = self.unmix(small_cfg(tmp_path, out_dir=str(tmp_path / "fresh")))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "results.csv").write_text("method\n" + "stale,row\n" * 1000)
+        target = tmp_path / "target.json"
+        target.write_text("keep me")
+        (out / "results.json").symlink_to(target)
+        old_trace = tmp_path / "old_trace.csv"
+        old_trace.write_text("old trace")
+        os.link(old_trace, out / "trace_lmm.csv")
+
+        assert self.unmix(small_cfg(tmp_path)) == fresh
+        assert not (out / "results.json").is_symlink()
+        assert target.read_text() == "keep me"
+        assert old_trace.read_text() == "old trace"
 
 
 class TestUnmix:
@@ -460,13 +519,19 @@ class TestMainExitCodes:
         def boom(*args, **kwargs):
             raise ValueError("synthetic programming error")
 
-        monkeypatch.setitem(cli.__dict__, "unmix_slmm", boom)
         path = write_config(tmp_path, SMALL_SCENE)
-        out = tmp_path / "res"
-        code = main(["unmix", "--config", str(path), "--out", str(out), "--methods", "slmm"])
-        assert code == 1
-        assert "synthetic programming error" in capsys.readouterr().err
-        assert not (out / "results.csv").exists()
+        reused = tmp_path / "reused"
+        assert main(["unmix", "--config", str(path), "--out", str(reused)]) == 0
+        before = _snapshot(reused)
+        monkeypatch.setitem(cli.__dict__, "unmix_slmm", boom)
+        # lmm runs and succeeds before slmm raises.
+        for out in (tmp_path / "res", reused):
+            argv = ["unmix", "--config", str(path), "--out", str(out), "--methods", "lmm,slmm"]
+            assert main(argv) == 1
+            assert "synthetic programming error" in capsys.readouterr().err
+        # A failed run writes nothing: no new directory, no file changed.
+        assert not (tmp_path / "res").exists()
+        assert _snapshot(reused) == before
 
     def test_generate_and_unmix_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_SCENE)

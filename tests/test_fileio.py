@@ -1,8 +1,14 @@
-"""File format round trips and malformed-input handling."""
+"""File format round trips, malformed-input handling, and how outputs are
+written."""
+
+import ast
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twolmm
 from twolmm import (
     AbundanceMatrix,
     EndmemberMatrix,
@@ -18,6 +24,7 @@ from twolmm import (
     save_image,
     save_scaling_state,
 )
+from twolmm.trace import IterationRecord, SolverTrace
 
 
 @pytest.fixture
@@ -183,3 +190,101 @@ class TestScalingStateFile:
         path.write_text("bounds = 0.2,5\n")
         with pytest.raises(FormatError, match="malformed"):
             load_scaling_state(path)
+
+
+def _state():
+    return ScalingState(s_e=np.array([0.5, 2.0]), s_x=np.array([1.0, 3.0]), lower=0.2, upper=5.0)
+
+
+def _trace():
+    trace = SolverTrace(initial_cost=2.0)
+    trace.append(IterationRecord(1, 1.0, 1.0, 1.0, 0.5, 0.25, 0.0))
+    return trace
+
+
+# One writer per format: text, raw-f64, CSV, and the trace CSV.
+WRITERS = {
+    "text": lambda path: save_scaling_state(_state(), path),
+    "raw": lambda path: save_image(HsiImage(np.full((3, 4), 0.5)), path),
+    "csv": lambda path: save_image(HsiImage(np.full((3, 4), 0.5)), path, fmt="csv"),
+    "trace": lambda path: _trace().write_csv(path),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+class TestWritesReplaceTheFile:
+    """Every writer replaces an existing path with a new file."""
+
+    def expected(self, write, tmp_path):
+        fresh = tmp_path / "fresh"
+        write(fresh)
+        return fresh.read_bytes()
+
+    def test_a_longer_stale_file_leaves_no_tail(self, write, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"stale " * 1000)
+        write(path)
+        assert path.read_bytes() == self.expected(write, tmp_path)
+
+    def test_a_symlink_is_replaced_and_its_target_kept(self, write, tmp_path):
+        target = tmp_path / "target"
+        target.write_bytes(b"keep me")
+        path = tmp_path / "out"
+        path.symlink_to(target)
+        write(path)
+        assert not path.is_symlink()
+        assert path.read_bytes() == self.expected(write, tmp_path)
+        assert target.read_bytes() == b"keep me"
+
+    def test_a_hard_link_keeps_the_old_bytes(self, write, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old bytes")
+        link = tmp_path / "link"
+        os.link(path, link)
+        write(path)
+        assert path.read_bytes() == self.expected(write, tmp_path)
+        assert link.read_bytes() == b"old bytes"
+
+
+def _mode(call: ast.Call) -> str | None:
+    """The mode argument of an ``open`` call: its text, ``"r"`` when
+    omitted, or None when it is not a literal. ``path.open(mode)`` takes it
+    first, ``open(path, mode)`` and ``os.open(path, flags)`` second."""
+    func = call.func
+    receiver = getattr(func, "value", None)
+    pos = 0 if receiver is not None and getattr(receiver, "id", None) not in ("io", "os") else 1
+    given = call.args[pos] if len(call.args) > pos else None
+    given = next((kw.value for kw in call.keywords if kw.arg == "mode"), given)
+    if given is None:
+        return "r"
+    return given.value if isinstance(given, ast.Constant) else None
+
+
+def test_every_write_goes_through_new_file():
+    """The package writes files only through ``fileio._new_file``."""
+    writes, helper_opens = [], 0
+    for path in sorted(Path(twolmm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helpers = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_new_file"
+        ]
+        inside = {id(n) for h in helpers for n in ast.walk(h)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "open":
+                mode = _mode(node)
+                if mode is not None and not set(mode) & set("wax+"):
+                    continue
+                if id(node) in inside and mode in ("x", "xb"):
+                    helper_opens += 1
+                    continue
+            elif name not in ("write_text", "write_bytes", "tofile"):
+                continue
+            writes.append(f"{path.name}:{node.lineno}: {name}")
+    assert writes == []
+    assert helper_opens == 2
