@@ -125,6 +125,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.scene_kind not in ("2lmm", "hapke"):
             raise ConfigError(f"unknown scene kind {self.scene_kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be nonnegative, got {self.seed}")
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ConfigError(

@@ -50,7 +50,8 @@ _HEADER = struct.Struct("<4sIII")
 
 
 class FormatError(ValueError):
-    """Raised when a file does not conform to a supported format."""
+    """Raised when a file does not conform to a supported format, or holds
+    data that its container refuses."""
 
 
 def _check_format(fmt: str) -> str:
@@ -162,6 +163,23 @@ def _read_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...]]:
     return matrix, head[2:]
 
 
+def _contain(path: Path, container, data: np.ndarray, **kwargs):
+    """``container(data, **kwargs)`` for the data read from ``path``; a
+    ``ValueError`` from the container's checks is raised as a
+    :class:`FormatError` that names the file.
+
+    An empty matrix is the exception: its file is consistent with its own
+    header, and the container refuses it because a run needs at least one
+    band, endmember or pixel, so that ``ValueError`` passes unchanged (the
+    CLI reports it as a configuration error)."""
+    try:
+        return container(data, **kwargs)
+    except ValueError as exc:
+        if data.size == 0:
+            raise
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _sniff(path: Path) -> str:
     """``raw-f64`` for a file that starts with any raw magic (so that
     :func:`_read_raw` names a wrong one) or with a non-ASCII byte."""
@@ -195,11 +213,11 @@ def load_image(path: str | Path, fmt: str | None = None) -> HsiImage:
             height = n // width
         else:
             raise FormatError(f"{path}: stored width {width} does not divide {n}")
-        return HsiImage(matrix, width=width, height=height)
+        return _contain(path, HsiImage, matrix, width=width, height=height)
     matrix, extras = _read_csv(path)
     if len(extras) >= 2:
-        return HsiImage(matrix, width=extras[0], height=extras[1])
-    return HsiImage(matrix)
+        return _contain(path, HsiImage, matrix, width=extras[0], height=extras[1])
+    return _contain(path, HsiImage, matrix)
 
 
 def save_endmembers(em: EndmemberMatrix, path: str | Path, fmt: str = "raw-f64") -> None:
@@ -218,7 +236,7 @@ def load_endmembers(path: str | Path, fmt: str | None = None) -> EndmemberMatrix
         matrix, _ = _read_raw(path, _MAGIC_ENDMEMBERS)
     else:
         matrix, _ = _read_csv(path)
-    return EndmemberMatrix(matrix)
+    return _contain(path, EndmemberMatrix, matrix)
 
 
 def save_abundances(ab: AbundanceMatrix, path: str | Path, fmt: str = "raw-f64") -> None:
@@ -236,10 +254,10 @@ def load_abundances(path: str | Path, fmt: str | None = None) -> AbundanceMatrix
     fmt = _check_format(fmt) if fmt else _sniff(path)
     if fmt == "raw-f64":
         matrix, flag = _read_raw(path, _MAGIC_ABUNDANCES)
-        return AbundanceMatrix(matrix, normalized=bool(flag))
+        return _contain(path, AbundanceMatrix, matrix, normalized=bool(flag))
     matrix, extras = _read_csv(path)
     normalized = bool(extras[0]) if extras else False
-    return AbundanceMatrix(matrix, normalized=normalized)
+    return _contain(path, AbundanceMatrix, matrix, normalized=normalized)
 
 
 def save_scaling_state(state: ScalingState, path: str | Path) -> None:
@@ -269,4 +287,4 @@ def load_scaling_state(path: str | Path) -> ScalingState:
         s_x = np.array([float(v) for v in entries["s_x"].split(",")])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed scaling entries") from exc
-    return ScalingState(s_e=s_e, s_x=s_x, lower=lower, upper=upper)
+    return _contain(path, ScalingState, s_e, s_x=s_x, lower=lower, upper=upper)

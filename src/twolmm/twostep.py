@@ -16,11 +16,11 @@ Both solvers run one outer iteration loop:
   stays below ``(1 + exp(-t))`` times the current cost. Box bounds are
   enforced when the iterate is formed, not during step selection, so
   trial points may leave the feasible set temporarily.
-- :func:`solve_als` is the memory-0, unit-step mode of that loop: with no
-  curvature pairs the direction is the ALS displacement itself, and the
-  unit step lands on the ALS point, so each iteration alternates the
+- :func:`solve_als` is the loop's other step rule, ``force_unit_step``:
+  every iterate is the ALS point, so each iteration alternates the
   closed-form block updates (clipped least squares for ``A_s``, a
-  Gauss-Seidel sweep for ``s_e``) and evaluates the cost once.
+  Gauss-Seidel sweep for ``s_e``) and evaluates the cost once, with no
+  direction, curvature pair or step-size search.
 
 The solver loop evaluates every cost in the K-dimensional coordinates of
 the fit (see :func:`_solver_cost`): with the thin QR ``E = QR``,
@@ -102,16 +102,17 @@ class TwoLmmConfig:
     them, which the bounds-sweep harness uses for the alpha = 1 case).
     ``eps_a``/``eps_s`` are the relative-change thresholds of the
     termination rule; iteration stops when both fall below their
-    threshold. ``memory`` is the number of curvature pairs kept by the
-    quasi-Newton solver; with 0 the direction is the ALS displacement, but
-    the step-size search still runs, so ``memory = 0`` alone is not plain
-    ALS. The step-size search is fixed: from step 1 it halves the step at
-    most 30 times (the class constants below), then takes the ALS step;
-    the acceptance test evaluates the cost at the raw trial point and the
-    box projection is applied afterwards. ``force_unit_step`` skips the
-    step-size search entirely: the step is 1, no trial point is
-    evaluated, and ``cost_accept`` equals ``cost``. Together with
-    ``memory = 0`` it is plain ALS, which is how :func:`solve_als` runs.
+    threshold. The loop has two step rules. By default it takes a searched
+    quasi-Newton step: ``memory`` is the number of curvature pairs kept,
+    and with 0 the direction is the ALS displacement, but the step-size
+    search still runs, so ``memory = 0`` alone is not plain ALS. The
+    step-size search is fixed: from step 1 it halves the step at most 30
+    times (the class constants below), then takes the ALS step; the
+    acceptance test evaluates the cost at the raw trial point and the box
+    projection is applied afterwards. ``force_unit_step`` is plain ALS,
+    which is how :func:`solve_als` runs: every iterate is the ALS point,
+    the step is 1, no trial point is evaluated, ``cost_accept`` equals
+    ``cost``, and ``memory`` is not used.
     """
 
     lower: float = 0.2
@@ -374,11 +375,10 @@ def solve_als(
     Alternates the closed-form block updates until both relative changes
     fall below their thresholds or ``max_iter`` is reached. Kept as an
     ablation baseline: it is the loop of :func:`solve_lbfgs` run with
-    ``memory = 0`` and ``force_unit_step``, whatever ``config`` sets for
-    those two fields, so every iteration takes the ALS point and costs one
-    cost evaluation.
+    ``force_unit_step``, whatever ``config`` sets for it, so every iteration
+    takes the ALS point and costs one cost evaluation.
     """
-    cfg = replace(config or TwoLmmConfig(), memory=0, force_unit_step=True)
+    cfg = replace(config or TwoLmmConfig(), force_unit_step=True)
     return _solve(image, endmembers, cfg, init)
 
 
@@ -425,9 +425,10 @@ def solve_lbfgs(
     thresholds; stopping at ``max_iter`` instead raises a
     ``RuntimeWarning``.
 
-    With ``memory = 0`` the direction is the ALS displacement; adding
-    ``force_unit_step`` drops the step-size search and runs plain ALS,
-    which is what :func:`solve_als` does.
+    With ``memory = 0`` the direction is the ALS displacement, and the
+    step-size search still runs. ``force_unit_step`` drops the direction
+    and the search, whatever ``memory`` is, and runs plain ALS, which is
+    what :func:`solve_als` does.
     """
     return _solve(image, endmembers, config or TwoLmmConfig(), init)
 
@@ -452,64 +453,58 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init) -> UnmixResult:
     current_cost = cost_at(*_unpack(z, k, n))
     trace = SolverTrace(initial_cost=current_cost)
     history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.memory)
-    prev_z: np.ndarray | None = None
-    prev_dir: np.ndarray | None = None
-    # Plain ALS takes the ALS point itself, so it never forms the displacement.
-    plain_als = cfg.force_unit_step and not cfg.memory
+    # The previous iterate and its ALS displacement, for the curvature pair.
+    prev_z = prev_dir = None
 
     for t in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         a_cur, s_cur = _unpack(z, k, n)
-        z_plus = _als_point(fit, gram, etx, s_cur, cfg)
-        precond = None if plain_als else z_plus - z
-
-        if cfg.memory and prev_dir is not None:
-            s_vec = z - prev_z
-            y_vec = -(precond - prev_dir)
-            curvature = float(s_vec @ y_vec)
-            floor = _CURVATURE_TOL * float(np.linalg.norm(s_vec)) * float(
-                np.linalg.norm(y_vec)
-            )
-            if curvature > floor:
-                history.append((s_vec, y_vec, 1.0 / curvature))
-
-        direction = -_two_loop(-precond, history) if history else precond
-
-        accepted = cfg.force_unit_step
+        # Plain ALS takes the ALS point, at step 1, and evaluates no trial point.
+        z_new = _als_point(fit, gram, etx, s_cur, cfg)
         gamma = cfg.step_init
-        allowance = (1.0 + math.exp(-t)) * current_cost
-        for _ in range(0 if accepted else cfg.max_backtracks + 1):
-            accept_cost = cost_at(*_unpack(z + gamma * direction, k, n))
-            if not math.isfinite(accept_cost):
-                raise SolverError(f"non-finite cost during backtracking at t={t}")
-            if accept_cost <= allowance:
-                accepted = True
-                break
-            gamma *= cfg.step_shrink
+        accept_cost = None
+        if not cfg.force_unit_step:
+            z_plus = z_new
+            precond = z_plus - z
+            if cfg.memory and prev_dir is not None:
+                s_vec = z - prev_z
+                y_vec = -(precond - prev_dir)
+                curvature = float(s_vec @ y_vec)
+                floor = _CURVATURE_TOL * float(np.linalg.norm(s_vec)) * float(
+                    np.linalg.norm(y_vec)
+                )
+                if curvature > floor:
+                    history.append((s_vec, y_vec, 1.0 / curvature))
+            direction = -_two_loop(-precond, history) if history else precond
 
-        if accepted:
-            if plain_als or (gamma == 1.0 and direction is precond):
-                # Unit step along the raw ALS displacement is the ALS point
-                # itself; reuse it verbatim instead of re-adding the delta.
-                z_new = z_plus
+            allowance = (1.0 + math.exp(-t)) * current_cost
+            for _ in range(cfg.max_backtracks + 1):
+                accept_cost = cost_at(*_unpack(z + gamma * direction, k, n))
+                if not math.isfinite(accept_cost):
+                    raise SolverError(f"non-finite cost during backtracking at t={t}")
+                if accept_cost <= allowance:
+                    # A unit step along the raw ALS displacement is the ALS
+                    # point itself, kept verbatim instead of re-adding the delta.
+                    if gamma != 1.0 or direction is not precond:
+                        z_new = z + gamma * direction
+                        np.clip(z_new[: k * n], 0.0, cfg.upper, out=z_new[: k * n])
+                        np.clip(z_new[k * n :], cfg.lower, cfg.upper, out=z_new[k * n :])
+                    break
+                gamma *= cfg.step_shrink
             else:
-                z_new = z + gamma * direction
-                np.clip(z_new[: k * n], 0.0, cfg.upper, out=z_new[: k * n])
-                np.clip(z_new[k * n :], cfg.lower, cfg.upper, out=z_new[k * n :])
-        else:
-            # Backtracking budget exhausted: take the plain ALS step, which
-            # is feasible by construction, and drop the curvature history.
-            # The clipped abundance update is not an exact block minimizer,
-            # so the ALS step can raise the cost; then only the scales move,
-            # by the Gauss-Seidel sweep, which never raises it.
-            z_new = z_plus
-            accept_cost = cost_at(*_unpack(z_plus, k, n))
-            if accept_cost > allowance:
-                s_swept, _ = _sweep_scales(gram, etx, a_cur, s_cur, cfg.lower, cfg.upper)
-                z_new = _pack(a_cur, s_swept)
-                accept_cost = cost_at(a_cur, s_swept)
-            gamma = cfg.step_init
-            history.clear()
+                # Backtracking budget exhausted: take the plain ALS step, which
+                # is feasible by construction, and drop the curvature history.
+                # The clipped abundance update is not an exact block minimizer,
+                # so the ALS step can raise the cost; then only the scales move,
+                # by the Gauss-Seidel sweep, which never raises it.
+                accept_cost = cost_at(*_unpack(z_plus, k, n))
+                if accept_cost > allowance:
+                    s_swept, _ = _sweep_scales(gram, etx, a_cur, s_cur, cfg.lower, cfg.upper)
+                    z_new = _pack(a_cur, s_swept)
+                    accept_cost = cost_at(a_cur, s_swept)
+                gamma = cfg.step_init
+                history.clear()
+            prev_z, prev_dir = z, precond
 
         z_new[: k * n].reshape(n, k)[zero_px] = 0.0
         a_new, s_new = _unpack(z_new, k, n)
@@ -522,15 +517,13 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init) -> UnmixResult:
             IterationRecord(
                 iteration=t,
                 cost=new_cost,
-                cost_accept=new_cost if cfg.force_unit_step else accept_cost,
+                cost_accept=new_cost if accept_cost is None else accept_cost,
                 step=gamma,
                 rel_change_a=rel_a,
                 rel_change_s=rel_s,
                 time_s=time.perf_counter() - t0,
             )
         )
-        prev_z = z
-        prev_dir = precond
         z = z_new
         current_cost = new_cost
         if rel_a <= cfg.eps_a and rel_s <= cfg.eps_s:

@@ -491,6 +491,47 @@ class TestMainExitCodes:
     def test_bad_usage_is_config_error(self, capsys):
         assert main(["sweep", "--sweep", "nope", "--values", "1"]) == 1
 
+    def test_refused_endmember_file_is_io_error_naming_it(self, tmp_path, capsys):
+        em_path = tmp_path / "em.csv"
+        em = np.full((40, 3), 0.5)
+        em[7, 1] = -0.1
+        fileio._write_csv(em_path, em)
+        cfg_path = write_config(tmp_path, SMALL_SCENE + f"run.em_file = {em_path}\n")
+        out = tmp_path / "res"
+        argv = ["unmix", "--config", str(cfg_path), "--out", str(out), "--em-source", "file"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"i/o error: {em_path}: endmember data must be nonnegative\n"
+        )
+        assert not out.exists()
+
+    def test_refused_scene_abundances_are_io_error_naming_them(self, tmp_path, capsys):
+        scene_dir = tmp_path / "scene"
+        cmd_generate(small_cfg(tmp_path, out_dir=str(scene_dir)))
+        abn = scene_dir / "abundances_gt.abn"
+        a = load_abundances(abn).data.copy()
+        a[:, 0] *= 0.5
+        fileio._write_raw(abn, fileio._MAGIC_ABUNDANCES, a, 1)
+        cfg_path = write_config(tmp_path, SMALL_SCENE + f"scene.dir = {scene_dir}\n")
+        out = tmp_path / "res"
+        assert main(["unmix", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {abn}: columns that do not sum to one")
+        assert not out.exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^run\.seed must be nonnegative, got -1$"):
+            build_config({"run.seed": "-1"}, _args())
+        with pytest.raises(ConfigError, match=r"^run\.seed must be nonnegative, got -2$"):
+            build_config({}, _args(seed=-2))
+        path = write_config(tmp_path, SMALL_SCENE)
+        out = tmp_path / "res"
+        assert main(["unmix", "--config", str(path), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: run.seed must be nonnegative, got -1\n"
+        )
+        assert not out.exists()
+
     def test_endmember_count_mismatch_is_config_error_before_any_method(
         self, tmp_path, capsys
     ):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import twolmm
+from twolmm import fileio
 from twolmm import (
     AbundanceMatrix,
     EndmemberMatrix,
@@ -190,6 +191,71 @@ class TestScalingStateFile:
         path.write_text("bounds = 0.2,5\n")
         with pytest.raises(FormatError, match="malformed"):
             load_scaling_state(path)
+
+
+# A file that does not load: (writer, loader, the reason given after its path).
+# All but the last hold data that the container refuses.
+NEGATIVE_ENDMEMBERS = np.array([[1.0, 0.5], [-0.25, 0.5]])
+HALF_COLUMN = np.array([[0.25, 0.5], [0.25, 0.5]])
+BAD_FILES = {
+    "endmembers-raw": (
+        lambda path: fileio._write_raw(path, fileio._MAGIC_ENDMEMBERS, NEGATIVE_ENDMEMBERS, 0),
+        load_endmembers,
+        "endmember data must be nonnegative",
+    ),
+    "endmembers-csv": (
+        lambda path: fileio._write_csv(path, NEGATIVE_ENDMEMBERS),
+        load_endmembers,
+        "endmember data must be nonnegative",
+    ),
+    "abundances-raw": (
+        lambda path: fileio._write_raw(path, fileio._MAGIC_ABUNDANCES, HALF_COLUMN, 1),
+        load_abundances,
+        "columns that do not sum to one (normalized flag set): 1 (first indices [0])",
+    ),
+    "abundances-csv": (
+        lambda path: fileio._write_csv(path, HALF_COLUMN, (1,)),
+        load_abundances,
+        "columns that do not sum to one (normalized flag set): 1 (first indices [0])",
+    ),
+    "image-csv": (
+        lambda path: fileio._write_csv(path, np.ones((2, 3)), (2, 2)),
+        load_image,
+        "width*height = 2*2 does not match pixel count 3",
+    ),
+    "scalings": (
+        lambda path: path.write_text("bounds = 0.2,5\ns_e = 9\ns_x = 1\n"),
+        load_scaling_state,
+        "endmember scalings violate the box bounds",
+    ),
+    "reader-error": (
+        lambda path: path.write_text("1,2\n1.0,inf\n"),
+        load_endmembers,
+        "data contains non-finite values",
+    ),
+}
+
+
+class TestContainerErrorsNameTheFile:
+    @pytest.mark.parametrize("write, load, reason", BAD_FILES.values(), ids=BAD_FILES.keys())
+    def test_format_error_names_the_file_once(self, write, load, reason, tmp_path):
+        path = tmp_path / "data"
+        write(path)
+        with pytest.raises(FormatError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: {reason}"
+
+    def test_raw_image_refused_by_its_container(self, tmp_path, monkeypatch):
+        # The raw reader already checks all that a stored image can break,
+        # so stand in a container that refuses it.
+        def refuse(*args, **kwargs):
+            raise ValueError("synthetic refusal")
+
+        path = tmp_path / "img.hsi"
+        save_image(HsiImage(np.ones((2, 3))), path)
+        monkeypatch.setattr(fileio, "HsiImage", refuse)
+        with pytest.raises(FormatError, match=r"img\.hsi: synthetic refusal$"):
+            load_image(path)
 
 
 def _state():

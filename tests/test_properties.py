@@ -1,7 +1,8 @@
 """Property tests of the two-step solvers on random small instances.
 
 Each instance draws K in 2..4 endmembers, at most 20 bands and 30 pixels,
-scaling bounds around 1, and a noisy two-step scene inside those bounds.
+scaling bounds around 1, a curvature memory of 0, 1 or 5, and a noisy
+two-step scene inside those bounds.
 The model's two invariances are checked on the same instances: the cost
 does not see the gauge ``a_s[k] / c_k``, ``s_e[k] * c_k``, and SLMM is
 equivariant to a global brightness factor.
@@ -38,7 +39,8 @@ def instances(draw):
     s_e = rng.uniform(lower, upper, size=k)
     s_x = rng.uniform(0.3, 3.0, size=n)
     x = (e * s_e) @ (a * s_x) + 0.01 * rng.standard_normal((p, n))
-    cfg = TwoLmmConfig(lower=lower, upper=upper, max_iter=200)
+    memory = draw(st.sampled_from([0, 1, 5]))
+    cfg = TwoLmmConfig(lower=lower, upper=upper, max_iter=200, memory=memory)
     return HsiImage(x), EndmemberMatrix(e), cfg
 
 

@@ -415,26 +415,21 @@ class TestSolveLbfgs:
         assert res.s_e.min() >= cfg.lower
         assert res.s_e.max() <= cfg.upper
 
-    def test_memory_zero_unit_step_reproduces_als(self):
+    @pytest.mark.parametrize("memory", [0, 5])
+    def test_unit_step_reproduces_als(self, memory):
         em, ab, scene = exact_scene(seed=45, width=8, height=8)
         cfg = TwoLmmConfig(
-            memory=0, force_unit_step=True, max_iter=10, eps_a=1e-30, eps_s=1e-30
+            memory=memory, force_unit_step=True, max_iter=10, eps_a=1e-30, eps_s=1e-30
         )
         res_als = solve_als(scene.image, em, cfg)
         res_lb = solve_lbfgs(scene.image, em, cfg)
         assert len(res_als.trace) == len(res_lb.trace) == 10
         for ra, rb in zip(res_als.trace, res_lb.trace):
-            assert ra.cost == rb.cost
+            assert ra.cost == rb.cost == rb.cost_accept
             assert ra.step == rb.step == 1.0
         np.testing.assert_array_equal(res_als.abundances.data, res_lb.abundances.data)
         np.testing.assert_array_equal(res_als.s_e, res_lb.s_e)
         np.testing.assert_array_equal(res_als.s_x, res_lb.s_x)
-
-    def test_unit_step_with_memory_steps_by_one_and_accepts_the_new_cost(self):
-        em, ab, scene = exact_scene(seed=45, width=8, height=8)
-        cfg = TwoLmmConfig(force_unit_step=True, max_iter=5)
-        res = solve_lbfgs(scene.image, em, cfg)
-        assert all(r.step == 1.0 and r.cost_accept == r.cost for r in res.trace)
 
     def test_deterministic_trace(self):
         em, ab, scene = exact_scene(seed=46, width=9, height=9)
