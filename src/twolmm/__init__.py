@@ -4,131 +4,22 @@ Baseline unmixers (fully constrained and pixel-scaled least squares), a
 two-step scaling model solved by alternating least squares or a nonlinearly
 preconditioned limited-memory quasi-Newton method, endmember extraction
 with perspective projection, and a synthetic-scene benchmark harness.
+
+The package exports the public names of its modules, each declared in its
+module's ``__all__``.
 """
 
 __version__ = "0.1.0"
 
-from .baselines import unmix_lmm, unmix_slmm
-from .core import (
-    AbundanceMatrix,
-    EndmemberMatrix,
-    HsiImage,
-    NormalizationResult,
-    ScalingState,
-    normalize_abundances,
-    rmse_a,
-    rmse_x,
-    sad,
-)
-from .datagen import (
-    Dsm,
-    GrfSpec,
-    HapkeGeometry,
-    HapkeScene,
-    TwoLmmScene,
-    apply_noise,
-    dsm_to_geometry,
-    generate_2lmm_scene,
-    generate_grf_abundances,
-    generate_hapke_scene,
-    hapke_invert,
-    hapke_relative_reflectance,
-    smoothed_random_dsm,
-    synthetic_endmembers,
-)
-from .endmembers import (
-    MatchResult,
-    ProjectionSpec,
-    ScatterCheck,
-    align_abundances,
-    check_sufficiently_scattered,
-    match_endmembers,
-    perspective_project,
-    vca_extract,
-)
-from .fileio import (
-    FormatError,
-    load_abundances,
-    load_endmembers,
-    load_image,
-    load_scaling_state,
-    save_abundances,
-    save_endmembers,
-    save_image,
-    save_scaling_state,
-)
-from .solvers import QpProblem, SolverError, solve_nnls_clipped, solve_simplex_qp
-from .trace import IterationRecord, SolverTrace, UnmixResult
-from .twostep import (
-    TwoLmmConfig,
-    TwoLmmState,
-    als_update_a,
-    als_update_se,
-    cost,
-    gradient,
-    precondition,
-    solve_als,
-    solve_lbfgs,
-)
+from . import baselines, core, datagen, endmembers, fileio, solvers, trace, twostep
+from .baselines import *
+from .core import *
+from .datagen import *
+from .endmembers import *
+from .fileio import *
+from .solvers import *
+from .trace import *
+from .twostep import *
 
-__all__ = [
-    "__version__",
-    "AbundanceMatrix",
-    "Dsm",
-    "EndmemberMatrix",
-    "FormatError",
-    "GrfSpec",
-    "HapkeGeometry",
-    "HapkeScene",
-    "HsiImage",
-    "IterationRecord",
-    "MatchResult",
-    "NormalizationResult",
-    "ProjectionSpec",
-    "QpProblem",
-    "ScalingState",
-    "ScatterCheck",
-    "SolverError",
-    "SolverTrace",
-    "TwoLmmConfig",
-    "TwoLmmScene",
-    "TwoLmmState",
-    "UnmixResult",
-    "align_abundances",
-    "als_update_a",
-    "als_update_se",
-    "apply_noise",
-    "check_sufficiently_scattered",
-    "cost",
-    "dsm_to_geometry",
-    "generate_2lmm_scene",
-    "generate_grf_abundances",
-    "generate_hapke_scene",
-    "gradient",
-    "hapke_invert",
-    "hapke_relative_reflectance",
-    "load_abundances",
-    "load_endmembers",
-    "load_image",
-    "load_scaling_state",
-    "match_endmembers",
-    "normalize_abundances",
-    "perspective_project",
-    "precondition",
-    "rmse_a",
-    "rmse_x",
-    "sad",
-    "save_abundances",
-    "save_endmembers",
-    "save_image",
-    "save_scaling_state",
-    "smoothed_random_dsm",
-    "solve_als",
-    "solve_lbfgs",
-    "solve_nnls_clipped",
-    "solve_simplex_qp",
-    "synthetic_endmembers",
-    "unmix_lmm",
-    "unmix_slmm",
-    "vca_extract",
-]
+_MODULES = (baselines, core, datagen, endmembers, fileio, solvers, trace, twostep)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

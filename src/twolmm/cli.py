@@ -58,6 +58,7 @@ from .endmembers import (
 from .fileio import (
     FormatError,
     _new_file,
+    _read_key_values,
     load_abundances,
     load_endmembers,
     load_image,
@@ -147,17 +148,12 @@ class ExperimentConfig:
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` file with ``#`` comments."""
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
+    """Parse a flat ``key = value`` file with ``#`` comments; a file that
+    does not parse is a :class:`ConfigError`."""
+    try:
+        return _read_key_values(path)
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_snr(text: str) -> float | None:
@@ -225,17 +221,18 @@ def build_config(entries: dict[str, str], args: argparse.Namespace) -> Experimen
         flags["solver.lower"], flags["solver.upper"] = repr(lo), repr(hi)
     cfg = ExperimentConfig()
     solver_kwargs: dict[str, float | int] = {}
-    try:
-        for key, value in [*entries.items(), *flags.items()]:
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            name, parse = _CONFIG_KEYS[key]
-            if key.startswith("solver."):
-                solver_kwargs[name] = parse(value)
-            else:
-                setattr(cfg, name, parse(value))
-    except ValueError as exc:
-        raise ConfigError(f"malformed configuration value: {exc}") from exc
+    for key, value in [*entries.items(), *flags.items()]:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        name, parse = _CONFIG_KEYS[key]
+        try:
+            parsed = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"malformed configuration value for {key}: {exc}") from exc
+        if key.startswith("solver."):
+            solver_kwargs[name] = parsed
+        else:
+            setattr(cfg, name, parsed)
     try:
         cfg.solver = TwoLmmConfig(**solver_kwargs)
     except ValueError as exc:
@@ -402,7 +399,9 @@ def run_methods(
 ) -> list[dict]:
     """One results row per method. With ``out``, the directory is created and
     each method's trace written to it once every method has run, so a method
-    that raises leaves nothing behind; a :class:`SolverError` is a row."""
+    that raises leaves nothing behind; a :class:`SolverError` is a row.
+    ``rmse_a`` is scored only with both ground truths, on abundance rows
+    aligned to the true endmembers; otherwise it is ``None``."""
     match = None
     if bundle.abundances_truth is not None and bundle.endmembers_truth is not None:
         try:
@@ -420,10 +419,8 @@ def run_methods(
             row["time_s"] = time.perf_counter() - t0
             row["iters"] = result.iterations
             row["rmse_x"] = rmse_x(bundle.image, result)
-            if bundle.abundances_truth is not None:
-                a_est = result.abundances.data
-                if match is not None:
-                    a_est = align_abundances(a_est, match)
+            if match is not None:
+                a_est = align_abundances(result.abundances.data, match)
                 row["rmse_a"] = rmse_a(
                     bundle.abundances_truth, AbundanceMatrix(a_est, normalized=True)
                 )

@@ -16,6 +16,9 @@ csv
     of ``cols`` comma-separated values in full-precision scientific
     notation (``%.16e``, 17 significant digits), which round-trips
     float64 exactly.
+
+Configurations, scene manifests and scaling files share one UTF-8
+``key = value`` syntax, read by :func:`_read_key_values`.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _new_file(path: str | Path, binary: bool = False):
     return open(path, "x", encoding="ascii")
 
 
-def _write_raw(path: Path, magic: bytes, matrix: np.ndarray, aux: int) -> None:
+def _write_raw(path: str | Path, magic: bytes, matrix: np.ndarray, aux: int) -> None:
     rows, cols = matrix.shape
     payload = np.asfortranarray(matrix, dtype="<f8")
     with _new_file(path, binary=True) as fh:
@@ -118,7 +121,7 @@ def _read_raw(path: Path, magic: bytes) -> tuple[np.ndarray, int]:
     return matrix, aux
 
 
-def _write_csv(path: Path, matrix: np.ndarray, extras: tuple[int, ...] = ()) -> None:
+def _write_csv(path: str | Path, matrix: np.ndarray, extras: tuple[int, ...] = ()) -> None:
     rows, cols = matrix.shape
     header = ",".join(str(v) for v in (rows, cols) + extras)
     with _new_file(path) as fh:
@@ -128,12 +131,15 @@ def _write_csv(path: Path, matrix: np.ndarray, extras: tuple[int, ...] = ()) -> 
             fh.write(",".join("%.16e" % v for v in matrix[r]) + "\n")
 
 
-def _read_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...]]:
+def _read_text(path: str | Path, encoding: str) -> str:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        return Path(path).read_text(encoding=encoding)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text file") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+
+
+def _read_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...]]:
+    lines = [ln for ln in _read_text(path, "ascii").splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty file")
     try:
@@ -143,24 +149,43 @@ def _read_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...]]:
     if len(head) < 2:
         raise FormatError(f"{path}: header must list at least two dimensions")
     rows, cols = head[0], head[1]
+    if rows < 0 or cols < 0:
+        raise FormatError(f"{path}: negative dimension in header line: {lines[0]!r}")
     if len(lines) - 1 != rows:
         raise FormatError(
             f"{path}: expected {rows} data rows, found {len(lines) - 1}"
         )
+    # Every row's width is checked before the header's shape is allocated,
+    # so the allocation is bounded by the file's size.
+    for r, line in enumerate(lines[1:], start=1):
+        values = line.count(",") + 1
+        if values != cols:
+            raise FormatError(f"{path}: row {r} has {values} values, expected {cols}")
     matrix = np.empty((rows, cols))
     for r, line in enumerate(lines[1:], start=1):
-        tokens = line.split(",")
-        if len(tokens) != cols:
-            raise FormatError(
-                f"{path}: row {r} has {len(tokens)} values, expected {cols}"
-            )
         try:
-            matrix[r - 1] = [float(tok) for tok in tokens]
+            matrix[r - 1] = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise FormatError(f"{path}: row {r} contains a non-numeric value") from exc
     if not np.all(np.isfinite(matrix)):
         raise FormatError(f"{path}: data contains non-finite values")
     return matrix, head[2:]
+
+
+def _read_key_values(path: str | Path) -> dict[str, str]:
+    """The entries of a UTF-8 ``key = value`` file (a configuration, a scene
+    manifest or a scalings file). Blank lines and lines that start with
+    ``#`` are skipped, and a later key wins."""
+    entries: dict[str, str] = {}
+    for lineno, line in enumerate(_read_text(path, "utf-8").splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
+    return entries
 
 
 def _contain(path: Path, container, data: np.ndarray, **kwargs):
@@ -190,74 +215,64 @@ def _sniff(path: Path) -> str:
     return "csv"
 
 
+def _save(
+    path: str | Path, fmt: str, magic: bytes, matrix: np.ndarray, extras: tuple[int, ...] = ()
+) -> None:
+    """Write ``matrix`` in ``fmt``: CSV writes ``extras`` after ``rows,cols``,
+    and raw-f64 keeps the first of them (0 when there is none) in its
+    header's auxiliary field."""
+    if _check_format(fmt) == "raw-f64":
+        _write_raw(path, magic, matrix, extras[0] if extras else 0)
+    else:
+        _write_csv(path, matrix, extras)
+
+
+def _load(
+    path: str | Path, fmt: str | None, magic: bytes
+) -> tuple[Path, np.ndarray, tuple[int, ...]]:
+    """``path``, the matrix it holds and the header fields after its shape,
+    as :func:`_save` wrote them; the format is sniffed when ``fmt`` is
+    omitted. A raw image stores only its width, so the height is the pixel
+    count over it (0 for the width 0, no grid), and ``HsiImage`` refuses a
+    width that does not divide the pixel count."""
+    path = Path(path)
+    fmt = _check_format(fmt) if fmt else _sniff(path)
+    if fmt == "csv":
+        return path, *_read_csv(path)
+    matrix, aux = _read_raw(path, magic)
+    if magic == _MAGIC_IMAGE:
+        return path, matrix, (aux, matrix.shape[1] // aux if aux else 0)
+    return path, matrix, (aux,)
+
+
 def save_image(image: HsiImage, path: str | Path, fmt: str = "raw-f64") -> None:
     """Write an image; ``fmt`` is ``"raw-f64"`` or ``"csv"``."""
-    _check_format(fmt)
-    path = Path(path)
-    if fmt == "raw-f64":
-        _write_raw(path, _MAGIC_IMAGE, image.data, image.width)
-    else:
-        _write_csv(path, image.data, (image.width, image.height))
+    _save(path, fmt, _MAGIC_IMAGE, image.data, (image.width, image.height))
 
 
 def load_image(path: str | Path, fmt: str | None = None) -> HsiImage:
     """Read an image; the format is sniffed from the file when omitted."""
-    path = Path(path)
-    fmt = _check_format(fmt) if fmt else _sniff(path)
-    if fmt == "raw-f64":
-        matrix, width = _read_raw(path, _MAGIC_IMAGE)
-        n = matrix.shape[1]
-        if width == 0:
-            width, height = n, 1
-        elif width > 0 and n % width == 0:
-            height = n // width
-        else:
-            raise FormatError(f"{path}: stored width {width} does not divide {n}")
-        return _contain(path, HsiImage, matrix, width=width, height=height)
-    matrix, extras = _read_csv(path)
-    if len(extras) >= 2:
-        return _contain(path, HsiImage, matrix, width=extras[0], height=extras[1])
-    return _contain(path, HsiImage, matrix)
+    path, matrix, extras = _load(path, fmt, _MAGIC_IMAGE)
+    grid = dict(zip(("width", "height"), extras)) if len(extras) >= 2 else {}
+    return _contain(path, HsiImage, matrix, **grid)
 
 
 def save_endmembers(em: EndmemberMatrix, path: str | Path, fmt: str = "raw-f64") -> None:
-    _check_format(fmt)
-    path = Path(path)
-    if fmt == "raw-f64":
-        _write_raw(path, _MAGIC_ENDMEMBERS, em.data, 0)
-    else:
-        _write_csv(path, em.data)
+    _save(path, fmt, _MAGIC_ENDMEMBERS, em.data)
 
 
 def load_endmembers(path: str | Path, fmt: str | None = None) -> EndmemberMatrix:
-    path = Path(path)
-    fmt = _check_format(fmt) if fmt else _sniff(path)
-    if fmt == "raw-f64":
-        matrix, _ = _read_raw(path, _MAGIC_ENDMEMBERS)
-    else:
-        matrix, _ = _read_csv(path)
+    path, matrix, _ = _load(path, fmt, _MAGIC_ENDMEMBERS)
     return _contain(path, EndmemberMatrix, matrix)
 
 
 def save_abundances(ab: AbundanceMatrix, path: str | Path, fmt: str = "raw-f64") -> None:
-    _check_format(fmt)
-    path = Path(path)
-    flag = int(ab.normalized)
-    if fmt == "raw-f64":
-        _write_raw(path, _MAGIC_ABUNDANCES, ab.data, flag)
-    else:
-        _write_csv(path, ab.data, (flag,))
+    _save(path, fmt, _MAGIC_ABUNDANCES, ab.data, (int(ab.normalized),))
 
 
 def load_abundances(path: str | Path, fmt: str | None = None) -> AbundanceMatrix:
-    path = Path(path)
-    fmt = _check_format(fmt) if fmt else _sniff(path)
-    if fmt == "raw-f64":
-        matrix, flag = _read_raw(path, _MAGIC_ABUNDANCES)
-        return _contain(path, AbundanceMatrix, matrix, normalized=bool(flag))
-    matrix, extras = _read_csv(path)
-    normalized = bool(extras[0]) if extras else False
-    return _contain(path, AbundanceMatrix, matrix, normalized=normalized)
+    path, matrix, extras = _load(path, fmt, _MAGIC_ABUNDANCES)
+    return _contain(path, AbundanceMatrix, matrix, normalized=bool(extras and extras[0]))
 
 
 def save_scaling_state(state: ScalingState, path: str | Path) -> None:
@@ -272,15 +287,7 @@ def save_scaling_state(state: ScalingState, path: str | Path) -> None:
 
 
 def load_scaling_state(path: str | Path) -> ScalingState:
-    entries: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: malformed line {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+    entries = _read_key_values(path)
     try:
         lower, upper = (float(v) for v in entries["bounds"].split(","))
         s_e = np.array([float(v) for v in entries["s_e"].split(",")])

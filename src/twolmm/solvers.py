@@ -21,7 +21,6 @@ __all__ = [
     "SolverError",
     "QpProblem",
     "solve_simplex_qp",
-    "solve_least_squares",
     "solve_nnls_clipped",
 ]
 

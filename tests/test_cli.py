@@ -88,6 +88,32 @@ class TestConfigParsing:
         assert (cfg.scene_kind, cfg.snr_db, cfg.em_source) == ("2lmm", 40.0, "vca")
         assert cfg.methods == ("lmm", "slmm", "als2lmm", "lbfgs2lmm")
 
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"scene.width = 12\nscene.kind = \xff2lmm\n")
+        with pytest.raises(ConfigError) as caught:
+            read_config(path)
+        assert str(caught.value) == f"{path}: not a text file"
+        out = tmp_path / "res"
+        assert main(["unmix", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {path}: not a text file\n"
+        assert not out.exists()
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        path = write_config(tmp_path, "# comment\nscene.width = 12\nscene.height 12\n")
+        with pytest.raises(ConfigError) as caught:
+            read_config(path)
+        assert str(caught.value) == f"{path}:3: expected 'key = value'"
+
+    def test_malformed_value_names_its_key(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"^malformed configuration value for scene\.width: invalid literal for int",
+        ):
+            build_config({"scene.width": "abc"}, _args())
+        with pytest.raises(ConfigError, match=r"^malformed configuration value for scene\.snr_db"):
+            build_config({}, _args(snr="loud"))
+
     def test_every_solver_setting_has_a_key(self):
         from twolmm.cli import _CONFIG_KEYS
         from twolmm.twostep import TwoLmmConfig
@@ -369,6 +395,37 @@ class TestUnmix:
         assert err.startswith("configuration error:") and "at least one" in err
         assert not out.exists()
 
+    def test_rmse_a_only_with_the_true_endmembers(self, tmp_path, capsys):
+        # Without them, VCA's endmembers come in an arbitrary order that no
+        # match aligns, so there is no abundance error to report.
+        scene_dir = tmp_path / "scene"
+        gen = write_config(tmp_path, SMALL_SCENE)
+        argv = ["generate", "--config", str(gen), "--seed", "5", "--out", str(scene_dir)]
+        assert main(argv) == 0
+        run = write_config(tmp_path, SMALL_SCENE + f"scene.dir = {scene_dir}\n")
+        manifest = scene_dir / "manifest.txt"
+        full = manifest.read_text()
+        for name, text, scored in (
+            ("full", full, True),
+            ("no_em", full.replace("endmembers = endmembers_gt.emm\n", ""), False),
+        ):
+            manifest.write_text(text)
+            out = tmp_path / name
+            argv = ["unmix", "--config", str(run), "--seed", "5", "--out", str(out),
+                    "--em-source", "vca", "--methods", "slmm"]
+            assert main(argv) == 0
+            row = json.loads((out / "results.json").read_text())[0]
+            header, values = (out / "results.csv").read_text().splitlines()
+            cells = dict(zip(header.split(","), values.split(",")))
+            printed = capsys.readouterr().out
+            assert row["rmse_x"] is not None
+            if scored:
+                assert 0.0 < row["rmse_a"] < 0.2
+                assert float(cells["rmse_a"]) == row["rmse_a"]
+            else:
+                assert row["rmse_a"] is None and cells["rmse_a"] == ""
+                assert "slmm: rmse_a=n/a " in printed
+
     def test_truth_noiseless_reconstruction(self, tmp_path):
         from twolmm.twostep import TwoLmmConfig
 
@@ -517,6 +574,25 @@ class TestMainExitCodes:
         assert main(["unmix", "--config", str(cfg_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"i/o error: {abn}: columns that do not sum to one")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            ("40,-3", "negative dimension in header line: '40,-3'"),
+            ("40,1000000000000", "row 1 has 3 values, expected 1000000000000"),
+        ],
+    )
+    def test_bad_csv_header_is_io_error_naming_the_file(
+        self, header, reason, tmp_path, capsys
+    ):
+        em_path = tmp_path / "em.csv"
+        em_path.write_text(header + "\n" + "0.5,0.5,0.5\n" * 40)
+        cfg_path = write_config(tmp_path, SMALL_SCENE + f"run.em_file = {em_path}\n")
+        out = tmp_path / "res"
+        argv = ["unmix", "--config", str(cfg_path), "--out", str(out), "--em-source", "file"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"i/o error: {em_path}: {reason}\n"
         assert not out.exists()
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):

@@ -79,6 +79,13 @@ class TestRawFormat:
         save_endmembers(em, path)
         np.testing.assert_array_equal(load_endmembers(path).data, em.data)
 
+    def test_stored_width_that_does_not_divide_the_pixels_names_the_file(self, tmp_path):
+        path = tmp_path / "img.hsi"
+        fileio._write_raw(path, fileio._MAGIC_IMAGE, np.ones((2, 6)), 4)
+        with pytest.raises(FormatError) as caught:
+            load_image(path)
+        assert str(caught.value) == f"{path}: width*height = 4*1 does not match pixel count 6"
+
     def test_abundances_round_trip_with_flag(self, tmp_path):
         a = AbundanceMatrix(
             np.random.default_rng(4).dirichlet([1, 1, 1], size=5).T, normalized=True
@@ -121,6 +128,23 @@ class TestCsvFormat:
         path.write_text("width,height\n")
         with pytest.raises(FormatError, match="header"):
             load_image(path)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("1,-3\n0.5\n", "negative dimension in header line: '1,-3'"),
+            ("-1,3\n", "negative dimension in header line: '-1,3'"),
+            # Refused before a 1 x 10^12 matrix (7.28 TiB) is allocated.
+            ("1,1000000000000\n0.5\n", "row 1 has 1 values, expected 1000000000000"),
+            ("2,2\n0.5,0.5\n0.5\n", "row 2 has 1 values, expected 2"),
+        ],
+    )
+    def test_header_that_does_not_fit_the_data_names_the_file(self, text, reason, tmp_path):
+        path = tmp_path / "em.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as caught:
+            load_endmembers(path)
+        assert str(caught.value) == f"{path}: {reason}"
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -191,6 +215,27 @@ class TestScalingStateFile:
         path.write_text("bounds = 0.2,5\n")
         with pytest.raises(FormatError, match="malformed"):
             load_scaling_state(path)
+
+
+    def test_non_text_file_names_the_file(self, tmp_path):
+        path = tmp_path / "scalings.txt"
+        path.write_bytes(b"bounds = 0.2,5\n\xff\xfe\n")
+        with pytest.raises(FormatError) as caught:
+            load_scaling_state(path)
+        assert str(caught.value) == f"{path}: not a text file"
+
+    def test_parsed_like_a_configuration(self, tmp_path):
+        # UTF-8, whole-line comments, and a later key wins; a line without
+        # '=' is named by its number.
+        path = tmp_path / "scalings.txt"
+        path.write_text("# r\u00e9glage\nbounds = 1,1\nbounds = 0.2,5\ns_e = 2\ns_x = 1,3\n")
+        state = load_scaling_state(path)
+        assert (state.lower, state.upper) == (0.2, 5.0)
+        np.testing.assert_array_equal(state.s_x, [1.0, 3.0])
+        path.write_text("bounds = 0.2,5\ns_e 2\n")
+        with pytest.raises(FormatError) as caught:
+            load_scaling_state(path)
+        assert str(caught.value) == f"{path}:2: expected 'key = value'"
 
 
 # A file that does not load: (writer, loader, the reason given after its path).
