@@ -36,7 +36,7 @@ def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix) -> UnmixResult:
     absorb.
     """
     e, x = _arrays(endmembers, image)
-    _check_full_rank(e, x)
+    _check_full_rank(e)
     k, n = e.shape[1], x.shape[1]
     t0 = time.perf_counter()
     a = _simplex_qp(*_normal_parts(e, x))

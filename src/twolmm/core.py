@@ -97,14 +97,32 @@ def _all_finite(data: np.ndarray) -> bool:
     )
 
 
-def _squared_error(x: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """``||X - B C||^2`` for ``x`` (P, N), ``b`` (P, K) and ``c`` (K, N),
-    accumulated over blocks of ``_BLOCK`` pixels, so that neither the
-    product nor the residual is ever held whole."""
+def _checked_matrix(data, name: str, axes: str, sizes: str) -> np.ndarray:
+    """``data`` as a 2-D array, after the checks of all three matrix
+    containers: 2-D ``axes``, at least ``sizes``, and finite
+    (:func:`_all_finite`). The messages name ``name`` (``"image"``,
+    ``"endmember matrix"``) and its data by the first word of ``name``."""
+    kind = name.split()[0]
+    data = np.atleast_2d(np.asarray(data))
+    if data.ndim != 2:
+        raise ValueError(f"{kind} data must be a 2-D {axes} array")
+    if data.shape[0] < 1 or data.shape[1] < 1:
+        raise ValueError(f"{name} must have at least {sizes}")
+    if not _all_finite(data):
+        raise ValueError(f"{kind} data contains non-finite values")
+    return data
+
+
+def _squared_error(x: np.ndarray, b: np.ndarray | None, c: np.ndarray) -> float:
+    """``||X - B C||^2`` for ``x`` (P, N), ``b`` (P, K) and ``c`` (K, N), or
+    ``||X - C||^2`` for a ``c`` (P, N) when ``b`` is None, accumulated over
+    blocks of ``_BLOCK`` pixels, so that neither the product nor the
+    residual is ever held whole."""
     total = 0.0
     for start in range(0, x.shape[1], _BLOCK):
-        resid = b @ c[:, start : start + _BLOCK]
-        resid -= x[:, start : start + _BLOCK]
+        part = slice(start, start + _BLOCK)
+        resid = c[:, part].copy() if b is None else b @ c[:, part]
+        resid -= x[:, part]
         total += float(np.vdot(resid, resid))
         del resid  # before the next block's product is allocated
     return total
@@ -124,14 +142,8 @@ class HsiImage:
     height: int = 0
 
     def __post_init__(self):
-        data = np.atleast_2d(np.asarray(self.data))
-        if data.ndim != 2:
-            raise ValueError("image data must be a 2-D (bands, pixels) array")
-        p, n = data.shape
-        if p < 1 or n < 1:
-            raise ValueError("image must have at least one band and one pixel")
-        if not _all_finite(data):
-            raise ValueError("image data contains non-finite values")
+        data = _checked_matrix(self.data, "image", "(bands, pixels)", "one band and one pixel")
+        n = data.shape[1]
         width, height = self.width, self.height
         if width < 0 or height < 0:
             raise ValueError(f"grid dimensions must be nonnegative, got {width}x{height}")
@@ -165,13 +177,9 @@ class EndmemberMatrix:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        data = np.atleast_2d(np.asarray(self.data))
-        if data.ndim != 2:
-            raise ValueError("endmember data must be a 2-D (bands, K) array")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("endmember matrix must have at least one band and one endmember")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("endmember data contains non-finite values")
+        data = _checked_matrix(
+            self.data, "endmember matrix", "(bands, K)", "one band and one endmember"
+        )
         if np.any(data < 0):
             raise ValueError("endmember data must be nonnegative")
         norms = np.linalg.norm(data, axis=0)
@@ -208,13 +216,9 @@ class AbundanceMatrix:
     normalized: bool = False
 
     def __post_init__(self):
-        data = np.atleast_2d(np.asarray(self.data))
-        if data.ndim != 2:
-            raise ValueError("abundance data must be a 2-D (K, pixels) array")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("abundance matrix must have at least one endmember and one pixel")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("abundance data contains non-finite values")
+        data = _checked_matrix(
+            self.data, "abundance matrix", "(K, pixels)", "one endmember and one pixel"
+        )
         if np.any(data < -ANC_TOL):
             raise ValueError("abundance data violates nonnegativity")
         data = np.maximum(data, 0.0)
@@ -284,21 +288,18 @@ class NormalizationResult:
 def rmse_x(x_true: HsiImage, x_est: HsiImage | UnmixResult) -> float:
     """Root mean square reconstruction error over all bands and pixels.
 
-    Returns ``sqrt(sum_n ||x_n - xhat_n||^2 / (N * P))``. ``x_est`` is an
+    Returns ``sqrt(sum_n ||x_n - xhat_n||^2 / (N * P))``, accumulated over
+    blocks of pixels (:func:`_squared_error`). ``x_est`` is an
     :class:`HsiImage`, or an unmixing result (:class:`twolmm.trace.UnmixResult`),
-    whose reconstruction is then evaluated blockwise from its ``factors``
-    without being formed. For two images the error is symmetric in its
-    arguments and zero iff the images are identical.
+    whose reconstruction is then evaluated from its ``factors`` without
+    being formed. For two images the error is symmetric in its arguments
+    and zero iff the images are identical.
     """
     x = x_true.data
-    if isinstance(x_est, HsiImage):
-        if x.shape != x_est.data.shape:
-            raise ValueError(f"image shapes differ: {x.shape} vs {x_est.data.shape}")
-        diff = x - x_est.data
-        return float(np.sqrt(np.mean(diff * diff)))
-    b, c = x_est.factors
-    if x.shape != (b.shape[0], c.shape[1]):
-        raise ValueError(f"image shapes differ: {x.shape} vs {(b.shape[0], c.shape[1])}")
+    b, c = (None, x_est.data) if isinstance(x_est, HsiImage) else x_est.factors
+    shape = c.shape if b is None else (b.shape[0], c.shape[1])
+    if x.shape != shape:
+        raise ValueError(f"image shapes differ: {x.shape} vs {shape}")
     return math.sqrt(_squared_error(x, b, c) / x.size)
 
 

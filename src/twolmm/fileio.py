@@ -17,6 +17,8 @@ csv
     notation (``%.16e``, 17 significant digits), which round-trips
     float64 exactly.
 
+The loaders sniff the format from the file; only the savers take ``fmt``.
+
 Configurations, scene manifests and scaling files share one UTF-8
 ``key = value`` syntax, read by :func:`_read_key_values`.
 """
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _all_finite
+from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState
 
 __all__ = [
     "FormatError",
@@ -55,12 +57,6 @@ _HEADER = struct.Struct("<4sIII")
 class FormatError(ValueError):
     """Raised when a file does not conform to a supported format, or holds
     data that its container refuses."""
-
-
-def _check_format(fmt: str) -> str:
-    if fmt not in FORMATS:
-        raise FormatError(f"unsupported format {fmt!r}; expected one of {FORMATS}")
-    return fmt
 
 
 def _new_file(path: str | Path, binary: bool = False):
@@ -99,8 +95,6 @@ def _read_raw(path: Path, magic: bytes) -> tuple[np.ndarray, int]:
     array that the containers adopt without a copy, and the auxiliary field."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size == 0:
-            raise FormatError(f"{path}: empty file")
         if size < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
         got_magic, rows, cols, aux = _HEADER.unpack(fh.read(_HEADER.size))
@@ -116,8 +110,6 @@ def _read_raw(path: Path, magic: bytes) -> tuple[np.ndarray, int]:
         matrix = np.empty((rows, cols), dtype="<f8", order="F")
         fh.readinto(matrix.T)
     matrix.flags.writeable = False
-    if not _all_finite(matrix):
-        raise FormatError(f"{path}: payload contains non-finite values")
     return matrix, aux
 
 
@@ -167,8 +159,6 @@ def _read_csv(path: Path) -> tuple[np.ndarray, tuple[int, ...]]:
             matrix[r - 1] = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise FormatError(f"{path}: row {r} contains a non-numeric value") from exc
-    if not np.all(np.isfinite(matrix)):
-        raise FormatError(f"{path}: data contains non-finite values")
     return matrix, head[2:]
 
 
@@ -190,18 +180,12 @@ def _read_key_values(path: str | Path) -> dict[str, str]:
 
 def _contain(path: Path, container, data: np.ndarray, **kwargs):
     """``container(data, **kwargs)`` for the data read from ``path``; a
-    ``ValueError`` from the container's checks is raised as a
-    :class:`FormatError` that names the file.
-
-    An empty matrix is the exception: its file is consistent with its own
-    header, and the container refuses it because a run needs at least one
-    band, endmember or pixel, so that ``ValueError`` passes unchanged (the
-    CLI reports it as a configuration error)."""
+    ``ValueError`` from the container's checks (an empty or non-finite
+    matrix among them) is raised as a :class:`FormatError` that names the
+    file."""
     try:
         return container(data, **kwargs)
     except ValueError as exc:
-        if data.size == 0:
-            raise
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -221,23 +205,24 @@ def _save(
     """Write ``matrix`` in ``fmt``: CSV writes ``extras`` after ``rows,cols``,
     and raw-f64 keeps the first of them (0 when there is none) in its
     header's auxiliary field."""
-    if _check_format(fmt) == "raw-f64":
+    if fmt not in FORMATS:
+        raise FormatError(f"unsupported format {fmt!r}; expected one of {FORMATS}")
+    if fmt == "raw-f64":
         _write_raw(path, magic, matrix, extras[0] if extras else 0)
     else:
         _write_csv(path, matrix, extras)
 
 
-def _load(
-    path: str | Path, fmt: str | None, magic: bytes
-) -> tuple[Path, np.ndarray, tuple[int, ...]]:
+def _load(path: str | Path, magic: bytes) -> tuple[Path, np.ndarray, tuple[int, ...]]:
     """``path``, the matrix it holds and the header fields after its shape,
-    as :func:`_save` wrote them; the format is sniffed when ``fmt`` is
-    omitted. A raw image stores only its width, so the height is the pixel
-    count over it (0 for the width 0, no grid), and ``HsiImage`` refuses a
-    width that does not divide the pixel count."""
+    as :func:`_save` wrote them, in the format sniffed from the file. The
+    readers check only the file's structure and tokens; what the numbers
+    must satisfy, finiteness included, is the container's check
+    (:func:`_contain`). A raw image stores only its width, so the height is
+    the pixel count over it (0 for the width 0, no grid), and ``HsiImage``
+    refuses a width that does not divide the pixel count."""
     path = Path(path)
-    fmt = _check_format(fmt) if fmt else _sniff(path)
-    if fmt == "csv":
+    if _sniff(path) == "csv":
         return path, *_read_csv(path)
     matrix, aux = _read_raw(path, magic)
     if magic == _MAGIC_IMAGE:
@@ -250,9 +235,9 @@ def save_image(image: HsiImage, path: str | Path, fmt: str = "raw-f64") -> None:
     _save(path, fmt, _MAGIC_IMAGE, image.data, (image.width, image.height))
 
 
-def load_image(path: str | Path, fmt: str | None = None) -> HsiImage:
-    """Read an image; the format is sniffed from the file when omitted."""
-    path, matrix, extras = _load(path, fmt, _MAGIC_IMAGE)
+def load_image(path: str | Path) -> HsiImage:
+    """Read an image; the format is sniffed from the file."""
+    path, matrix, extras = _load(path, _MAGIC_IMAGE)
     grid = dict(zip(("width", "height"), extras)) if len(extras) >= 2 else {}
     return _contain(path, HsiImage, matrix, **grid)
 
@@ -261,8 +246,8 @@ def save_endmembers(em: EndmemberMatrix, path: str | Path, fmt: str = "raw-f64")
     _save(path, fmt, _MAGIC_ENDMEMBERS, em.data)
 
 
-def load_endmembers(path: str | Path, fmt: str | None = None) -> EndmemberMatrix:
-    path, matrix, _ = _load(path, fmt, _MAGIC_ENDMEMBERS)
+def load_endmembers(path: str | Path) -> EndmemberMatrix:
+    path, matrix, _ = _load(path, _MAGIC_ENDMEMBERS)
     return _contain(path, EndmemberMatrix, matrix)
 
 
@@ -270,8 +255,8 @@ def save_abundances(ab: AbundanceMatrix, path: str | Path, fmt: str = "raw-f64")
     _save(path, fmt, _MAGIC_ABUNDANCES, ab.data, (int(ab.normalized),))
 
 
-def load_abundances(path: str | Path, fmt: str | None = None) -> AbundanceMatrix:
-    path, matrix, extras = _load(path, fmt, _MAGIC_ABUNDANCES)
+def load_abundances(path: str | Path) -> AbundanceMatrix:
+    path, matrix, extras = _load(path, _MAGIC_ABUNDANCES)
     return _contain(path, AbundanceMatrix, matrix, normalized=bool(extras and extras[0]))
 
 

@@ -30,7 +30,9 @@ CONDITION_WARN_THRESHOLD = 1e10
 
 
 class SolverError(RuntimeError):
-    """Raised when an iterative kernel fails to reach its tolerance."""
+    """Raised when a solver cannot produce a result: a kernel misses its
+    tolerance, E is rank deficient, or a cost is not finite (the check of
+    :meth:`twolmm.trace.SolverTrace.append`, and of backtracking)."""
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,13 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
     k, m = linear.shape
     out = np.empty((k, m))
     kkt_all = np.block([[gram, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+    gscale = max(1.0, np.abs(gram).max())
     for start in range(0, m, _BLOCK):
         f = linear[:, start : start + _BLOCK].T
         cols = np.arange(start, start + f.shape[0])
-        tol = 1e-11 * np.maximum(max(1.0, np.abs(gram).max()), np.abs(f).max(axis=1))
+        # The multipliers are in the units of G and f, the steps in those of
+        # the abundances; tol / gscale keeps the step test free of the units.
+        tol = 1e-11 * np.maximum(gscale, np.abs(f).max(axis=1))
         a = np.full(f.shape, 1.0 / k)
         free = np.ones(f.shape, dtype=bool)
         for _ in range(50 * k + 50):
@@ -110,7 +115,7 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
             # At the equality-constrained minimizer of the free set, free the
             # bound coordinate with the most negative multiplier, or stop
             # when none is negative. Ties go to the lowest index.
-            stationary = np.abs(step).max(axis=1) <= tol
+            stationary = np.abs(step).max(axis=1) <= tol / gscale
             mu = np.where(free, np.inf, grad + nu[:, None])
             worst = np.argmin(mu, axis=1)
             done = stationary & (mu.min(axis=1) >= -tol)
@@ -118,7 +123,7 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
             free[release, worst[release]] = True
             # Elsewhere step to that minimizer, stopping at the first
             # nonnegativity bound hit on the way; ties bind the lowest index.
-            decreasing = ~stationary[:, None] & (step < -tol[:, None])
+            decreasing = ~stationary[:, None] & (step < -tol[:, None] / gscale)
             limits = np.divide(a, -step, out=np.full(a.shape, np.inf), where=decreasing)
             best = limits.min(axis=1)
             blocked = best < 1.0
@@ -150,10 +155,10 @@ def _check_bands(e: np.ndarray, x: np.ndarray) -> None:
         raise ValueError(f"band mismatch: image has shape {x.shape}, endmembers {e.shape}")
 
 
-def _check_full_rank(e: np.ndarray, x: np.ndarray) -> None:
-    """Raise unless ``e`` has the bands of ``x`` (:func:`_check_bands`), a
-    column and full column rank; warn when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``."""
-    _check_bands(e, x)
+def _check_full_rank(e: np.ndarray) -> None:
+    """Raise unless the (P, K) ``e`` has a column and full column rank; warn
+    when cond(E^T E) exceeds ``CONDITION_WARN_THRESHOLD``. The callers have
+    checked its bands (:func:`_check_bands`)."""
     p, k = e.shape
     if k == 0:
         raise ValueError("endmember matrix has no columns")
@@ -181,7 +186,7 @@ def _check_clip_bound(upper: float) -> None:
 def _qr_fit(e: np.ndarray, x: np.ndarray):
     """``(fit, q, r, qtx)``: the least-squares fit of each column of ``x`` from the
     thin QR ``E = QR`` and ``qtx = Q^T X``, after :func:`_check_full_rank`."""
-    _check_full_rank(e, x)
+    _check_full_rank(e)
     q, r = np.linalg.qr(e)
     qtx = q.T @ x
     # Column-major like the images: numpy sums a C-ordered fit in another order.
@@ -204,6 +209,7 @@ def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarra
     """
     e = np.asarray(endmembers, dtype=np.float64)
     x = np.asarray(pixels, dtype=np.float64)
+    _check_bands(e, x)
     return _qr_fit(e, x)[0]
 
 

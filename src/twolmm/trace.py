@@ -20,6 +20,7 @@ from .core import (
     _warn,
 )
 from .fileio import _new_file
+from .solvers import SolverError
 
 __all__ = ["IterationRecord", "SolverTrace", "UnmixResult"]
 
@@ -50,7 +51,9 @@ class IterationRecord:
 
 
 class SolverTrace:
-    """Ordered list of :class:`IterationRecord` plus the starting cost."""
+    """Ordered list of :class:`IterationRecord` plus the starting cost;
+    :meth:`append` is every method's one check that a recorded cost is
+    finite, and raises :class:`twolmm.solvers.SolverError` when it is not."""
 
     def __init__(self, initial_cost: float):
         self.initial_cost = float(initial_cost)
@@ -58,7 +61,7 @@ class SolverTrace:
 
     def append(self, record: IterationRecord) -> None:
         if not math.isfinite(record.cost):
-            raise ValueError(f"non-finite cost at iteration {record.iteration}")
+            raise SolverError(f"non-finite cost at iteration {record.iteration}")
         self.records.append(record)
 
     def __len__(self) -> int:

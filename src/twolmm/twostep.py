@@ -331,7 +331,7 @@ def als_update_se(
     a_s = np.atleast_2d(np.asarray(a_s, dtype=np.float64))
     s_e = np.asarray(s_e, dtype=np.float64).ravel()
     e, x = _checked(endmembers, image, a_s, s_e)
-    _check_full_rank(e, x)
+    _check_full_rank(e)
     s, absent = _sweep_scales(*_normal_parts(e, x), a_s, s_e, lower, upper)
     if absent:
         _warn("endmembers absent from the scene kept their scales: " + _index_summary(absent))
@@ -511,8 +511,6 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init) -> UnmixResult:
         rel_a = _rel_change(a_new, a_cur)
         rel_s = _rel_change(s_new, s_cur)
         new_cost = cost_at(a_new, s_new)
-        if not math.isfinite(new_cost):
-            raise SolverError(f"non-finite cost at iteration {t}")
         trace.append(
             IterationRecord(
                 iteration=t,

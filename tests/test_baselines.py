@@ -7,12 +7,16 @@ from twolmm import (
     AbundanceMatrix,
     EndmemberMatrix,
     HsiImage,
+    generate_2lmm_scene,
+    generate_grf_abundances,
     rmse_a,
     rmse_x,
+    synthetic_endmembers,
     unmix_lmm,
     unmix_slmm,
 )
 from twolmm import solvers
+from twolmm.datagen import GrfSpec
 from twolmm.solvers import QpProblem, SolverError, solve_simplex_qp
 
 
@@ -41,6 +45,17 @@ class TestUnmixLmm:
         err_slmm = rmse_a(a_gt, res_slmm.abundances)
         assert err_lmm > 0.01
         assert err_lmm > err_slmm
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_invariant_to_the_units_of_the_data(self, k):
+        # Reflectance stored times 10 000, say, must give the same abundances.
+        em = synthetic_endmembers(120, k, seed=0)
+        ab = generate_grf_abundances(GrfSpec(width=20, height=20, k=k, seed=1))
+        image = generate_2lmm_scene(em, ab, snr_db=30.0, seed=2, width=20, height=20).image
+        base = unmix_lmm(image, em).abundances.data
+        for c in (1e-3, 1e4, 1e5, 1e12):
+            scaled = unmix_lmm(HsiImage(c * image.data, 20, 20), EndmemberMatrix(c * em.data))
+            np.testing.assert_allclose(scaled.abundances.data, base, rtol=0, atol=1e-11)
 
     def test_pure_pixel(self):
         em, _ = make_exact_scene(seed=2)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twolmm import HsiImage, apply_noise, cli, fileio
+from twolmm import EndmemberMatrix, HsiImage, apply_noise, cli, fileio
 from twolmm.cli import (
     ConfigError,
     ExperimentConfig,
@@ -378,21 +378,32 @@ class TestUnmix:
         row = json.loads((out / "results.json").read_text())[0]
         assert row["error"] == "" and row["rmse_a"] is not None
 
-    def test_empty_endmember_file_is_a_configuration_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: fileio._write_raw(path, fileio._MAGIC_ENDMEMBERS, np.zeros((40, 0)), 0),
+            lambda path: path.write_text("0,3\n"),
+        ],
+        ids=["raw", "csv"],
+    )
+    def test_empty_endmember_file_is_an_io_error_naming_it(self, write, tmp_path, capsys):
         scene_dir = tmp_path / "scene"
         scene_dir.mkdir()
         save_image(HsiImage(np.ones((40, 16)), width=4, height=4), scene_dir / "scene.hsi")
         (scene_dir / "manifest.txt").write_text("image = scene.hsi\n")  # no truth
-        em_file = tmp_path / "empty.emm"
-        fileio._write_raw(em_file, fileio._MAGIC_ENDMEMBERS, np.zeros((40, 0)), 0)
+        em_file = tmp_path / "empty.em"
+        write(em_file)
         run = write_config(
             tmp_path,
             f"scene.dir = {scene_dir}\nrun.em_source = file\nrun.em_file = {em_file}\n",
         )
         out = tmp_path / "res"
-        assert main(["unmix", "--config", str(run), "--out", str(out)]) == 1
+        assert main(["unmix", "--config", str(run), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "at least one" in err
+        assert err == (
+            f"i/o error: {em_file}: "
+            "endmember matrix must have at least one band and one endmember\n"
+        )
         assert not out.exists()
 
     def test_rmse_a_only_with_the_true_endmembers(self, tmp_path, capsys):
@@ -455,6 +466,31 @@ class TestUnmix:
         assert rows[0]["error"] == ""
         assert "synthetic failure" in rows[1]["error"]
         assert rows[1]["rmse_a"] is None
+
+    def test_overflowing_cost_is_an_error_row(self, tmp_path, capsys):
+        # Scaled by 1e160, every squared error overflows; each method's
+        # SolverError is its row, and the run goes on.
+        bundle = build_scene(small_cfg(tmp_path, width=6, height=6, bands=20))
+        scene_dir = tmp_path / "scene"
+        scene_dir.mkdir()
+        save_image(HsiImage(bundle.image.data * 1e160, 6, 6), scene_dir / "scene.hsi")
+        (scene_dir / "manifest.txt").write_text("image = scene.hsi\n")
+        em_file = tmp_path / "em.emm"
+        fileio.save_endmembers(EndmemberMatrix(bundle.endmembers_truth.data * 1e160), em_file)
+        run = write_config(
+            tmp_path,
+            f"scene.dir = {scene_dir}\nrun.em_source = file\nrun.em_file = {em_file}\n",
+        )
+        out = tmp_path / "res"
+        argv = ["unmix", "--config", str(run), "--out", str(out),
+                "--methods", "slmm,als2lmm,lbfgs2lmm"]
+        with np.errstate(all="ignore"):
+            assert main(argv) == 0, capsys.readouterr().err
+        rows = json.loads((out / "results.json").read_text())
+        assert [row["method"] for row in rows] == ["slmm", "als2lmm", "lbfgs2lmm"]
+        for row in rows:
+            assert row["error"].startswith("non-finite cost"), row
+            assert row["rmse_x"] is None
 
 
 class TestSweep:

@@ -55,10 +55,8 @@ class TestRawFormat:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="magic"):
-            load_image(path, fmt="raw-f64")
         with pytest.raises(FormatError):
-            load_image(path)  # sniffed path also fails cleanly
+            load_image(path)  # sniffed as CSV, whose reader refuses it
 
     def test_truncated_payload_rejected(self, image, tmp_path):
         path = tmp_path / "img.hsi"
@@ -66,6 +64,13 @@ class TestRawFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError, match="payload"):
             load_image(path)
+
+    def test_truncated_header_names_the_file(self, tmp_path):
+        path = tmp_path / "em.emm"
+        path.write_bytes(fileio._MAGIC_ENDMEMBERS + bytes(4))
+        with pytest.raises(FormatError) as caught:
+            load_endmembers(path)
+        assert str(caught.value) == f"{path}: truncated header"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.hsi"
@@ -137,6 +142,7 @@ class TestCsvFormat:
             # Refused before a 1 x 10^12 matrix (7.28 TiB) is allocated.
             ("1,1000000000000\n0.5\n", "row 1 has 1 values, expected 1000000000000"),
             ("2,2\n0.5,0.5\n0.5\n", "row 2 has 1 values, expected 2"),
+            ("1\n0.5\n", "header must list at least two dimensions"),
         ],
     )
     def test_header_that_does_not_fit_the_data_names_the_file(self, text, reason, tmp_path):
@@ -239,7 +245,8 @@ class TestScalingStateFile:
 
 
 # A file that does not load: (writer, loader, the reason given after its path).
-# All but the last hold data that the container refuses.
+# All but the last hold data that the container refuses; the readers check
+# only the file, so an empty or non-finite matrix is the container's to refuse.
 NEGATIVE_ENDMEMBERS = np.array([[1.0, 0.5], [-0.25, 0.5]])
 HALF_COLUMN = np.array([[0.25, 0.5], [0.25, 0.5]])
 BAD_FILES = {
@@ -273,10 +280,30 @@ BAD_FILES = {
         load_scaling_state,
         "endmember scalings violate the box bounds",
     ),
-    "reader-error": (
+    "endmembers-empty-raw": (
+        lambda path: fileio._write_raw(path, fileio._MAGIC_ENDMEMBERS, np.zeros((2, 0)), 0),
+        load_endmembers,
+        "endmember matrix must have at least one band and one endmember",
+    ),
+    "endmembers-empty-csv": (
+        lambda path: path.write_text("0,3\n"),
+        load_endmembers,
+        "endmember matrix must have at least one band and one endmember",
+    ),
+    "image-non-finite-raw": (
+        lambda path: fileio._write_raw(path, fileio._MAGIC_IMAGE, np.array([[1.0, np.nan]]), 0),
+        load_image,
+        "image data contains non-finite values",
+    ),
+    "endmembers-non-finite-csv": (
         lambda path: path.write_text("1,2\n1.0,inf\n"),
         load_endmembers,
-        "data contains non-finite values",
+        "endmember data contains non-finite values",
+    ),
+    "reader-error": (
+        lambda path: path.write_text("1,2\n1.0,oops\n"),
+        load_endmembers,
+        "row 1 contains a non-numeric value",
     ),
 }
 

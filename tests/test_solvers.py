@@ -198,6 +198,16 @@ class TestSolveSimplexQp:
                 mu = grad[~free] + nu
                 assert (mu >= -1e-8).all()
 
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_invariant_to_the_units_of_the_data(self, k):
+        # E and x in units c scale G and f by c^2, and leave the minimizer.
+        gram, linear = random_batch(k, 20, seed=k)
+        for j in range(linear.shape[1]):
+            base = solve_simplex_qp(QpProblem(gram=gram, linear=linear[:, j]))
+            for c in (1e-3, 1e4, 1e12):
+                scaled = QpProblem(gram=c * c * gram, linear=c * c * linear[:, j])
+                np.testing.assert_allclose(solve_simplex_qp(scaled), base, rtol=0, atol=1e-11)
+
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         e = rng.normal(size=(5, 3))

@@ -1,11 +1,13 @@
 """The result contract shared by every unmixer."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from twolmm import (
+    EndmemberMatrix,
     HsiImage,
     generate_2lmm_scene,
     generate_grf_abundances,
@@ -15,6 +17,8 @@ from twolmm import (
     unmix_slmm,
 )
 from twolmm.datagen import GrfSpec
+from twolmm.solvers import SolverError
+from twolmm.trace import IterationRecord, SolverTrace
 from twolmm.twostep import TwoLmmConfig, solve_als, solve_lbfgs
 
 METHODS = {
@@ -96,3 +100,29 @@ def test_lbfgs_keeps_all_zero_pixels_degenerate():
         "pixels with zero fitted abundance were flagged degenerate: "
         "10 (first indices [5, 6, 7, 8, 9, 10, 11, 12])"
     ]
+
+
+def overflowing_scene():
+    """A 6x6, 20-band scene and its endmembers scaled by 1e160: every
+    squared error over it overflows to inf."""
+    em = synthetic_endmembers(20, 3, seed=0)
+    ab = generate_grf_abundances(GrfSpec(width=6, height=6, k=3, seed=1))
+    scene = generate_2lmm_scene(em, ab, snr_db=40.0, seed=2, width=6, height=6)
+    return EndmemberMatrix(em.data * 1e160), HsiImage(scene.image.data * 1e160, 6, 6)
+
+
+@pytest.mark.parametrize("name", ["slmm", "als", "lbfgs"])
+def test_non_finite_cost_is_a_solver_error(name):
+    em, image = overflowing_scene()
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite cost"):
+        METHODS[name](image, em)
+
+
+def test_append_refuses_a_non_finite_cost_as_a_solver_error():
+    trace = SolverTrace(initial_cost=1.0)
+    record = IterationRecord(4, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    trace.append(record)
+    for cost in (np.inf, np.nan):
+        with pytest.raises(SolverError, match="^non-finite cost at iteration 4$"):
+            trace.append(replace(record, cost=cost))
+    assert trace.records == [record]

@@ -88,6 +88,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="thresholds must be positive"):
             TwoLmmConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["max_iter", "memory"])
+    def test_counts_must_be_nonnegative(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative$"):
+            TwoLmmConfig(**{field: -1})
+
     def test_backtracking_rule_is_fixed(self):
         names = [f.name for f in fields(TwoLmmConfig)]
         assert names == [
