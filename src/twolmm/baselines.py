@@ -19,9 +19,17 @@ from .core import (
     EndmemberMatrix,
     HsiImage,
     NormalizationResult,
+    _all_finite,
     normalize_abundances,
 )
-from .solvers import _arrays, _check_full_rank, _normal_parts, _simplex_qp, solve_nnls_clipped
+from .solvers import (
+    SolverError,
+    _arrays,
+    _check_full_rank,
+    _normal_parts,
+    _simplex_qp,
+    solve_nnls_clipped,
+)
 from .trace import UnmixResult, _unmix_result
 
 __all__ = ["unmix_lmm", "unmix_slmm"]
@@ -29,7 +37,9 @@ __all__ = ["unmix_lmm", "unmix_slmm"]
 
 def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix) -> UnmixResult:
     """Simplex-constrained least squares of every pixel in one batched
-    active-set call (no scaling factors); rank-deficient endmembers raise.
+    active-set call (no scaling factors); rank-deficient endmembers and
+    non-finite normal equations (data whose ``E^T E`` overflows) raise
+    :class:`~twolmm.solvers.SolverError`.
 
     Exact under the plain linear mixing assumption; biased whenever the
     scene carries scaling variability, which the simplex constraint cannot
@@ -39,7 +49,11 @@ def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix) -> UnmixResult:
     _check_full_rank(e)
     k, n = e.shape[1], x.shape[1]
     t0 = time.perf_counter()
-    a = _simplex_qp(*_normal_parts(e, x))
+    gram, etx = _normal_parts(e, x)
+    # The QP would run an overflowing E^T E to its iteration limit.
+    if not (_all_finite(gram) and _all_finite(etx)):
+        raise SolverError("non-finite normal equations E^T E, E^T X (the data overflow float64)")
+    a = _simplex_qp(gram, etx)
     elapsed = time.perf_counter() - t0
     # The columns already lie on the simplex; normalize_abundances would
     # divide them by sums that differ from one in the last bit.

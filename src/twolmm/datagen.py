@@ -366,14 +366,66 @@ def smoothed_random_dsm(
 class HapkeScene:
     """A scene with topography-induced endmember variability.
 
-    ``endmembers_per_pixel`` has shape (P, K, N) and holds the rendered
-    endmember matrix of every pixel, for oracle evaluation.
+    ``image`` is the observed (noisy) image, ``geometry`` the per-pixel
+    cosines, ``albedo`` the (P, K) single-scattering albedos of the
+    reference endmembers and ``abundances`` the ground truth they are
+    mixed with. The oracle arrays are derived from these on first access
+    and cached, so a scene holds one image until they are read:
+    :attr:`endmembers_per_pixel` (P, K, N) holds the rendered endmember
+    matrix of every pixel, and :attr:`clean` is the noise-free mixture,
+    bit for bit the one the noise was added to.
     """
 
     image: HsiImage
-    clean: HsiImage
-    endmembers_per_pixel: np.ndarray
     geometry: HapkeGeometry
+    albedo: np.ndarray
+    abundances: AbundanceMatrix
+
+    @cached_property
+    def endmembers_per_pixel(self) -> np.ndarray:
+        """The read-only (P, K, N) tensor of rendered endmember spectra."""
+        p, k = self.albedo.shape
+        out = np.empty((p, k, self.geometry.pixel_count))
+        for part, rendered in _hapke_blocks(self.albedo, self.geometry):
+            out[:, :, part] = rendered
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def clean(self) -> HsiImage:
+        """The noise-free image, rendered and mixed again block by block."""
+        clean = _hapke_mix(self.albedo, self.geometry, self.abundances)
+        return HsiImage(clean, width=self.image.width, height=self.image.height)
+
+
+def _hapke_blocks(albedo: np.ndarray, geometry: HapkeGeometry):
+    """Yield ``(part, rendered)`` for consecutive slices ``part`` of
+    ``max(1, _BLOCK // K)`` pixels: ``rendered`` is the (P, K, len(part))
+    :func:`hapke_relative_reflectance` of ``albedo`` at those pixels'
+    cosines, about as many values as a P x ``_BLOCK`` block.
+
+    The albedo must stay Fortran-ordered, as every endmember matrix is, so
+    that K is not the contiguous axis of ``rendered``: numpy's einsum sums
+    a one-pixel block with a contiguous K in another order, and the
+    mixture would then differ from that of the whole tensor in its last
+    bits (a test pins a lone last pixel at K = 12).
+    """
+    step = max(1, _BLOCK // albedo.shape[1])
+    for start in range(0, geometry.pixel_count, step):
+        part = slice(start, start + step)
+        yield part, hapke_relative_reflectance(
+            albedo[:, :, None], geometry.mu[None, None, part], geometry.mu0[None, None, part]
+        )
+
+
+def _hapke_mix(albedo: np.ndarray, geometry: HapkeGeometry, abundances: AbundanceMatrix):
+    """The C-ordered (P, N) mixture ``sum_k E_n[:, k] a[k, n]`` of the
+    rendered endmembers, equal bit for bit to ``einsum("pkn,kn->pn")`` over
+    the whole tensor but holding one block of it at a time."""
+    clean = np.empty((albedo.shape[0], geometry.pixel_count))
+    for part, rendered in _hapke_blocks(albedo, geometry):
+        np.einsum("pkn,kn->pn", rendered, abundances.data[:, part], out=clean[:, part])
+    return clean
 
 
 def generate_hapke_scene(
@@ -392,6 +444,12 @@ def generate_hapke_scene(
     mixed with the ground-truth abundances; noise is SNR-calibrated. Any
     self-shadowed cell aborts generation with its indices, since clamping
     would fabricate radiometry.
+
+    Rendering and mixing run over blocks of pixels, so the (P, K, N)
+    tensor is never formed here: generation peaks at about three images
+    (the clean mixture, its square for the signal power, and the noisy
+    result), whatever K. The scene keeps only the noisy image; its clean
+    image and tensor are derived again when read.
     """
     _check_snr(snr_db)
     if not abundances.normalized:
@@ -412,18 +470,15 @@ def generate_hapke_scene(
             + _index_summary(np.flatnonzero(geom.shadowed))
         )
     albedo = hapke_invert(e0, 1.0, 1.0)
-    per_pixel = hapke_relative_reflectance(
-        albedo[:, :, None], geom.mu[None, None, :], geom.mu0[None, None, :]
-    )
-    clean = np.einsum("pkn,kn->pn", per_pixel, abundances.data)
+    albedo.flags.writeable = False
     rng = np.random.default_rng(seed)
-    noisy = _add_noise(clean, snr_db, rng)
+    noisy = _add_noise(_hapke_mix(albedo, geom, abundances), snr_db, rng)
     height, width = dsm.heights.shape
     return HapkeScene(
         image=HsiImage(noisy, width=width, height=height),
-        clean=HsiImage(clean, width=width, height=height),
-        endmembers_per_pixel=per_pixel,
         geometry=geom,
+        albedo=albedo,
+        abundances=abundances,
     )
 
 

@@ -31,7 +31,8 @@ CONDITION_WARN_THRESHOLD = 1e10
 
 class SolverError(RuntimeError):
     """Raised when a solver cannot produce a result: a kernel misses its
-    tolerance, E is rank deficient, or a cost is not finite (the check of
+    tolerance, E is rank deficient, LMM's normal equations are not finite,
+    or a cost is not finite (the check of
     :meth:`twolmm.trace.SolverTrace.append`, and of backtracking)."""
 
 

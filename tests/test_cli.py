@@ -467,9 +467,9 @@ class TestUnmix:
         assert "synthetic failure" in rows[1]["error"]
         assert rows[1]["rmse_a"] is None
 
-    def test_overflowing_cost_is_an_error_row(self, tmp_path, capsys):
-        # Scaled by 1e160, every squared error overflows; each method's
-        # SolverError is its row, and the run goes on.
+    def overflowing_run(self, tmp_path):
+        """A config that unmixes a 6x6, 20-band scene and its endmembers
+        scaled by 1e160 from files."""
         bundle = build_scene(small_cfg(tmp_path, width=6, height=6, bands=20))
         scene_dir = tmp_path / "scene"
         scene_dir.mkdir()
@@ -477,10 +477,15 @@ class TestUnmix:
         (scene_dir / "manifest.txt").write_text("image = scene.hsi\n")
         em_file = tmp_path / "em.emm"
         fileio.save_endmembers(EndmemberMatrix(bundle.endmembers_truth.data * 1e160), em_file)
-        run = write_config(
+        return write_config(
             tmp_path,
             f"scene.dir = {scene_dir}\nrun.em_source = file\nrun.em_file = {em_file}\n",
         )
+
+    def test_overflowing_cost_is_an_error_row(self, tmp_path, capsys):
+        # Scaled by 1e160, every squared error overflows; each method's
+        # SolverError is its row, and the run goes on.
+        run = self.overflowing_run(tmp_path)
         out = tmp_path / "res"
         argv = ["unmix", "--config", str(run), "--out", str(out),
                 "--methods", "slmm,als2lmm,lbfgs2lmm"]
@@ -491,6 +496,17 @@ class TestUnmix:
         for row in rows:
             assert row["error"].startswith("non-finite cost"), row
             assert row["rmse_x"] is None
+
+    def test_overflowing_normal_equations_are_an_lmm_error_row(self, tmp_path, capsys):
+        run = self.overflowing_run(tmp_path)
+        out = tmp_path / "res"
+        argv = ["unmix", "--config", str(run), "--out", str(out), "--methods", "lmm"]
+        with np.errstate(all="ignore"):
+            assert main(argv) == 0, capsys.readouterr().err
+        [row] = json.loads((out / "results.json").read_text())
+        assert row["method"] == "lmm"
+        assert row["error"].startswith("non-finite normal equations"), row
+        assert row["rmse_x"] is None
 
 
 class TestSweep:

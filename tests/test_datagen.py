@@ -1,6 +1,7 @@
 """Synthetic scene generators: random fields, scaling scenes, topography."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestGenerateHapkeScene:
             em, ab, dsm, sun_dir=(0.3, 0.0, 0.954), snr_db=None, seed=21
         )
         rebuilt = np.einsum("pkn,kn->pn", scene.endmembers_per_pixel, ab.data)
-        np.testing.assert_allclose(scene.clean.data, rebuilt, atol=1e-14)
+        np.testing.assert_array_equal(scene.clean.data, rebuilt)
 
     def test_spectra_vary_monotonically_along_curved_ramp(self):
         em, ab = self.make_inputs()
@@ -212,6 +213,52 @@ class TestGenerateHapkeScene:
         interior = e_tensor[:, :, 4, 1:7]
         diffs = np.diff(interior, axis=2)
         assert (diffs > 0).all() or (diffs < 0).all()
+
+    # _BLOCK // K pixels a block: 40x40 at K = 3 is 682 + 682 + 236 pixels,
+    # 11x31 at K = 12 is 170 + 170 + a lone pixel, 20x20 at K = 12 ends in
+    # 60, and 8x8 and 50x50 at K = 1 are below one block and 2048 + 452.
+    @pytest.mark.parametrize(
+        "width, height, k",
+        [(40, 40, 3), (8, 8, 3), (11, 31, 12), (20, 20, 12), (8, 8, 1), (50, 50, 1)],
+    )
+    def test_blocks_match_the_whole_tensor_bit_for_bit(self, width, height, k):
+        em, ab = self.make_inputs(width, height, k)
+        dsm = smoothed_random_dsm(width, height, relief=5.0, smoothness=3.0, seed=24)
+        sun = (0.2, 0.1, 0.97)
+        scene = generate_hapke_scene(em, ab, dsm, sun_dir=sun, snr_db=30.0, seed=25)
+        geom = dsm_to_geometry(dsm, sun)
+        tensor = hapke_relative_reflectance(
+            hapke_invert(em.data, 1.0, 1.0)[:, :, None], geom.mu, geom.mu0
+        )
+        clean = np.einsum("pkn,kn->pn", tensor, ab.data)
+        image = _add_noise(clean, 30.0, np.random.default_rng(25))
+        np.testing.assert_array_equal(scene.image.data, image)
+        np.testing.assert_array_equal(scene.clean.data, clean)
+        np.testing.assert_array_equal(scene.endmembers_per_pixel, tensor)
+
+    def test_oracle_arrays_derived_on_first_read(self):
+        em, ab = self.make_inputs()
+        dsm = smoothed_random_dsm(8, 8, relief=5.0, smoothness=3.0, seed=26)
+        scene = generate_hapke_scene(em, ab, dsm, snr_db=30.0, seed=27)
+        for name in ("clean", "endmembers_per_pixel"):
+            assert name not in vars(scene)
+            first = getattr(scene, name)
+            assert name in vars(scene)
+            assert getattr(scene, name) is first
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_generation_peaks_at_about_three_images(self, k):
+        # The clean mixture, its square for the signal power and the noisy
+        # image; the (P, K, N) tensor alone would be K image sizes.
+        em, ab = self.make_inputs(100, 100, k)
+        dsm = smoothed_random_dsm(100, 100, relief=5.0, smoothness=6.0, seed=28)
+        tracemalloc.start()
+        try:
+            scene = generate_hapke_scene(em, ab, dsm, snr_db=40.0, seed=29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * scene.image.data.nbytes
 
     def test_self_shadow_rejected_with_indices(self):
         em, ab = self.make_inputs()

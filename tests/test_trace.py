@@ -118,6 +118,15 @@ def test_non_finite_cost_is_a_solver_error(name):
         METHODS[name](image, em)
 
 
+def test_overflowing_normal_equations_are_a_solver_error():
+    # E^T E overflows to inf; the QP is not run up to its iteration limit.
+    em, image = overflowing_scene()
+    with np.errstate(all="ignore"), pytest.raises(
+        SolverError, match="^non-finite normal equations"
+    ):
+        unmix_lmm(image, em)
+
+
 def test_append_refuses_a_non_finite_cost_as_a_solver_error():
     trace = SolverTrace(initial_cost=1.0)
     record = IterationRecord(4, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
