@@ -371,7 +371,7 @@ def resolve_endmembers(cfg: ExperimentConfig, bundle: SceneBundle) -> EndmemberM
         return load_endmembers(cfg.em_file)
     k = cfg.k if bundle.k is None else bundle.k
     image = bundle.image
-    # for_image's default vector; perspective_project makes the margin check.
+    # for_image's vector; perspective_project makes the margin check.
     projected = perspective_project(image, ProjectionSpec(v=_mean_direction(image)))
     _, indices = vca_extract(projected, k, seed=_derive_seed(cfg.seed, _STREAM_VCA))
     basis = _leading_subspace(image.data, k)

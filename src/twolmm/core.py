@@ -168,13 +168,15 @@ class HsiImage:
 
 @dataclass(frozen=True)
 class EndmemberMatrix:
-    """Reference endmember spectra: (P, K) matrix, one column per material.
+    """Reference endmember spectra: (P, K) matrix, one column per material,
+    named by its column index.
 
-    Entries must be finite and nonnegative and no column may be all-zero.
+    Entries must be finite and nonnegative and no column may be all-zero
+    (a column is zero when every entry compares equal to 0; nothing is
+    squared, so tiny and huge columns pass).
     """
 
     data: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         data = _checked_matrix(
@@ -182,15 +184,10 @@ class EndmemberMatrix:
         )
         if np.any(data < 0):
             raise ValueError("endmember data must be nonnegative")
-        norms = np.linalg.norm(data, axis=0)
-        if np.any(norms == 0):
-            bad = np.flatnonzero(norms == 0).tolist()
+        zero = ~np.any(data != 0, axis=0)
+        if np.any(zero):
+            bad = np.flatnonzero(zero).tolist()
             raise ValueError(f"endmember columns {bad} are identically zero")
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != data.shape[1]:
-                raise ValueError("label count does not match endmember count")
-            object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "data", _freeze(data))
 
     @property

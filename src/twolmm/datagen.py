@@ -320,24 +320,24 @@ def _unit(vec, name: str) -> np.ndarray:
     return v / norm
 
 
-def dsm_to_geometry(dsm: Dsm, sun_dir, view_dir=(0.0, 0.0, 1.0)) -> HapkeGeometry:
+def dsm_to_geometry(dsm: Dsm, sun_dir) -> HapkeGeometry:
     """Per-cell illumination/view cosines from central-difference normals.
 
     The surface normal of each cell is ``(-dz/dx, -dz/dy, 1)`` normalized;
     ``mu0`` is its dot product with the sun direction (cells with
-    ``mu0 <= 0`` are marked shadowed) and ``mu`` with the view direction
-    (nadir by default). Grids smaller than 3x3 are rejected.
+    ``mu0 <= 0`` are marked shadowed) and ``mu`` with the nadir view
+    direction ``(0, 0, 1)``, which is the normal's z component. Grids
+    smaller than 3x3 are rejected.
     """
     h = dsm.heights
     if h.shape[0] < 3 or h.shape[1] < 3:
         raise ValueError("surface grid must be at least 3x3")
     sun = _unit(sun_dir, "sun direction")
-    view = _unit(view_dir, "view direction")
     dz_dy, dz_dx = np.gradient(h, dsm.cell_size)
     denom = np.sqrt(dz_dx**2 + dz_dy**2 + 1.0)
     nx, ny, nz = -dz_dx / denom, -dz_dy / denom, 1.0 / denom
     mu0 = nx * sun[0] + ny * sun[1] + nz * sun[2]
-    mu = nx * view[0] + ny * view[1] + nz * view[2]
+    mu = nz
     shadowed = (mu0 <= 0.0) | (mu <= 0.0)
     mu = np.minimum(mu, 1.0)
     mu0 = np.minimum(mu0, 1.0)
@@ -518,4 +518,4 @@ def synthetic_endmembers(
     span = spectra.max() - spectra.min()
     if span > 0:
         spectra = lo + (spectra - spectra.min()) / span * (hi - lo)
-    return EndmemberMatrix(spectra, labels=tuple(f"material_{k}" for k in range(count)))
+    return EndmemberMatrix(spectra)

@@ -57,11 +57,12 @@ class ProjectionSpec:
         object.__setattr__(self, "v", v)
 
     @classmethod
-    def for_image(cls, image: HsiImage, v: np.ndarray | None = None) -> "ProjectionSpec":
-        """Build a spec valid for ``image``, defaulting to the normalized
-        mean spectrum (which maximizes the worst-case margin on
-        nonnegative data)."""
-        spec = cls(v=_mean_direction(image) if v is None else v)
+    def for_image(cls, image: HsiImage) -> "ProjectionSpec":
+        """The spec of ``image``'s normalized mean spectrum (which maximizes
+        the worst-case margin on nonnegative data), after checking that every
+        pixel clears the margin. For another vector, construct the spec
+        directly; :func:`perspective_project` makes the same check."""
+        spec = cls(v=_mean_direction(image))
         _checked_dots(image, spec)
         return spec
 

@@ -42,8 +42,8 @@ class QpProblem:
 
     The gram matrix must be symmetric (to 1e-12 relative to its magnitude)
     and positive definite, which keeps every KKT system of the active set
-    nonsingular. The constraint is always the probability simplex; box
-    constraints are handled by the clipped solve below.
+    nonsingular. The constraint is always the probability simplex; the
+    clipped solve below imposes nonnegativity alone.
     """
 
     gram: np.ndarray
@@ -178,12 +178,6 @@ def _check_full_rank(e: np.ndarray) -> None:
         )
 
 
-def _check_clip_bound(upper: float) -> None:
-    """Raise unless the upper clip bound is positive (NaN is not)."""
-    if not (upper > 0):
-        raise ValueError(f"upper clip bound must be positive, got {upper}")
-
-
 def _qr_fit(e: np.ndarray, x: np.ndarray):
     """``(fit, q, r, qtx)``: the least-squares fit of each column of ``x`` from the
     thin QR ``E = QR`` and ``qtx = Q^T X``, after :func:`_check_full_rank`."""
@@ -214,15 +208,12 @@ def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarra
     return _qr_fit(e, x)[0]
 
 
-def solve_nnls_clipped(
-    endmembers: EndmemberMatrix, image: HsiImage, hi: float = np.inf
-) -> np.ndarray:
-    """Least-squares abundances clipped into ``[0, hi]``, per pixel.
+def solve_nnls_clipped(endmembers: EndmemberMatrix, image: HsiImage) -> np.ndarray:
+    """Least-squares abundances clipped onto the nonnegative orthant, per pixel.
 
     The unconstrained per-column solution is computed first (through QR,
-    never by inverting E^T E) and the box is applied afterwards;
-    ``hi = inf`` leaves only the projection onto the nonnegative orthant.
+    never by inverting E^T E) and the negative entries are set to zero
+    afterwards.
     """
-    _check_clip_bound(hi)
     a = solve_least_squares(*_arrays(endmembers, image))
-    return np.clip(a, 0.0, hi)
+    return np.clip(a, 0.0, np.inf)

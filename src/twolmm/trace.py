@@ -34,11 +34,11 @@ class IterationRecord:
     ``cost_accept`` is the objective at the point the step-size test
     accepted, before any box projection; it equals ``cost`` when no
     step-size test ran (plain ALS). The two-step solvers evaluate both in
-    the K-dimensional coordinates of the fit, without the P x N residual;
-    they agree with ``||X - E diag(s_e) A_s||^2`` to rounding, about
-    ``eps ||X|| / sqrt(cost)`` relative. A near-exact fit is evaluated
-    from the residual itself, over the image in blocks of pixels (see
-    :mod:`twolmm.twostep`).
+    the K-dimensional coordinates of the fit, without the P x N residual
+    (see :mod:`twolmm.twostep`); they agree with
+    ``||X - E diag(s_e) A_s||^2`` to rounding, about
+    ``eps ||X|| / sqrt(cost)`` relative, so near an exact fit both are at
+    the rounding level.
     """
 
     iteration: int

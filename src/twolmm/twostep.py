@@ -30,15 +30,14 @@ the fit (see :func:`_solver_cost`): with the thin QR ``E = QR``,
 where ``c0 = ||X - Q Q^T X||^2`` is the part of the image outside the span
 of ``E``. ``Q``, ``R`` and ``Q^T X`` are those the solve's least-squares
 fit is taken from (:func:`twolmm.solvers._qr_fit`), so a solve factorizes
-``E`` once. ``c0`` takes the solve's one P x N pass, made over blocks of
-pixels; each cost after it is O(K^2 N) and allocates one K x N array.
-Both terms are nonnegative, so the rounding error relative to the cost
-grows like ``eps ||X|| / sqrt(J)``, as for the direct residual, and stays
-below about 1e-13 while ``c0 >= _NEAR_EXACT_FIT ||X||^2``. Below that
-(noiseless data, or about as many bands as endmembers) the relative
-rounding error of either form can be large, and the whole solve uses the
-direct residual, so that its costs are those of :func:`cost`. Every
-``||X - B C||^2`` over the image, that direct residual included, is
+``E`` once. The loop reads the image only at setup, for ``Q^T X``,
+``E^T X``, the mask of all-zero pixels and ``c0``, whose P x N pass is
+made over blocks of pixels; each cost after it is O(K^2 N) and allocates
+one K x N array. Both terms are nonnegative, so the rounding error
+relative to the cost grows like ``eps ||X|| / sqrt(J)``, as for the direct
+residual of :func:`cost`: near an exact fit (noiseless data, or about as
+many bands as endmembers) either form's cost is at the rounding level.
+Every ``||X - B C||^2`` over the image is
 :func:`twolmm.core._squared_error`, accumulated over blocks of pixels; the
 gradient comes from the normal equations (:func:`_gradient`), so no
 function here forms a P x N array.
@@ -68,7 +67,6 @@ from .core import (
 from .solvers import (
     SolverError,
     _arrays,
-    _check_clip_bound,
     _check_full_rank,
     _normal_parts,
     _qr_fit,
@@ -89,9 +87,6 @@ __all__ = [
 ]
 
 _CURVATURE_TOL = 1e-12
-# Share of ||X||^2 outside the span of E below which the solver evaluates
-# its costs from the direct residual, over the image in blocks (see _solver_cost).
-_NEAR_EXACT_FIT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -207,18 +202,17 @@ def _gradient(
     return 2.0 * s_e[:, None] * w, 2.0 * np.einsum("kn,kn->k", w, a_s)
 
 
-def _solver_cost(e: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray, qtx: np.ndarray):
+def _solver_cost(x: np.ndarray, q: np.ndarray, r: np.ndarray, qtx: np.ndarray):
     """The cost function ``(a_s, s_e) -> J`` of the solver loop.
 
     ``J = c0 + ||Q^T X - R diag(s_e) A_s||^2`` with ``c0 = ||X - Q Q^T X||^2``
     (module docstring), from the thin QR ``E = QR`` and the ``Q^T X`` of the
     solve's least-squares fit (:func:`twolmm.solvers._qr_fit`), so E is not
-    factorized again. On a near-exact fit, ``c0 < _NEAR_EXACT_FIT * ||X||^2``,
-    it returns the cost of :func:`cost`, evaluated over the image in blocks.
+    factorized again. ``c0`` is the one pass over the image, and ``J``
+    agrees with :func:`cost` to rounding, about ``eps ||X|| / sqrt(J)``
+    relative.
     """
     c0 = _squared_error(x, q, qtx)
-    if c0 < _NEAR_EXACT_FIT * (c0 + float(np.sum(qtx * qtx))):
-        return lambda a_s, s_e: _squared_error(x, e * s_e, a_s)
 
     def reduced_cost(a_s: np.ndarray, s_e: np.ndarray) -> float:
         d = (r * s_e) @ a_s
@@ -306,7 +300,8 @@ def als_update_a(
     e, x = _checked(endmembers, image, s_e=s_e)
     if np.any(s_e <= 0):
         raise ValueError("s_e must be strictly positive")
-    _check_clip_bound(upper)
+    if not (upper > 0):  # NaN fails too
+        raise ValueError(f"upper clip bound must be positive, got {upper}")
     return _scaled_clip(solve_least_squares(e, x), s_e, upper)
 
 
@@ -448,7 +443,7 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init) -> UnmixResult:
     ):
         raise ValueError("initial state violates the box bounds")
 
-    cost_at = _solver_cost(e, x, *qr)
+    cost_at = _solver_cost(x, *qr)
     z = state.packed
     current_cost = cost_at(*_unpack(z, k, n))
     trace = SolverTrace(initial_cost=current_cost)

@@ -1,5 +1,7 @@
 """Core types, metrics, and abundance normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,9 +85,20 @@ class TestEndmemberMatrix:
         with pytest.raises(ValueError, match="zero"):
             EndmemberMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
-    def test_labels_checked(self):
-        with pytest.raises(ValueError, match="label"):
-            EndmemberMatrix(np.ones((3, 2)), labels=("only-one",))
+    def test_zero_column_named_whatever_the_other_magnitudes(self):
+        data = np.full((20, 3), 1e160)
+        data[:, 1] = 0.0
+        with pytest.raises(ValueError) as caught:
+            EndmemberMatrix(data)
+        assert str(caught.value) == "endmember columns [1] are identically zero"
+
+    @pytest.mark.parametrize("value", [1e-170, 1e160])
+    def test_tiny_or_huge_columns_accepted_without_warning(self, value):
+        # Squaring would underflow 1e-170 to zero and overflow 1e160.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            em = EndmemberMatrix(np.full((20, 3), value))
+        assert np.all(em.data == value)
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
     def test_empty_matrix_rejected(self, shape):

@@ -78,9 +78,10 @@ class TestPerspectiveProject:
             perspective_project(img, spec)
 
     def test_spec_construction_validates_margin(self):
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="orthogonal"):
-            ProjectionSpec.for_image(HsiImage(x), v=np.array([1.0, 0.0]))
+        # The mean spectrum (0, 0.5) is orthogonal to the first pixel.
+        x = np.array([[1.0, -1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"orthogonal.*\[0\]"):
+            ProjectionSpec.for_image(HsiImage(x))
 
     def test_zero_projection_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -1,17 +1,19 @@
 """Property tests of the two-step solvers on random small instances.
 
 Each instance draws K in 2..4 endmembers, at most 20 bands and 30 pixels,
-scaling bounds around 1, a curvature memory of 0, 1 or 5, and a noisy
-two-step scene inside those bounds.
+scaling bounds around 1, a curvature memory of 0, 1 or 5, and a two-step
+scene inside those bounds, noiseless or with noise of 0.01.
 The model's two invariances are checked on the same instances: the cost
 does not see the gauge ``a_s[k] / c_k``, ``s_e[k] * c_k``, and SLMM is
-equivariant to a global brightness factor.
+equivariant to a global brightness factor. The per-pixel NNLS residual
+bounds every final cost from below.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +40,8 @@ def instances(draw):
     a = rng.dirichlet(np.ones(k), size=n).T
     s_e = rng.uniform(lower, upper, size=k)
     s_x = rng.uniform(0.3, 3.0, size=n)
-    x = (e * s_e) @ (a * s_x) + 0.01 * rng.standard_normal((p, n))
+    noise = draw(st.sampled_from([0.0, 0.01]))
+    x = (e * s_e) @ (a * s_x) + noise * rng.standard_normal((p, n))
     memory = draw(st.sampled_from([0, 1, 5]))
     cfg = TwoLmmConfig(lower=lower, upper=upper, max_iter=200, memory=memory)
     return HsiImage(x), EndmemberMatrix(e), cfg
@@ -77,7 +80,7 @@ def test_scaled_abundances_stay_under_the_upper_bound(solver, instance):
 
 
 # A near-exact fit (cost about 1e-9 of ||X||^2): the public cost of the
-# rebuilt a_s below is 1.6e-12 relative away from the last trace cost.
+# rebuilt a_s below is 1.8e-12 relative away from the last trace cost.
 NEAR_EXACT_FIT = (
     HsiImage(np.array([[5.07492494], [5.89384768], [5.90335019]])),
     EndmemberMatrix(
@@ -98,6 +101,19 @@ def test_last_trace_cost_is_the_public_cost_of_the_result(solver, instance):
     assert math.isclose(
         res.trace[-1].cost, final, rel_tol=1e-12, abs_tol=_rounding_slack(image, em, state)
     )
+
+
+@BOTH_SOLVERS
+@PROPERTY_SETTINGS
+@given(instances())
+def test_last_trace_cost_is_at_least_the_nnls_bound(solver, instance):
+    # E diag(s_e) A_s is E times a nonnegative matrix, so no two-step cost
+    # falls below the per-pixel NNLS residual.
+    image, em, _, res = _solve(instance, solver)
+    state = TwoLmmState(a_s=res.abundances.data * res.s_x, s_e=res.s_e)
+    j_nnls = sum(scipy.optimize.nnls(em.data, col)[1] ** 2 for col in image.data.T)
+    slack = _rounding_slack(image, em, state)
+    assert res.trace[-1].cost >= j_nnls * (1.0 - 1e-12) - slack
 
 
 def _rounding_slack(image, em, state):

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from twolmm import (
     EndmemberMatrix,
@@ -20,7 +21,7 @@ from twolmm import (
 )
 from twolmm import twostep
 from twolmm.datagen import GrfSpec
-from twolmm.solvers import SolverError, _qr_fit
+from twolmm.solvers import SolverError, _normal_parts, _qr_fit
 from twolmm.twostep import (
     TwoLmmConfig,
     TwoLmmState,
@@ -497,7 +498,7 @@ class TestSolverCost:
         x = scene.image.data
         _, *qr = _qr_fit(em.data, x)
         images = counted_squared_error(monkeypatch)
-        cost_at = twostep._solver_cost(em.data, x, *qr)
+        cost_at = twostep._solver_cost(x, *qr)
         rng = np.random.default_rng(0)
         k, n = em.endmember_count, scene.image.pixel_count
         states = [
@@ -535,19 +536,66 @@ class TestSolverCost:
             solver(scene.image, em, TwoLmmConfig(max_iter=5))
         assert len(calls) == 1
 
-    def test_near_exact_fit_takes_the_direct_residual(self, monkeypatch):
+    @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
+    def test_noiseless_solve_reads_the_image_once(self, solver, monkeypatch):
+        # An exact fit: c0 is at the rounding level, and the loop still
+        # takes every cost from Q^T X.
         em, _, scene = exact_scene(seed=42)
         images = counted_squared_error(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = solve_als(scene.image, em, TwoLmmConfig(max_iter=20))
-        # c0, the initial cost and one cost per iteration, all over the image
-        assert len(images) == 2 + res.iterations
-        assert all(x is scene.image.data for x in images)
-        final = TwoLmmState(a_s=res.factors[1], s_e=res.s_e)
-        assert res.trace[-1].cost == cost(scene.image, em, final)
-        resid = scene.image.data - res.reconstruction.data
-        assert res.trace[-1].cost == pytest.approx(float(np.sum(resid**2)), rel=1e-12)
+            res = solver(scene.image, em, TwoLmmConfig(max_iter=20))
+        assert res.iterations > 1
+        assert len(images) == 1 and images[0] is scene.image.data  # c0 only
+
+
+def nnls_fit(em, image):
+    """Per-pixel ``scipy.optimize.nnls`` of the image on E: the nonnegative
+    coefficients ``B*`` (K, N) and ``J_nnls``, the sum of squared residuals,
+    which bounds every two-step cost from below (``E diag(s_e) A_s`` is
+    ``E`` times a nonnegative matrix)."""
+    fits = [scipy.optimize.nnls(em.data, col) for col in image.data.T]
+    return np.column_stack([b for b, _ in fits]), sum(rnorm**2 for _, rnorm in fits)
+
+
+class TestNnlsCertificate:
+    # Noisy enough that J_nnls is far above rounding; upper^2 = 25 exceeds
+    # every B*, so the bound is the minimum of the two-step cost.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_box_lbfgs_on_the_solver_cost_reaches_the_bound(self, seed):
+        em, _, scene = exact_scene(seed=seed, width=20, height=20, k=3, bands=30, snr_db=40.0)
+        e, x = em.data, scene.image.data
+        k, n = em.endmember_count, scene.image.pixel_count
+        cfg = TwoLmmConfig()
+        _, j_nnls = nnls_fit(em, scene.image)
+        _, *qr = _qr_fit(e, x)
+        cost_at = twostep._solver_cost(x, *qr)
+        gram, etx = _normal_parts(e, x)
+
+        def cost_and_gradient(z):
+            a_s, s_e = twostep._unpack(z, k, n)
+            return cost_at(a_s, s_e), twostep._pack(*twostep._gradient(gram, etx, a_s, s_e))
+
+        res = scipy.optimize.minimize(
+            cost_and_gradient,
+            TwoLmmState.uniform(k, n).packed,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(0.0, cfg.upper)] * (k * n) + [(cfg.lower, cfg.upper)] * k,
+            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20000},
+        )
+        assert res.fun == pytest.approx(j_nnls, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gauge_point_of_the_nnls_fit_attains_the_bound(self, seed):
+        em, _, scene = exact_scene(seed=seed, width=20, height=20, k=3, bands=30, snr_db=40.0)
+        cfg = TwoLmmConfig()
+        b, j_nnls = nnls_fit(em, scene.image)
+        s_e = np.maximum(cfg.lower, b.max(axis=1) / cfg.upper)
+        state = TwoLmmState(a_s=b / s_e[:, None], s_e=s_e)
+        assert s_e.max() <= cfg.upper
+        assert state.a_s.max() <= cfg.upper
+        assert cost(scene.image, em, state) == pytest.approx(j_nnls, rel=1e-9)
 
 
 def traced_peak(call):
@@ -585,7 +633,7 @@ class TestMemoryContract:
 
     @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
     def test_near_exact_fit_solve_holds_no_image_sized_array(self, solver):
-        # Noiseless, so every cost of the solve is taken over the image.
+        # Noiseless: c0 is the solve's one pass over the image.
         em, _, scene = exact_scene(seed=45, width=150, height=150, bands=120)
         peak = traced_peak(lambda: solver(scene.image, em, TwoLmmConfig(max_iter=30)))
         assert peak < 0.8 * scene.image.data.nbytes
