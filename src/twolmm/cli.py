@@ -52,7 +52,7 @@ from .endmembers import (
     _mean_direction,
     align_abundances,
     match_endmembers,
-    perspective_project,
+    perspective_project,  # not called here; perfbench's tracer wraps it by this name
     vca_extract,
 )
 from .fileio import (
@@ -353,15 +353,18 @@ def cmd_generate(cfg: ExperimentConfig) -> Path:
 def resolve_endmembers(cfg: ExperimentConfig, bundle: SceneBundle) -> EndmemberMatrix:
     """Pick the endmembers a run will unmix with.
 
-    ``vca`` projects the image perspectively so pixel scaling cannot bias
-    the selection, extracts pure-pixel indices on the projected data, and
-    takes the original (unprojected) pixel columns at those indices, so
-    their scale matches the image being unmixed. The columns are then
-    projected onto the image's leading rank-k subspace, which strips the
-    out-of-subspace noise a single noisy pixel carries (negative
-    excursions are zeroed). Both subspaces come from a P x P triangle of
-    the band Gram matrix (``endmembers._leading_subspace``), never from an
-    SVD of the P x N image. A known ``bundle.k`` overrides ``cfg.k``.
+    ``vca`` extracts pure-pixel indices on the image's perspective
+    projection along its mean direction, so pixel scaling cannot bias the
+    selection; :func:`vca_extract` works on that projection without
+    forming it. It takes the original (unprojected) pixel columns at those
+    indices, so their scale matches the image being unmixed. The columns
+    are then projected onto the image's leading rank-k subspace, which
+    strips the out-of-subspace noise a single noisy pixel carries
+    (negative excursions are zeroed). Both subspaces come from a P x P
+    triangle of a band Gram matrix (``endmembers._leading_subspace``), never
+    from an SVD of the P x N image, and no P x N array but the image is
+    held outside the QR fallback for a singular Gram. A known
+    ``bundle.k`` overrides ``cfg.k``.
     """
     if cfg.em_source == "truth":
         if bundle.endmembers_truth is None:
@@ -371,9 +374,11 @@ def resolve_endmembers(cfg: ExperimentConfig, bundle: SceneBundle) -> EndmemberM
         return load_endmembers(cfg.em_file)
     k = cfg.k if bundle.k is None else bundle.k
     image = bundle.image
-    # for_image's vector; perspective_project makes the margin check.
-    projected = perspective_project(image, ProjectionSpec(v=_mean_direction(image)))
-    _, indices = vca_extract(projected, k, seed=_derive_seed(cfg.seed, _STREAM_VCA))
+    # for_image's vector; vca_extract makes the margin check.
+    projection = ProjectionSpec(v=_mean_direction(image))
+    _, indices = vca_extract(
+        image, k, seed=_derive_seed(cfg.seed, _STREAM_VCA), projection=projection
+    )
     basis = _leading_subspace(image.data, k)
     columns = basis @ (basis.T @ image.data[:, indices])
     return EndmemberMatrix(np.maximum(columns, 0.0))

@@ -114,17 +114,21 @@ class TwoLmmScene:
     @cached_property
     def clean(self) -> HsiImage:
         """``E diag(s_e) A diag(s_x)``, bit for bit the composition the
-        noise was added to."""
-        return HsiImage(
-            _compose(self.endmembers, self.abundances, self.scaling),
-            width=self.image.width,
-            height=self.image.height,
-        )
+        noise was added to, composed into a buffer the image adopts
+        without a copy."""
+        clean = _compose(self.endmembers, self.abundances, self.scaling)
+        clean.flags.writeable = False
+        return HsiImage(clean, width=self.image.width, height=self.image.height)
 
 
 def _compose(endmembers: EndmemberMatrix, abundances: AbundanceMatrix, scaling: ScalingState):
-    """The C-ordered product ``E diag(s_e) A diag(s_x)``."""
-    return (endmembers.data * scaling.s_e) @ (abundances.data * scaling.s_x)
+    """The product ``E diag(s_e) A diag(s_x)`` as a new Fortran-ordered
+    array, written by BLAS as the C-ordered transpose ``(A diag(s_x))^T
+    (E diag(s_e))^T``; a test pins it bit for bit to the C-ordered
+    ``(E * s_e) @ (A * s_x)`` at a benchmark's size."""
+    out = np.empty((endmembers.band_count, abundances.pixel_count), order="F")
+    np.matmul((abundances.data * scaling.s_x).T, (endmembers.data * scaling.s_e).T, out=out.T)
+    return out
 
 
 def _check_snr(snr_db: float | None) -> None:
@@ -133,30 +137,60 @@ def _check_snr(snr_db: float | None) -> None:
         raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
 
 
-def _add_noise(
-    clean: np.ndarray, snr_db: float | None, rng: np.random.Generator
-) -> np.ndarray:
-    """``clean`` plus white Gaussian noise of the SNR ``snr_db`` (none for
-    None or ``inf``), as a new read-only Fortran-ordered array.
+# numpy sums a contiguous float64 array pairwise: a run of more than 128
+# entries is split after n//2 - (n//2) % 8 of them and each half summed
+# alike. _sum_of_squares follows that tree down to runs of at most _LEAF
+# entries, which one np.add.reduce call sums exactly as numpy would.
+_LEAF = 1 << 16
 
-    The noise power comes from the mean squared entry of ``clean`` as
-    given, and the noise is drawn in C order over the (P, N) shape, a
-    block of rows at a time, written straight into the result; so the
-    result equals ``clean + rng.normal(0, sigma, size=clean.shape)`` bit
-    for bit, holding no more noise at a time than a block of ``_BLOCK``
-    pixels (or one row). Callers check ``snr_db`` with :func:`_check_snr`.
-    """
-    out = np.empty(clean.shape, order="F")
-    if snr_db is None or snr_db == math.inf:
-        out[...] = clean
+
+def _sum_of_squares(rows: np.ndarray, start: int, stop: int) -> float:
+    """``np.sum(flat[start:stop]**2)`` of ``flat``, the entries of the 2-D
+    ``rows`` in C order, bit for bit whatever the layout of ``rows``,
+    holding the squares of one run of at most ``_LEAF`` entries at a time."""
+    if stop - start > _LEAF:
+        half = (stop - start) // 2
+        half -= half % 8
+        return _sum_of_squares(rows, start, start + half) + _sum_of_squares(
+            rows, start + half, stop
+        )
+    r0, c0 = divmod(start, rows.shape[1])
+    r1, c1 = divmod(stop, rows.shape[1])
+    if r0 == r1:
+        run = rows[r0, c0:c1]
     else:
-        signal_power = float(np.mean(clean**2))
+        run = np.concatenate(
+            (rows[r0, c0:], rows[r0 + 1 : r1].ravel(), rows[r1 : r1 + 1, :c1].ravel())
+        )
+    return float(np.add.reduce(np.square(run)))
+
+
+def _add_noise(
+    out: np.ndarray, snr_db: float | None, rng: np.random.Generator, order: str
+) -> np.ndarray:
+    """Add white Gaussian noise of the SNR ``snr_db`` (none for None or
+    ``inf``) to the Fortran-ordered ``out`` in place, and return it
+    read-only.
+
+    The noise power comes from the mean squared entry of ``out`` as given,
+    summed in ``order`` (``"C"`` or ``"F"``) without squaring a copy
+    (:func:`_sum_of_squares`), so it is bit for bit ``np.mean(clean**2)``
+    of ``clean = np.asarray(out, order=order)``. The noise is drawn in C
+    order over the (P, N) shape, a block of rows at a time, and added in
+    place; so the result equals ``clean + rng.normal(0, sigma,
+    size=clean.shape)`` bit for bit, and no more noise is held at a time
+    than a block of ``_BLOCK`` pixels (or one row). Callers check
+    ``snr_db`` with :func:`_check_snr`.
+    """
+    if snr_db is not None and snr_db != math.inf:
+        squares = _sum_of_squares(out if order == "C" else out.T, 0, out.size)
+        signal_power = squares / out.size
         sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
-        p, n = clean.shape
+        p, n = out.shape
         rows = max(1, _BLOCK * p // max(n, 1))
         for start in range(0, p, rows):
             stop = min(start + rows, p)
-            out[start:stop] = clean[start:stop] + rng.normal(0.0, sigma, size=(stop - start, n))
+            out[start:stop] += rng.normal(0.0, sigma, size=(stop - start, n))
     out.flags.writeable = False
     return out
 
@@ -191,7 +225,9 @@ def generate_2lmm_scene(
     s_e = rng.uniform(lo, hi, size=k)
     s_x = rng.uniform(lo, hi, size=n)
     scaling = ScalingState(s_e=s_e, s_x=s_x, lower=lo, upper=hi)
-    noisy = _add_noise(_compose(endmembers, abundances, scaling), snr_db, rng)
+    # The composition becomes the image; its signal power is summed in C
+    # order over the (P, N) shape, the order in which the noise is drawn.
+    noisy = _add_noise(_compose(endmembers, abundances, scaling), snr_db, rng, "C")
     return TwoLmmScene(
         image=HsiImage(noisy, width=width, height=height),
         scaling=scaling,
@@ -204,7 +240,9 @@ def apply_noise(clean: HsiImage, snr_db: float | None, seed: int = 0) -> HsiImag
     """Add SNR-calibrated white Gaussian noise to a clean image."""
     _check_snr(snr_db)
     rng = np.random.default_rng(seed)
-    noisy = _add_noise(clean.data, snr_db, rng)
+    # A copy of the image's Fortran-ordered data; its power is summed in
+    # that memory order, as np.mean sums it.
+    noisy = _add_noise(np.array(clean.data, order="F"), snr_db, rng, "F")
     return HsiImage(noisy, width=clean.width, height=clean.height)
 
 
@@ -393,8 +431,10 @@ class HapkeScene:
 
     @cached_property
     def clean(self) -> HsiImage:
-        """The noise-free image, rendered and mixed again block by block."""
+        """The noise-free image, rendered and mixed again block by block
+        into a buffer the image adopts without a copy."""
         clean = _hapke_mix(self.albedo, self.geometry, self.abundances)
+        clean.flags.writeable = False
         return HsiImage(clean, width=self.image.width, height=self.image.height)
 
 
@@ -419,10 +459,11 @@ def _hapke_blocks(albedo: np.ndarray, geometry: HapkeGeometry):
 
 
 def _hapke_mix(albedo: np.ndarray, geometry: HapkeGeometry, abundances: AbundanceMatrix):
-    """The C-ordered (P, N) mixture ``sum_k E_n[:, k] a[k, n]`` of the
-    rendered endmembers, equal bit for bit to ``einsum("pkn,kn->pn")`` over
+    """The (P, N) mixture ``sum_k E_n[:, k] a[k, n]`` of the rendered
+    endmembers as a new Fortran-ordered array, each block mixed into its own
+    contiguous columns: equal bit for bit to ``einsum("pkn,kn->pn")`` over
     the whole tensor but holding one block of it at a time."""
-    clean = np.empty((albedo.shape[0], geometry.pixel_count))
+    clean = np.empty((albedo.shape[0], geometry.pixel_count), order="F")
     for part, rendered in _hapke_blocks(albedo, geometry):
         np.einsum("pkn,kn->pn", rendered, abundances.data[:, part], out=clean[:, part])
     return clean
@@ -446,10 +487,10 @@ def generate_hapke_scene(
     would fabricate radiometry.
 
     Rendering and mixing run over blocks of pixels, so the (P, K, N)
-    tensor is never formed here: generation peaks at about three images
-    (the clean mixture, its square for the signal power, and the noisy
-    result), whatever K. The scene keeps only the noisy image; its clean
-    image and tensor are derived again when read.
+    tensor is never formed here: the mixture is written into the image's
+    buffer and the noise added in place, so generation holds one image and
+    a few blocks, whatever K. The scene keeps only the noisy image; its
+    clean image and tensor are derived again when read.
     """
     _check_snr(snr_db)
     if not abundances.normalized:
@@ -472,7 +513,8 @@ def generate_hapke_scene(
     albedo = hapke_invert(e0, 1.0, 1.0)
     albedo.flags.writeable = False
     rng = np.random.default_rng(seed)
-    noisy = _add_noise(_hapke_mix(albedo, geom, abundances), snr_db, rng)
+    # The signal power is summed in C order, as for 2LMM scenes.
+    noisy = _add_noise(_hapke_mix(albedo, geom, abundances), snr_db, rng, "C")
     height, width = dsm.heights.shape
     return HapkeScene(
         image=HsiImage(noisy, width=width, height=height),

@@ -61,7 +61,8 @@ class ProjectionSpec:
         """The spec of ``image``'s normalized mean spectrum (which maximizes
         the worst-case margin on nonnegative data), after checking that every
         pixel clears the margin. For another vector, construct the spec
-        directly; :func:`perspective_project` makes the same check."""
+        directly; :func:`perspective_project` and :func:`vca_extract` make
+        the same check."""
         spec = cls(v=_mean_direction(image))
         _checked_dots(image, spec)
         return spec
@@ -111,9 +112,10 @@ def perspective_project(image: HsiImage, spec: ProjectionSpec) -> HsiImage:
     return HsiImage(projected, width=image.width, height=image.height)
 
 
-def _leading_subspace(y: np.ndarray, k: int) -> np.ndarray:
-    """The leading ``k`` left singular vectors of ``y``, from the SVD of a
-    P x P triangle instead of the P x N image.
+def _leading_subspace(y: np.ndarray, k: int, dots: np.ndarray | None = None) -> np.ndarray:
+    """The leading ``k`` left singular vectors of ``y``, or of its
+    perspective projection ``y / dots`` when ``dots`` is given, from the
+    SVD of a P x P triangle instead of the P x N image.
 
     ``L = cholesky(Y Y^T)`` is the triangle of the LQ factorisation
     ``Y = L Q`` up to column signs, and LAPACK's SVD of a wide image
@@ -126,15 +128,26 @@ def _leading_subspace(y: np.ndarray, k: int) -> np.ndarray:
     precision, so when the factorisation fails (noiseless data, fewer
     pixels than bands) or the triangle's smallest singular value is below
     ``_GRAM_MIN_RATIO`` times its largest, the triangle comes from a
-    Householder QR of ``Y^T`` instead. Raises when ``y`` has rank below
+    Householder QR of ``Y^T`` instead; only then is a projection formed.
+    The projection's Gram is summed over pixel blocks, so it differs from
+    ``Y @ Y.T`` at the rounding level. Raises when ``y`` has rank below
     ``k``.
     """
     p, n = y.shape
+    if dots is None:
+        gram = y @ y.T
+    else:  # the projection's Gram, one block of pixels at a time
+        gram = np.zeros((p, p))
+        for start in range(0, n, _BLOCK):
+            block = y[:, start : start + _BLOCK] / dots[start : start + _BLOCK]
+            gram += block @ block.T
     try:
-        basis, sv, _ = np.linalg.svd(np.linalg.cholesky(y @ y.T))
+        basis, sv, _ = np.linalg.svd(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:  # the band Gram is singular
         sv = None
     if sv is None or sv[-1] < _GRAM_MIN_RATIO * sv[0]:
+        if dots is not None:
+            y = y / dots
         basis, sv, _ = np.linalg.svd(np.linalg.qr(y.T, mode="r").T, full_matrices=False)
     if k > sv.size or sv[k - 1] <= max(p, n) * np.finfo(np.float64).eps * sv[0]:
         raise ValueError(f"image rank is below the requested count {k}")
@@ -142,7 +155,7 @@ def _leading_subspace(y: np.ndarray, k: int) -> np.ndarray:
 
 
 def vca_extract(
-    image: HsiImage, count: int, seed: int = 0
+    image: HsiImage, count: int, seed: int = 0, projection: ProjectionSpec | None = None
 ) -> tuple[EndmemberMatrix, np.ndarray]:
     """Pure-pixel extraction by successive orthogonal projections.
 
@@ -154,6 +167,14 @@ def vca_extract(
     deterministic for a fixed seed. Negative noise excursions in the
     selected columns are zeroed to meet the endmember nonnegativity
     contract; the indices recover the raw columns when needed.
+
+    With ``projection``, extraction runs on the perspective projection of
+    ``image`` (:func:`perspective_project`, which makes the same margin
+    check) without forming it: the band Gram is summed over blocks of
+    pixels, the reduced data are those of the image divided by each
+    pixel's dot product, and the spectra returned are the projected
+    columns. The picks are those on the projected image up to rounding;
+    tests pin them on the protocol scenes.
     """
     y = image.data
     n = y.shape[1]
@@ -161,7 +182,10 @@ def vca_extract(
         raise ValueError("endmember count must be positive")
     if n < count:
         raise ValueError(f"image has {n} pixels, fewer than {count}")
-    reduced = _leading_subspace(y, count).T @ y
+    dots = None if projection is None else _checked_dots(image, projection)
+    reduced = _leading_subspace(y, count, dots).T @ y
+    if dots is not None:
+        reduced /= dots  # the reduced projection, up to rounding
 
     if count == 1:
         indices = np.array([int(np.argmax(np.abs(reduced[0])))])
@@ -182,7 +206,8 @@ def vca_extract(
             picks.append(idx)
             found[:, i] = reduced[:, idx]
         indices = np.array(picks)
-    return EndmemberMatrix(np.maximum(y[:, indices], 0.0)), indices
+    columns = y[:, indices] if dots is None else y[:, indices] / dots[indices]
+    return EndmemberMatrix(np.maximum(columns, 0.0)), indices
 
 
 @dataclass(frozen=True)

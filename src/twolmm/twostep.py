@@ -445,6 +445,7 @@ def _solve(image, endmembers, cfg: TwoLmmConfig, init) -> UnmixResult:
 
     cost_at = _solver_cost(x, *qr)
     z = state.packed
+    del state  # its K x N abundances are dead; z is the iterate from here on
     current_cost = cost_at(*_unpack(z, k, n))
     trace = SolverTrace(initial_cost=current_cost)
     history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=cfg.memory)

@@ -317,6 +317,20 @@ class TestUnmix:
         assert not any(row["error"] for row in rows)
         assert peak < 0.8 * bundle.image.data.nbytes
 
+    def test_vca_extraction_holds_no_second_image(self, tmp_path):
+        # Extraction works on the perspective projection block by block;
+        # what stays is O(K N), a P x P Gram and pixel blocks.
+        cfg = small_cfg(tmp_path, width=100, height=100, bands=120, em_source="vca")
+        bundle = build_scene(cfg)
+        tracemalloc.start()
+        try:
+            em = resolve_endmembers(cfg, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert em.endmember_count == 3
+        assert peak <= 0.75 * bundle.image.data.nbytes
+
     def test_trace_files_written(self, tmp_path):
         cfg = small_cfg(tmp_path)
         cmd_unmix(cfg)

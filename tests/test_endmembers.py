@@ -76,6 +76,8 @@ class TestPerspectiveProject:
         spec = ProjectionSpec(v=np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match=r"\[1\]"):
             perspective_project(img, spec)
+        with pytest.raises(ValueError, match=r"\[1\]"):
+            vca_extract(img, 1, projection=spec)
 
     def test_spec_construction_validates_margin(self):
         # The mean spectrum (0, 0.5) is orthogonal to the first pixel.
@@ -115,6 +117,32 @@ class TestVcaExtract:
         for j in range(4):
             angle = sad(est.data[:, j], em.data[:, match.permutation[j]])
             assert angle <= 0.5
+
+    @pytest.mark.parametrize("seed", range(4, 10))
+    def test_projection_matches_the_projected_image(self, seed):
+        """On the paper's protocol scene (50 x 50, 120 bands, K=3, 40 dB),
+        extraction with ``projection`` picks what extraction on the projected
+        image picks, and returns the projected columns bit for bit."""
+        cfg = cli.ExperimentConfig(
+            width=50, height=50, k=3, bands=120, snr_db=40.0, em_source="vca", seed=seed
+        )
+        img = cli.build_scene(cfg).image
+        spec = ProjectionSpec.for_image(img)
+        est, idx = vca_extract(img, 3, seed=seed, projection=spec)
+        want_est, want_idx = vca_extract(perspective_project(img, spec), 3, seed=seed)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(est.data, want_est.data)
+
+    def test_projection_of_noiseless_data_takes_the_householder_route(self, qr_calls):
+        # The planted scene is rank 4 in 50 bands, so the band Gram of the
+        # projection is singular and the projection is formed for a QR.
+        img, em = self.plant_scene(seed=5, scaled=True)
+        spec = ProjectionSpec.for_image(img)
+        est, idx = vca_extract(img, 4, seed=0, projection=spec)
+        assert qr_calls == [(img.pixel_count, img.band_count)]
+        want_est, want_idx = vca_extract(perspective_project(img, spec), 4, seed=0)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(est.data, want_est.data)
 
     def test_k1_picks_max_projection_pixel(self):
         rng = np.random.default_rng(6)
@@ -237,7 +265,11 @@ class TestLeadingSubspace:
 
         monkeypatch.setattr(cli, "vca_extract", recording_vca)
         em = cli.resolve_endmembers(cfg, bundle)
-        monkeypatch.setattr(endmembers_module, "_leading_subspace", full_svd_basis)
+        monkeypatch.setattr(
+            endmembers_module,
+            "_leading_subspace",
+            lambda y, k, dots=None: full_svd_basis(y if dots is None else y / dots, k),
+        )
         monkeypatch.setattr(cli, "_leading_subspace", full_svd_basis)
         expected = cli.resolve_endmembers(cfg, bundle)
         assert picks[0] == picks[1]
