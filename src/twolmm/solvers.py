@@ -91,7 +91,11 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
     The columns of a block run the same primal active set in lockstep. A
     bound coordinate's KKT row and column are those of the identity, so
     every KKT system is (K+1) x (K+1) and one stacked solve serves them all.
-    Blocks of ``_BLOCK`` columns keep the memory at O(_BLOCK * K^2).
+    Each iteration copies the KKT template of the free problem into the
+    stack, writes the identity rows and columns of the bound coordinates,
+    and solves against a right-hand side that is zero on them. Finished
+    columns leave the block in the iterations where some finish. Blocks of
+    ``_BLOCK`` columns keep the memory at O(_BLOCK * K^2).
     """
     k, m = linear.shape
     out = np.empty((k, m))
@@ -107,35 +111,47 @@ def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:
         free = np.ones(f.shape, dtype=bool)
         for _ in range(50 * k + 50):
             grad = a @ gram - f
-            on = np.pad(free, ((0, 0), (0, 1)), constant_values=True)
-            kkt = kkt_all * (on[:, :, None] & on[:, None, :])
-            kkt[:, :k, :k] += np.eye(k) * ~free[:, None, :]
-            rhs = np.pad(np.where(free, -grad, 0.0), ((0, 0), (0, 1)))
-            sol = np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+            kkt = np.empty((len(a), k + 1, k + 1))
+            kkt[:] = kkt_all
+            rows, bound = np.nonzero(~free)
+            kkt[rows, bound, :] = 0.0
+            kkt[rows, :, bound] = 0.0
+            kkt[rows, bound, bound] = 1.0
+            rhs = np.zeros((len(a), k + 1, 1))
+            rhs[:, :k, 0] = np.where(free, -grad, 0.0)
+            sol = np.linalg.solve(kkt, rhs)[:, :, 0]
             step, nu = sol[:, :k], sol[:, k]
+            # Row extrema are read at the arg-extremum: numpy's min and max
+            # along a short last axis cost several times more.
+            lane = np.arange(len(a))
             # At the equality-constrained minimizer of the free set, free the
             # bound coordinate with the most negative multiplier, or stop
             # when none is negative. Ties go to the lowest index.
-            stationary = np.abs(step).max(axis=1) <= tol / gscale
+            magnitude = np.abs(step)
+            stationary = magnitude[lane, magnitude.argmax(axis=1)] <= tol / gscale
             mu = np.where(free, np.inf, grad + nu[:, None])
             worst = np.argmin(mu, axis=1)
-            done = stationary & (mu.min(axis=1) >= -tol)
+            done = stationary & (mu[lane, worst] >= -tol)
             release = stationary & ~done
             free[release, worst[release]] = True
             # Elsewhere step to that minimizer, stopping at the first
             # nonnegativity bound hit on the way; ties bind the lowest index.
             decreasing = ~stationary[:, None] & (step < -tol[:, None] / gscale)
-            limits = np.divide(a, -step, out=np.full(a.shape, np.inf), where=decreasing)
-            best = limits.min(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                limits = np.divide(a, -step)
+            limits[~decreasing] = np.inf
+            best = limits[lane, limits.argmin(axis=1)]
             blocked = best < 1.0
             blocking = np.argmax(decreasing & (limits <= best[:, None] + 1e-15), axis=1)
             a += (np.minimum(best, 1.0) * ~stationary)[:, None] * step
             free[blocked, blocking[blocked]] = False
-            a = np.where(free, np.maximum(a, 0.0), 0.0)
-            out[:, cols[done]] = a[done].T
-            a, f, free, tol, cols = (v[~done] for v in (a, f, free, tol, cols))
-            if not cols.size:
-                break
+            np.maximum(a, 0.0, out=a)
+            a[~free] = 0.0
+            if done.any():
+                out[:, cols[done]] = a[done].T
+                a, f, free, tol, cols = (v[~done] for v in (a, f, free, tol, cols))
+                if not cols.size:
+                    break
         else:
             raise SolverError("simplex QP active-set iteration limit exceeded")
     return out

@@ -39,6 +39,15 @@ class IterationRecord:
     ``||X - E diag(s_e) A_s||^2`` to rounding, about
     ``eps ||X|| / sqrt(cost)`` relative, so near an exact fit both are at
     the rounding level.
+
+    The last four fields count the work of the iteration. ``n_cost_evals``
+    is the number of cost evaluations: the trial points of the step-size
+    search, the fallback's, and the one at the accepted, clipped point.
+    ``backtracks`` is the number of trial steps the acceptance test
+    rejected. ``pair_skipped`` is true when the curvature test rejected the
+    iteration's curvature pair, and ``als_fallback`` when the search ran
+    out of halvings and the ALS step (or the scales-only sweep) was taken.
+    Plain ALS and the single-shot methods read 1, 0, False, False.
     """
 
     iteration: int
@@ -48,6 +57,10 @@ class IterationRecord:
     rel_change_a: float
     rel_change_s: float
     time_s: float
+    n_cost_evals: int = 1
+    backtracks: int = 0
+    pair_skipped: bool = False
+    als_fallback: bool = False
 
 
 class SolverTrace:

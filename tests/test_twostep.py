@@ -20,6 +20,7 @@ from twolmm import (
     synthetic_endmembers,
 )
 from twolmm import twostep
+from twolmm.cli import ExperimentConfig, build_scene
 from twolmm.datagen import GrfSpec
 from twolmm.solvers import SolverError, _normal_parts, _qr_fit
 from twolmm.twostep import (
@@ -433,6 +434,9 @@ class TestSolveLbfgs:
         for ra, rb in zip(res_als.trace, res_lb.trace):
             assert ra.cost == rb.cost == rb.cost_accept
             assert ra.step == rb.step == 1.0
+            counts = (ra.n_cost_evals, ra.backtracks, ra.pair_skipped, ra.als_fallback)
+            assert counts == (rb.n_cost_evals, rb.backtracks, rb.pair_skipped, rb.als_fallback)
+            assert counts == (1, 0, False, False)
         np.testing.assert_array_equal(res_als.abundances.data, res_lb.abundances.data)
         np.testing.assert_array_equal(res_als.s_e, res_lb.s_e)
         np.testing.assert_array_equal(res_als.s_x, res_lb.s_x)
@@ -444,6 +448,20 @@ class TestSolveLbfgs:
         assert [r.cost for r in r1.trace] == [r.cost for r in r2.trace]
         assert [r.step for r in r1.trace] == [r.step for r in r2.trace]
         np.testing.assert_array_equal(r1.abundances.data, r2.abundances.data)
+
+    def test_searched_steps_count_their_cost_evaluations(self):
+        # Every trial step the test rejects halves the step; the accepted
+        # trial and the cost at the clipped point make two more evaluations.
+        em, _, scene = exact_scene(seed=40, width=20, height=20, snr_db=30.0)
+        cfg = TwoLmmConfig()
+        res = solve_lbfgs(scene.image, em, cfg)
+        assert not any(r.als_fallback for r in res.trace)
+        for rec in res.trace:
+            assert rec.n_cost_evals == rec.backtracks + 2
+            assert rec.step == cfg.step_init * cfg.step_shrink**rec.backtracks
+        assert max(r.backtracks for r in res.trace) >= 5
+        # The first iteration has no curvature pair to test.
+        assert not res.trace[0].pair_skipped
 
     def test_exhausted_backtracking_falls_back_to_als_step(self, monkeypatch):
         # With no halvings allowed, any rejected unit step must fall back
@@ -463,6 +481,17 @@ class TestSolveLbfgs:
         a_s = res.abundances.data * res.s_x
         assert a_s.max() <= cfg.upper + 1e-12
         assert cfg.lower - 1e-12 <= res.s_e.min()
+        # A fallback iteration rejects its one trial, then evaluates the ALS
+        # step, the scales-only sweep when that step fails, and the iterate;
+        # it restarts the step at 1, where a step size shows no backtrack.
+        fallbacks = [r for r in res.trace if r.als_fallback]
+        assert fallbacks
+        for rec in fallbacks:
+            assert (rec.backtracks, rec.step) == (1, 1.0)
+            assert rec.n_cost_evals in (3, 4)
+        for rec in res.trace:
+            if not rec.als_fallback:
+                assert rec.n_cost_evals == rec.backtracks + 2 == 2
 
     def test_max_iter_stop_warns(self):
         em, ab, scene = exact_scene(seed=31, width=8, height=8)
@@ -630,6 +659,31 @@ class TestMemoryContract:
         state = TwoLmmState.uniform(em.endmember_count, scene.image.pixel_count)
         peak = traced_peak(lambda: call(scene.image, em, state))
         assert peak < 0.25 * scene.image.data.nbytes
+
+    # Bounds in units of one K x N array: the peaks these solves read when
+    # the loop still allocated its temporaries, so a buffer the loop keeps
+    # must replace one of them. The ALS peak is set up front, by the block
+    # of the pass for c0.
+    @pytest.mark.parametrize(
+        "kind, solver, bound",
+        [
+            ("2lmm", solve_als, 12.6),
+            ("2lmm", solve_lbfgs, 25.2),
+            ("hapke", solve_als, 9.9),
+            ("hapke", solve_lbfgs, 17.1),
+        ],
+        ids=["2lmm-als", "2lmm-lbfgs", "hapke-als", "hapke-lbfgs"],
+    )
+    def test_noisy_solve_peak_in_kn_arrays(self, kind, solver, bound):
+        if kind == "2lmm":
+            em, _, scene = exact_scene(seed=44, width=100, height=100, bands=120, snr_db=40.0)
+        else:
+            cfg = ExperimentConfig(scene_kind="hapke", width=100, height=100, k=6, seed=3)
+            scene = build_scene(cfg)
+            em = scene.endmembers_truth
+        image = scene.image
+        peak = traced_peak(lambda: solver(image, em, TwoLmmConfig()))
+        assert peak <= bound * em.endmember_count * image.pixel_count * 8
 
     @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
     def test_near_exact_fit_solve_holds_no_image_sized_array(self, solver):
