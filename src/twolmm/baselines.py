@@ -57,7 +57,7 @@ def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix) -> UnmixResult:
     elapsed = time.perf_counter() - t0
     # The columns already lie on the simplex; normalize_abundances would
     # divide them by sums that differ from one in the last bit.
-    norm = NormalizationResult(AbundanceMatrix(a, normalized=True), s_x=np.ones(n))
+    norm = NormalizationResult(AbundanceMatrix(a), s_x=np.ones(n))
     return _unmix_result(image, e, a, np.ones(k), norm, elapsed)
 
 

@@ -59,6 +59,7 @@ from .fileio import (
     FormatError,
     _new_file,
     _read_key_values,
+    _write_key_values,
     load_abundances,
     load_endmembers,
     load_image,
@@ -330,23 +331,22 @@ def cmd_generate(cfg: ExperimentConfig) -> Path:
     save_image(bundle.image, out / "scene.hsi")
     save_abundances(bundle.abundances_truth, out / "abundances_gt.abn")
     save_endmembers(bundle.endmembers_truth, out / "endmembers_gt.emm")
-    manifest = [
-        f"kind = {cfg.scene_kind}",
-        f"seed = {cfg.seed}",
-        f"width = {cfg.width}",
-        f"height = {cfg.height}",
-        f"k = {cfg.k}",
-        f"bands = {cfg.bands}",
-        "snr_db = %s" % ("inf" if cfg.snr_db is None else "%.17g" % cfg.snr_db),
-        "image = scene.hsi",
-        "abundances = abundances_gt.abn",
-        "endmembers = endmembers_gt.emm",
-    ]
+    manifest = {
+        "kind": cfg.scene_kind,
+        "seed": cfg.seed,
+        "width": cfg.width,
+        "height": cfg.height,
+        "k": cfg.k,
+        "bands": cfg.bands,
+        "snr_db": "inf" if cfg.snr_db is None else "%.17g" % cfg.snr_db,
+        "image": "scene.hsi",
+        "abundances": "abundances_gt.abn",
+        "endmembers": "endmembers_gt.emm",
+    }
     if cfg.scene_kind == "2lmm":
         save_scaling_state(bundle.scaling, out / "scalings_gt.txt")
-        manifest.append("scalings = scalings_gt.txt")
-    with _new_file(out / "manifest.txt") as fh:
-        fh.write("\n".join(manifest) + "\n")
+        manifest["scalings"] = "scalings_gt.txt"
+    _write_key_values(out / "manifest.txt", manifest)
     return out
 
 
@@ -426,9 +426,7 @@ def run_methods(
             row["rmse_x"] = rmse_x(bundle.image, result)
             if match is not None:
                 a_est = align_abundances(result.abundances.data, match)
-                row["rmse_a"] = rmse_a(
-                    bundle.abundances_truth, AbundanceMatrix(a_est, normalized=True)
-                )
+                row["rmse_a"] = rmse_a(bundle.abundances_truth, AbundanceMatrix(a_est))
             traces[name] = result.trace
         except SolverError as exc:
             row["error"] = str(exc)

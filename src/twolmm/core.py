@@ -11,16 +11,18 @@ Array shape conventions
   pixels individually.
 
 All containers hold their payload as float64 in column-major (Fortran)
-layout, so per-pixel solves touch contiguous memory, and read-only. A
-payload that already is such an array and owns its memory is adopted as
-it is; any other payload (a writable array, a view, another layout or
-dtype) is copied, so that changing the caller's array never changes a
-container. twolmm's own producers of P x N arrays (the scene generators,
-the perspective projection, the raw-file reader and the lazy
-reconstruction of a result) mark their fresh array read-only before
-wrapping it, so an image is never copied. Instances are immutable after
-construction; every function in this module is pure and safe to call
-concurrently.
+layout, so per-pixel solves touch contiguous memory, and read-only. An
+image or endmember payload that already is such an array and owns its
+memory is adopted as it is; any other payload (a writable array, a view,
+another layout or dtype) is copied, so that changing the caller's array
+never changes a container. twolmm's own producers of P x N arrays (the
+scene generators, the perspective projection, the raw-file reader and the
+lazy reconstruction of a result) mark their fresh array read-only before
+wrapping it, so an image is never copied. An abundance matrix never
+adopts its payload: its clamp of tiny negatives to zero always allocates,
+and that one fresh array becomes the payload. Instances are immutable
+after construction; every function in this module is pure and safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -201,16 +203,16 @@ class EndmemberMatrix:
 
 @dataclass(frozen=True)
 class AbundanceMatrix:
-    """Fractional abundances: (K, N) matrix, one column per pixel.
+    """Fractional abundances on the simplex: (K, N) matrix, one column per
+    pixel.
 
-    Entries must be nonnegative (up to ``ANC_TOL``). When ``normalized`` is
-    set, every column must sum to one within ``ASC_TOL``; exactly-zero
-    columns are tolerated as degenerate-pixel placeholders (see
+    Entries must be nonnegative (up to ``ANC_TOL``; tiny negatives are set
+    to zero), and every column must sum to one within ``ASC_TOL`` or be
+    exactly zero, the placeholder of a degenerate pixel (see
     :func:`normalize_abundances`).
     """
 
     data: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         data = _checked_matrix(
@@ -218,15 +220,14 @@ class AbundanceMatrix:
         )
         if np.any(data < -ANC_TOL):
             raise ValueError("abundance data violates nonnegativity")
-        data = np.maximum(data, 0.0)
-        if self.normalized:
-            sums = data.sum(axis=0)
-            ok = (np.abs(sums - 1.0) <= ASC_TOL) | (sums == 0.0)
-            if not np.all(ok):
-                raise ValueError(
-                    "columns that do not sum to one (normalized flag set): "
-                    + _index_summary(np.flatnonzero(~ok))
-                )
+        # One copy: _freeze adopts the clamp's fresh read-only Fortran array.
+        data = np.maximum(data, 0.0, order="F")
+        data.flags.writeable = False
+        sums = data.sum(axis=0)
+        ok = (np.abs(sums - 1.0) <= ASC_TOL) | (sums == 0.0)
+        if not np.all(ok):
+            bad = _index_summary(np.flatnonzero(~ok))
+            raise ValueError(f"columns that do not sum to one: {bad}")
         object.__setattr__(self, "data", _freeze(data))
 
     @property
@@ -303,16 +304,14 @@ def rmse_x(x_true: HsiImage, x_est: HsiImage | UnmixResult) -> float:
 def rmse_a(a_true: AbundanceMatrix, a_est: AbundanceMatrix) -> float:
     """Root mean square abundance error over all endmembers and pixels.
 
-    Both inputs must be normalized. The per-pixel squared errors are summed
-    over all pixels and divided by K*N before the square root, mirroring
-    the structure of :func:`rmse_x`.
+    Both inputs lie on the simplex, as every :class:`AbundanceMatrix` does.
+    The per-pixel squared errors are summed over all pixels and divided by
+    K*N before the square root, mirroring the structure of :func:`rmse_x`.
     """
     if a_true.data.shape != a_est.data.shape:
         raise ValueError(
             f"abundance shapes differ: {a_true.data.shape} vs {a_est.data.shape}"
         )
-    if not (a_true.normalized and a_est.normalized):
-        raise ValueError("abundance RMSE requires normalized inputs")
     diff = a_true.data - a_est.data
     return float(np.sqrt(np.mean(diff * diff)))
 
@@ -352,7 +351,7 @@ def normalize_abundances(a_s: np.ndarray) -> NormalizationResult:
     safe = np.where(s_x > 0.0, s_x, 1.0)
     a = a_s / safe
     return NormalizationResult(
-        abundances=AbundanceMatrix(a, normalized=True),
+        abundances=AbundanceMatrix(a),
         s_x=s_x,
         degenerate_pixels=degenerate,
     )

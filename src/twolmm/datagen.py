@@ -92,7 +92,7 @@ def generate_grf_abundances(spec: GrfSpec) -> AbundanceMatrix:
     logits -= logits.max(axis=0, keepdims=True)
     weights = np.exp(logits)
     a = weights / weights.sum(axis=0, keepdims=True)
-    return AbundanceMatrix(a, normalized=True)
+    return AbundanceMatrix(a)
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,6 @@ def generate_2lmm_scene(
     skips the noise entirely; NaN and ``-inf`` raise ``ValueError``.
     """
     _check_snr(snr_db)
-    if not abundances.normalized:
-        raise ValueError("ground-truth abundances must be normalized")
     if endmembers.endmember_count != abundances.endmember_count:
         raise ValueError("endmember/abundance sizes are inconsistent")
     lo, hi = s_range
@@ -493,8 +491,6 @@ def generate_hapke_scene(
     clean image and tensor are derived again when read.
     """
     _check_snr(snr_db)
-    if not abundances.normalized:
-        raise ValueError("ground-truth abundances must be normalized")
     e0 = endmembers.data
     if np.any(e0 > 1.0):
         raise ValueError("reference reflectances must lie in [0, 1] for inversion")

@@ -290,8 +290,6 @@ def check_sufficiently_scattered(
     k = abundances.endmember_count
     if k < 2:
         raise ValueError("the scatter condition needs at least two endmembers")
-    if not abundances.normalized:
-        raise ValueError("abundances must be normalized")
     # Imported here, not at module level: nothing else in twolmm uses scipy,
     # and loading it would add most of a second to every CLI start.
     import scipy.optimize

@@ -7,9 +7,9 @@ raw-f64
     32-bit little-endian unsigned dimensions giving the payload rows and
     columns, then one 32-bit auxiliary field) followed by rows*columns
     little-endian float64 values in column-major (pixel-major) order. The
-    auxiliary field stores the grid width for images (0 = no grid), the
-    normalized flag for abundances, and is zero for endmembers. Round
-    trips are bit-exact.
+    auxiliary field stores the grid width for images (0 = no grid), is 1
+    for abundances (which are always on the simplex; the loader ignores
+    it), and is zero for endmembers. Round trips are bit-exact.
 
 csv
     A header line ``rows,cols[,width,height]`` followed by ``rows`` lines
@@ -20,7 +20,8 @@ csv
 The loaders sniff the format from the file; only the savers take ``fmt``.
 
 Configurations, scene manifests and scaling files share one UTF-8
-``key = value`` syntax, read by :func:`_read_key_values`.
+``key = value`` syntax, read by :func:`_read_key_values` and written by
+:func:`_write_key_values`.
 """
 
 from __future__ import annotations
@@ -178,6 +179,13 @@ def _read_key_values(path: str | Path) -> dict[str, str]:
     return entries
 
 
+def _write_key_values(path: str | Path, entries: dict[str, object]) -> None:
+    """Write ``entries`` in order as ``key = value`` lines, the syntax that
+    :func:`_read_key_values` reads."""
+    with _new_file(path) as fh:
+        fh.write("".join(f"{key} = {value}\n" for key, value in entries.items()))
+
+
 def _contain(path: Path, container, data: np.ndarray, **kwargs):
     """``container(data, **kwargs)`` for the data read from ``path``; a
     ``ValueError`` from the container's checks (an empty or non-finite
@@ -252,23 +260,21 @@ def load_endmembers(path: str | Path) -> EndmemberMatrix:
 
 
 def save_abundances(ab: AbundanceMatrix, path: str | Path, fmt: str = "raw-f64") -> None:
-    _save(path, fmt, _MAGIC_ABUNDANCES, ab.data, (int(ab.normalized),))
+    """Write abundances; the field after their shape is the constant 1."""
+    _save(path, fmt, _MAGIC_ABUNDANCES, ab.data, (1,))
 
 
 def load_abundances(path: str | Path) -> AbundanceMatrix:
-    path, matrix, extras = _load(path, _MAGIC_ABUNDANCES)
-    return _contain(path, AbundanceMatrix, matrix, normalized=bool(extras and extras[0]))
+    """Read abundances, whatever the field after their shape; columns off the
+    simplex are a :class:`FormatError` naming the file."""
+    path, matrix, _ = _load(path, _MAGIC_ABUNDANCES)
+    return _contain(path, AbundanceMatrix, matrix)
 
 
 def save_scaling_state(state: ScalingState, path: str | Path) -> None:
     """Write scaling factors as a small key-value text file."""
-    lines = [
-        "bounds = %.17g,%.17g" % (state.lower, state.upper),
-        "s_e = " + ",".join("%.17g" % v for v in state.s_e),
-        "s_x = " + ",".join("%.17g" % v for v in state.s_x),
-    ]
-    with _new_file(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    values = {"bounds": (state.lower, state.upper), "s_e": state.s_e, "s_x": state.s_x}
+    _write_key_values(path, {k: ",".join("%.17g" % x for x in v) for k, v in values.items()})
 
 
 def load_scaling_state(path: str | Path) -> ScalingState:

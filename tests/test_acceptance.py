@@ -58,7 +58,7 @@ def table_protocol():
             res = solver()
             aligned = t.align_abundances(res.abundances.data, match)
             entry[name] = t.rmse_a(
-                bundle.abundances_truth, t.AbundanceMatrix(aligned, normalized=True)
+                bundle.abundances_truth, t.AbundanceMatrix(aligned)
             )
             entry[name + "_result"] = res
         runs.append(entry)
@@ -298,14 +298,14 @@ class TestCriterion11ScatterChecker:
         rng = np.random.default_rng(15)
         pure = np.hstack([np.eye(3), rng.dirichlet([1, 1, 1], size=30).T])
         assert t.check_sufficiently_scattered(
-            t.AbundanceMatrix(pure, normalized=True), directions=500, seed=0
+            t.AbundanceMatrix(pure), directions=500, seed=0
         ).passed
 
         interior = 0.2 + 0.4 * rng.dirichlet([1, 1, 1], size=80).T
         interior /= interior.sum(axis=0, keepdims=True)
         assert interior.min() >= 0.2
         res = t.check_sufficiently_scattered(
-            t.AbundanceMatrix(interior, normalized=True), directions=500, seed=0
+            t.AbundanceMatrix(interior), directions=500, seed=0
         )
         assert not res.passed
         assert res.witness is not None
@@ -317,7 +317,7 @@ class TestCriterion11ScatterChecker:
         ]
         grid = np.array(cols).T
         assert t.check_sufficiently_scattered(
-            t.AbundanceMatrix(grid, normalized=True), directions=500, seed=0
+            t.AbundanceMatrix(grid), directions=500, seed=0
         ).passed
         report(11, "scatter checker: pure pixels pass, interior-only abundances "
                    "fail with a witness, quarter-fraction mixture grid passes")

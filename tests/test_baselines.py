@@ -24,7 +24,7 @@ def make_exact_scene(seed=0, p=8, k=3, n=40):
     rng = np.random.default_rng(seed)
     e = rng.uniform(0.1, 1.0, size=(p, k))
     a = rng.dirichlet(np.ones(k), size=n).T
-    return EndmemberMatrix(e), AbundanceMatrix(a, normalized=True)
+    return EndmemberMatrix(e), AbundanceMatrix(a)
 
 
 class TestUnmixLmm:
@@ -113,7 +113,7 @@ class TestUnmixSlmm:
         s = rng.uniform(1.0 / 3.0, 3.0, size=30)
         img = HsiImage((e @ a) * s)
         res = unmix_slmm(img, EndmemberMatrix(e))
-        assert rmse_a(AbundanceMatrix(a, normalized=True), res.abundances) <= 1e-6
+        assert rmse_a(AbundanceMatrix(a), res.abundances) <= 1e-6
         np.testing.assert_allclose(res.s_x, s, atol=1e-6)
 
     def test_matches_lmm_on_unscaled_data(self):

@@ -197,6 +197,14 @@ class TestGenerate:
         ]
         assert "seed = 3" in (out / "manifest.txt").read_text()
 
+    def test_manifest_lines(self, tmp_path):
+        out = cmd_generate(small_cfg(tmp_path))
+        assert (out / "manifest.txt").read_text() == (
+            "kind = 2lmm\nseed = 3\nwidth = 12\nheight = 12\nk = 3\nbands = 40\n"
+            "snr_db = 40\nimage = scene.hsi\nabundances = abundances_gt.abn\n"
+            "endmembers = endmembers_gt.emm\nscalings = scalings_gt.txt\n"
+        )
+
     def test_same_seed_byte_identical(self, tmp_path):
         cfg1 = small_cfg(tmp_path, out_dir=str(tmp_path / "a"))
         cfg2 = small_cfg(tmp_path, out_dir=str(tmp_path / "b"))
@@ -634,13 +642,16 @@ class TestMainExitCodes:
         abn = scene_dir / "abundances_gt.abn"
         a = load_abundances(abn).data.copy()
         a[:, 0] *= 0.5
-        fileio._write_raw(abn, fileio._MAGIC_ABUNDANCES, a, 1)
         cfg_path = write_config(tmp_path, SMALL_SCENE + f"scene.dir = {scene_dir}\n")
         out = tmp_path / "res"
-        assert main(["unmix", "--config", str(cfg_path), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"i/o error: {abn}: columns that do not sum to one")
-        assert not out.exists()
+        # The auxiliary field does not matter: the columns are checked.
+        for aux in (0, 1):
+            fileio._write_raw(abn, fileio._MAGIC_ABUNDANCES, a, aux)
+            assert main(["unmix", "--config", str(cfg_path), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            reason = "columns that do not sum to one: 1 (first indices [0])"
+            assert err == f"i/o error: {abn}: {reason}\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "header, reason",

@@ -1,5 +1,6 @@
 """Core types, metrics, and abundance normalization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -107,23 +108,38 @@ class TestEndmemberMatrix:
 
 
 class TestAbundanceMatrix:
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError, match="sum to one"):
-            AbundanceMatrix(np.array([[0.5], [0.6]]), normalized=True)
+    def test_column_sums_checked(self):
+        with pytest.raises(ValueError) as caught:
+            AbundanceMatrix(np.array([[0.5, 0.5, 0.5], [0.5, 0.6, 0.5 + 2e-9]]))
+        assert str(caught.value) == "columns that do not sum to one: 2 (first indices [1, 2])"
+        AbundanceMatrix(np.array([[0.5], [0.5 + 1e-10]]))
 
     def test_tiny_negative_tolerated_and_clipped(self):
-        a = AbundanceMatrix(np.array([[1.0], [-1e-13]]), normalized=True)
+        a = AbundanceMatrix(np.array([[1.0], [-1e-13]]))
         assert a.data[1, 0] == 0.0
 
     def test_degenerate_zero_column_allowed_when_normalized(self):
-        a = AbundanceMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), normalized=True)
-        assert a.normalized
+        data = np.array([[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(AbundanceMatrix(data).data, data)
 
-    @pytest.mark.parametrize("normalized", [False, True])
     @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)])
-    def test_empty_matrix_rejected(self, shape, normalized):
+    def test_empty_matrix_rejected(self, shape):
         with pytest.raises(ValueError, match="at least one"):
-            AbundanceMatrix(np.zeros(shape), normalized=normalized)
+            AbundanceMatrix(np.zeros(shape))
+
+    def test_payload_is_one_fresh_read_only_copy(self):
+        source = np.asfortranarray(np.random.default_rng(2).dirichlet(np.ones(6), 100_000).T)
+        tracemalloc.start()
+        try:
+            a = AbundanceMatrix(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The payload itself is one K x N; the column-sum check adds O(N).
+        assert peak <= 1.6 * source.nbytes
+        assert a.data.flags.f_contiguous and not a.data.flags.writeable
+        source[0, 0] = 5.0
+        assert a.data[0, 0] != 5.0
 
 
 class TestScalingState:
@@ -174,12 +190,12 @@ class TestRmseX:
 
 class TestRmseA:
     def test_identical_zero(self):
-        a = AbundanceMatrix(np.array([[0.4, 0.1], [0.6, 0.9]]), normalized=True)
+        a = AbundanceMatrix(np.array([[0.4, 0.1], [0.6, 0.9]]))
         assert rmse_a(a, a) == 0.0
 
     def test_opposite_unit_vectors(self):
-        a = AbundanceMatrix(np.array([[1.0], [0.0]]), normalized=True)
-        b = AbundanceMatrix(np.array([[0.0], [1.0]]), normalized=True)
+        a = AbundanceMatrix(np.array([[1.0], [0.0]]))
+        b = AbundanceMatrix(np.array([[0.0], [1.0]]))
         assert rmse_a(a, b) == pytest.approx(1.0, abs=0.0)
 
     def test_matches_elementwise_oracle(self):
@@ -191,16 +207,10 @@ class TestRmseA:
         )
         expected = np.sqrt(total / 18.0)
         got = rmse_a(
-            AbundanceMatrix(raw_a, normalized=True),
-            AbundanceMatrix(raw_b, normalized=True),
+            AbundanceMatrix(raw_a),
+            AbundanceMatrix(raw_b),
         )
         assert got == pytest.approx(expected, rel=1e-14)
-
-    def test_unnormalized_rejected(self):
-        a = AbundanceMatrix(np.array([[0.4], [0.6]]), normalized=True)
-        b = AbundanceMatrix(np.array([[0.4], [0.6]]))
-        with pytest.raises(ValueError, match="normalized"):
-            rmse_a(a, b)
 
 
 class TestSad:

@@ -39,7 +39,6 @@ class TestGrfAbundances:
         ab = generate_grf_abundances(GrfSpec(width=20, height=10, k=4, seed=1))
         assert ab.data.min() >= 0.0
         np.testing.assert_allclose(ab.data.sum(axis=0), 1.0, atol=1e-12)
-        assert ab.normalized
 
     def test_spatial_correlation_decays_with_lag(self):
         lag = 5

@@ -324,9 +324,7 @@ class TestCheckSufficientlyScattered:
     def test_pure_pixels_pass(self):
         rng = np.random.default_rng(15)
         cols = np.hstack([np.eye(3), rng.dirichlet([1, 1, 1], size=30).T])
-        res = check_sufficiently_scattered(
-            AbundanceMatrix(cols, normalized=True), directions=500, seed=0
-        )
+        res = check_sufficiently_scattered(AbundanceMatrix(cols), directions=500, seed=0)
         assert res.passed
 
     def test_interior_only_fails_with_witness(self):
@@ -334,9 +332,7 @@ class TestCheckSufficientlyScattered:
         cols = 0.2 + 0.4 * rng.dirichlet([1, 1, 1], size=80).T
         cols /= cols.sum(axis=0, keepdims=True)
         assert cols.min() >= 0.2
-        res = check_sufficiently_scattered(
-            AbundanceMatrix(cols, normalized=True), directions=500, seed=0
-        )
+        res = check_sufficiently_scattered(AbundanceMatrix(cols), directions=500, seed=0)
         assert not res.passed
         assert res.witness is not None
         assert res.residual > 1e-8
@@ -348,24 +344,14 @@ class TestCheckSufficientlyScattered:
                 cols.append([c / 4.0 for c in combo])
         grid = np.array(cols).T
         assert grid.shape == (3, 12)
-        res = check_sufficiently_scattered(
-            AbundanceMatrix(grid, normalized=True), directions=500, seed=0
-        )
+        res = check_sufficiently_scattered(AbundanceMatrix(grid), directions=500, seed=0)
         assert res.passed
 
     def test_pass_is_monotone_in_columns(self):
         rng = np.random.default_rng(17)
         base = np.hstack([np.eye(3), rng.dirichlet([1, 1, 1], size=10).T])
         extra = np.hstack([base, rng.dirichlet([1, 1, 1], size=10).T])
-        r1 = check_sufficiently_scattered(
-            AbundanceMatrix(base, normalized=True), directions=300, seed=3
-        )
-        r2 = check_sufficiently_scattered(
-            AbundanceMatrix(extra, normalized=True), directions=300, seed=3
-        )
+        r1 = check_sufficiently_scattered(AbundanceMatrix(base), directions=300, seed=3)
+        r2 = check_sufficiently_scattered(AbundanceMatrix(extra), directions=300, seed=3)
         assert r1.passed
         assert r2.passed
-
-    def test_requires_normalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            check_sufficiently_scattered(AbundanceMatrix(np.eye(3)), directions=10)

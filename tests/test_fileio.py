@@ -92,14 +92,11 @@ class TestRawFormat:
         assert str(caught.value) == f"{path}: width*height = 4*1 does not match pixel count 6"
 
     def test_abundances_round_trip_with_flag(self, tmp_path):
-        a = AbundanceMatrix(
-            np.random.default_rng(4).dirichlet([1, 1, 1], size=5).T, normalized=True
-        )
+        a = AbundanceMatrix(np.random.default_rng(4).dirichlet([1, 1, 1], size=5).T)
         path = tmp_path / "a.abn"
         save_abundances(a, path)
-        back = load_abundances(path)
-        np.testing.assert_array_equal(back.data, a.data)
-        assert back.normalized
+        np.testing.assert_array_equal(load_abundances(path).data, a.data)
+        assert fileio._HEADER.unpack(path.read_bytes()[:16]) == (b"ABN0", 3, 5, 1)
 
 
 class TestCsvFormat:
@@ -188,7 +185,7 @@ class TestFormatSniffing:
         files = {
             b"HSI0": (save_image, HsiImage(np.ones((3, 4)))),
             b"EMM0": (save_endmembers, EndmemberMatrix(np.eye(3))),
-            b"ABN0": (save_abundances, AbundanceMatrix(np.full((3, 4), 0.25))),
+            b"ABN0": (save_abundances, AbundanceMatrix(np.full((4, 3), 0.25))),
         }
         for other, (save, obj) in files.items():
             if other == magic:
@@ -249,6 +246,7 @@ class TestScalingStateFile:
 # only the file, so an empty or non-finite matrix is the container's to refuse.
 NEGATIVE_ENDMEMBERS = np.array([[1.0, 0.5], [-0.25, 0.5]])
 HALF_COLUMN = np.array([[0.25, 0.5], [0.25, 0.5]])
+HALF_COLUMN_REASON = "columns that do not sum to one: 1 (first indices [0])"
 BAD_FILES = {
     "endmembers-raw": (
         lambda path: fileio._write_raw(path, fileio._MAGIC_ENDMEMBERS, NEGATIVE_ENDMEMBERS, 0),
@@ -263,12 +261,22 @@ BAD_FILES = {
     "abundances-raw": (
         lambda path: fileio._write_raw(path, fileio._MAGIC_ABUNDANCES, HALF_COLUMN, 1),
         load_abundances,
-        "columns that do not sum to one (normalized flag set): 1 (first indices [0])",
+        HALF_COLUMN_REASON,
     ),
     "abundances-csv": (
         lambda path: fileio._write_csv(path, HALF_COLUMN, (1,)),
         load_abundances,
-        "columns that do not sum to one (normalized flag set): 1 (first indices [0])",
+        HALF_COLUMN_REASON,
+    ),
+    "abundances-raw-aux0": (
+        lambda path: fileio._write_raw(path, fileio._MAGIC_ABUNDANCES, HALF_COLUMN, 0),
+        load_abundances,
+        HALF_COLUMN_REASON,
+    ),
+    "abundances-csv-aux0": (
+        lambda path: fileio._write_csv(path, HALF_COLUMN, (0,)),
+        load_abundances,
+        HALF_COLUMN_REASON,
     ),
     "image-csv": (
         lambda path: fileio._write_csv(path, np.ones((2, 3)), (2, 2)),
@@ -306,6 +314,32 @@ BAD_FILES = {
         "row 1 contains a non-numeric value",
     ),
 }
+
+
+@pytest.mark.parametrize("aux", [0, 1])
+@pytest.mark.parametrize("fmt", ["raw", "csv"])
+def test_simplex_abundances_load_whatever_their_aux(fmt, aux, tmp_path):
+    # Columns on the simplex, and an all-zero (degenerate) one.
+    a = np.array([[0.25, 1.0, 0.0], [0.75, 0.0, 0.0]])
+    path = tmp_path / "a"
+    if fmt == "raw":
+        fileio._write_raw(path, fileio._MAGIC_ABUNDANCES, a, aux)
+    else:
+        fileio._write_csv(path, a, (aux,))
+    np.testing.assert_array_equal(load_abundances(path).data, a)
+
+
+def test_saved_csv_abundances_carry_aux_one(tmp_path):
+    path = tmp_path / "a.csv"
+    save_abundances(AbundanceMatrix(np.eye(2)), path, fmt="csv")
+    assert path.read_text().splitlines()[0] == "2,2,1"
+
+
+def test_key_values_written_as_read(tmp_path):
+    path = tmp_path / "kv.txt"
+    fileio._write_key_values(path, {"kind": "2lmm", "seed": 3, "s_e": "0.5,2"})
+    assert path.read_text() == "kind = 2lmm\nseed = 3\ns_e = 0.5,2\n"
+    assert fileio._read_key_values(path) == {"kind": "2lmm", "seed": "3", "s_e": "0.5,2"}
 
 
 class TestContainerErrorsNameTheFile:

@@ -6,7 +6,9 @@ scene inside those bounds, noiseless or with noise of 0.01.
 The model's two invariances are checked on the same instances: the cost
 does not see the gauge ``a_s[k] / c_k``, ``s_e[k] * c_k``, and SLMM is
 equivariant to a global brightness factor. The per-pixel NNLS residual
-bounds every final cost from below.
+bounds every final cost from below. On generated scenes, ALS and
+memoryless L-BFGS are equivariant, bit for bit, to a power-of-two
+brightness factor.
 """
 
 import math
@@ -17,7 +19,15 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twolmm import EndmemberMatrix, HsiImage, unmix_slmm
+from twolmm import (
+    EndmemberMatrix,
+    HsiImage,
+    generate_2lmm_scene,
+    generate_grf_abundances,
+    synthetic_endmembers,
+    unmix_slmm,
+)
+from twolmm.datagen import GrfSpec
 from twolmm.twostep import TwoLmmConfig, TwoLmmState, cost, solve_als, solve_lbfgs
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
@@ -152,3 +162,27 @@ def test_slmm_is_equivariant_to_a_brightness_factor(instance, c):
     scaled = unmix_slmm(HsiImage(c * image.data), em)
     np.testing.assert_allclose(scaled.abundances.data, base.abundances.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(scaled.s_x, c * base.s_x, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:stopped at max_iter:RuntimeWarning")
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "solver, memory", [(solve_als, 5), (solve_lbfgs, 0)], ids=["solve_als", "solve_lbfgs-memory0"]
+)
+def test_two_step_solvers_are_equivariant_to_a_power_of_two_brightness(solver, memory, seed):
+    # An upper bound that never binds A_s, at any of the factors. With
+    # curvature pairs, L-BFGS is not equivariant: its two-loop's dot
+    # products mix the A_s block, in the units of X, with the unitless s_e.
+    em = synthetic_endmembers(40, 3, seed=seed)
+    ab = generate_grf_abundances(GrfSpec(width=12, height=12, k=3, seed=seed + 1))
+    image = generate_2lmm_scene(em, ab, snr_db=35.0, seed=seed + 2, width=12, height=12).image
+    cfg = TwoLmmConfig(upper=1e3, memory=memory)
+    base = solver(image, em, cfg)
+    for c in (0.25, 2.0, 8.0):
+        res = solver(HsiImage(c * image.data), em, cfg)
+        assert res.iterations == base.iterations
+        np.testing.assert_array_equal(res.s_e, base.s_e)
+        np.testing.assert_array_equal(res.abundances.data, base.abundances.data)
+        np.testing.assert_array_equal(res.factors[0], base.factors[0])
+        np.testing.assert_array_equal(res.factors[1], c * base.factors[1])
+        assert [r.cost for r in res.trace] == [c * c * r.cost for r in base.trace]
