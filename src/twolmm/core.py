@@ -117,16 +117,28 @@ def _checked_matrix(data, name: str, axes: str, sizes: str) -> np.ndarray:
 
 def _squared_error(x: np.ndarray, b: np.ndarray | None, c: np.ndarray) -> float:
     """``||X - B C||^2`` for ``x`` (P, N), ``b`` (P, K) and ``c`` (K, N), or
-    ``||X - C||^2`` for a ``c`` (P, N) when ``b`` is None, accumulated over
-    blocks of ``_BLOCK`` pixels, so that neither the product nor the
-    residual is ever held whole."""
+    ``||X - C||^2`` for a ``c`` (P, N) when ``b`` is None.
+
+    One Fortran-ordered P x ``_BLOCK`` buffer, allocated once, holds each
+    block of pixels in turn: the block's product ``B C[:, block]``, which
+    BLAS writes as the C-ordered transpose ``C[:, block]^T B^T`` (or a copy
+    of ``C[:, block]``), minus ``X[:, block]`` in place. Each block's
+    squares are summed in the buffer's memory order, pixel by pixel, and
+    the block sums are added in pixel order; so neither the product nor
+    the residual is ever held whole, and the subtraction runs along the
+    image's own column-major layout."""
+    p, n = x.shape
+    buf = np.empty((p, min(n, _BLOCK)), order="F")
     total = 0.0
-    for start in range(0, x.shape[1], _BLOCK):
+    for start in range(0, n, _BLOCK):
         part = slice(start, start + _BLOCK)
-        resid = c[:, part].copy() if b is None else b @ c[:, part]
+        resid = buf[:, : n - start]
+        if b is None:
+            np.copyto(resid, c[:, part])
+        else:
+            np.matmul(c[:, part].T, b.T, out=resid.T)
         resid -= x[:, part]
-        total += float(np.vdot(resid, resid))
-        del resid  # before the next block's product is allocated
+        total += float(np.vdot(resid.T, resid.T))
     return total
 
 

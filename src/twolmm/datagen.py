@@ -146,23 +146,39 @@ _LEAF = 1 << 16
 
 def _sum_of_squares(rows: np.ndarray, start: int, stop: int) -> float:
     """``np.sum(flat[start:stop]**2)`` of ``flat``, the entries of the 2-D
-    ``rows`` in C order, bit for bit whatever the layout of ``rows``,
-    holding the squares of one run of at most ``_LEAF`` entries at a time."""
+    ``rows`` in C order, bit for bit whatever the layout of ``rows``.
+
+    The summation follows numpy's pairwise tree down to its runs of at most
+    ``_LEAF`` entries. Each run is squared row segment by row segment into
+    one contiguous buffer of ``_LEAF`` entries, allocated once per call and
+    reused by every run, and summed there by one ``np.add.reduce``; so no
+    copy of ``rows`` is made and the bits are those of the contiguous
+    squares numpy would sum."""
+    return _pairwise_squares(rows, start, stop, np.empty(min(stop - start, _LEAF)))
+
+
+def _pairwise_squares(rows: np.ndarray, start: int, stop: int, leaf: np.ndarray) -> float:
+    """The tree of :func:`_sum_of_squares`, squaring each run into ``leaf``."""
     if stop - start > _LEAF:
         half = (stop - start) // 2
         half -= half % 8
-        return _sum_of_squares(rows, start, start + half) + _sum_of_squares(
-            rows, start + half, stop
+        return _pairwise_squares(rows, start, start + half, leaf) + _pairwise_squares(
+            rows, start + half, stop, leaf
         )
-    r0, c0 = divmod(start, rows.shape[1])
-    r1, c1 = divmod(stop, rows.shape[1])
+    width = rows.shape[1]
+    r0, c0 = divmod(start, width)
+    r1, c1 = divmod(stop, width)
+    run = leaf[: stop - start]
     if r0 == r1:
-        run = rows[r0, c0:c1]
+        np.square(rows[r0, c0:c1], out=run)
     else:
-        run = np.concatenate(
-            (rows[r0, c0:], rows[r0 + 1 : r1].ravel(), rows[r1 : r1 + 1, :c1].ravel())
-        )
-    return float(np.add.reduce(np.square(run)))
+        head = width - c0
+        body = (r1 - r0 - 1) * width
+        np.square(rows[r0, c0:], out=run[:head])
+        np.square(rows[r0 + 1 : r1], out=run[head : head + body].reshape(-1, width))
+        if c1:  # a run that ends on a row boundary has no tail; rows[r1] may not exist
+            np.square(rows[r1, :c1], out=run[head + body :])
+    return float(np.add.reduce(run))
 
 
 def _add_noise(
@@ -176,21 +192,27 @@ def _add_noise(
     summed in ``order`` (``"C"`` or ``"F"``) without squaring a copy
     (:func:`_sum_of_squares`), so it is bit for bit ``np.mean(clean**2)``
     of ``clean = np.asarray(out, order=order)``. The noise is drawn in C
-    order over the (P, N) shape, a block of rows at a time, and added in
-    place; so the result equals ``clean + rng.normal(0, sigma,
-    size=clean.shape)`` bit for bit, and no more noise is held at a time
-    than a block of ``_BLOCK`` pixels (or one row). Callers check
-    ``snr_db`` with :func:`_check_snr`.
+    order over the (P, N) shape, a block of rows at a time, by
+    ``rng.standard_normal`` into one C-ordered buffer of about ``_BLOCK``
+    pixels (or one row), allocated once and reused for every block; it is
+    scaled by ``sigma`` in place and added to the block's rows of ``out``.
+    So the result equals ``clean + rng.normal(0, sigma, size=clean.shape)``
+    bit for bit, and no more noise is held at a time than that buffer.
+    Callers check ``snr_db`` with :func:`_check_snr`.
     """
     if snr_db is not None and snr_db != math.inf:
         squares = _sum_of_squares(out if order == "C" else out.T, 0, out.size)
         signal_power = squares / out.size
         sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
         p, n = out.shape
-        rows = max(1, _BLOCK * p // max(n, 1))
+        rows = min(p, max(1, _BLOCK * p // max(n, 1)))
+        buf = np.empty((rows, n))
         for start in range(0, p, rows):
             stop = min(start + rows, p)
-            out[start:stop] += rng.normal(0.0, sigma, size=(stop - start, n))
+            noise = buf[: stop - start]
+            rng.standard_normal(out=noise)
+            noise *= sigma
+            out[start:stop] += noise
     out.flags.writeable = False
     return out
 

@@ -129,18 +129,22 @@ def _leading_subspace(y: np.ndarray, k: int, dots: np.ndarray | None = None) -> 
     pixels than bands) or the triangle's smallest singular value is below
     ``_GRAM_MIN_RATIO`` times its largest, the triangle comes from a
     Householder QR of ``Y^T`` instead; only then is a projection formed.
-    The projection's Gram is summed over pixel blocks, so it differs from
-    ``Y @ Y.T`` at the rounding level. Raises when ``y`` has rank below
-    ``k``.
+    The projection's Gram is summed over pixel blocks, each divided into
+    one Fortran-ordered P x ``_BLOCK`` buffer that every block reuses, so
+    it differs from ``Y @ Y.T`` at the rounding level. Raises when ``y``
+    has rank below ``k``.
     """
     p, n = y.shape
     if dots is None:
         gram = y @ y.T
     else:  # the projection's Gram, one block of pixels at a time
         gram = np.zeros((p, p))
+        buf = np.empty((p, min(n, _BLOCK)), order="F")
         for start in range(0, n, _BLOCK):
-            block = y[:, start : start + _BLOCK] / dots[start : start + _BLOCK]
+            part = slice(start, start + _BLOCK)
+            block = np.divide(y[:, part], dots[part], out=buf[:, : n - start])
             gram += block @ block.T
+        del buf, block  # before the factorisations below allocate
     try:
         basis, sv, _ = np.linalg.svd(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:  # the band Gram is singular

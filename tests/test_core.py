@@ -16,7 +16,7 @@ from twolmm import (
     rmse_x,
     sad,
 )
-from twolmm.core import _freeze
+from twolmm.core import _BLOCK, _freeze, _squared_error
 
 
 class TestHsiImage:
@@ -186,6 +186,41 @@ class TestRmseX:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
             rmse_x(HsiImage(np.ones((2, 2))), HsiImage(np.ones((2, 3))))
+
+
+class TestSquaredError:
+    # Blocks of _BLOCK pixels: a lone pixel, one block short by one, exactly
+    # one, one and a lone pixel, and two and a 7-pixel tail.
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_matches_the_whole_residual(self, n, k):
+        rng = np.random.default_rng(n + k)
+        x = np.asfortranarray(rng.uniform(size=(5, n)))
+        b = np.asfortranarray(rng.uniform(size=(5, k)))
+        c = np.asfortranarray(rng.uniform(size=(k, n)))
+        want = float(np.sum((x - b @ c) ** 2))
+        # A C-ordered c is the layout of the solvers' Q^T X.
+        for xs, cs in ((x, c), (x, np.ascontiguousarray(c)), (np.ascontiguousarray(x), c)):
+            assert _squared_error(xs, b, cs) == pytest.approx(want, rel=1e-13, abs=0.0)
+        y = np.asfortranarray(rng.uniform(size=(5, n)))
+        want = float(np.sum((x - y) ** 2))
+        for ys in (y, np.ascontiguousarray(y)):
+            assert _squared_error(x, None, ys) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_holds_one_block_buffer(self, order):
+        p, k, n = 120, 3, 3 * _BLOCK + 5
+        rng = np.random.default_rng(7)
+        x = np.asfortranarray(rng.uniform(size=(p, n)))
+        b = np.asfortranarray(rng.uniform(size=(p, k)))
+        c = np.asarray(rng.uniform(size=(k, n)), order=order)
+        tracemalloc.start()
+        try:
+            _squared_error(x, b, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _BLOCK * (p + 2 * k) + 4096
 
 
 class TestRmseA:

@@ -19,7 +19,7 @@ from twolmm import (
     smoothed_random_dsm,
     synthetic_endmembers,
 )
-from twolmm.datagen import _add_noise
+from twolmm.datagen import _add_noise, _sum_of_squares
 
 
 def spatial_autocorrelation(field: np.ndarray, lag: int) -> float:
@@ -318,11 +318,14 @@ class TestApplyNoise:
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("snr_db", [25.0, None])
-@pytest.mark.parametrize("shape", [(30, 5000), (5, 10001), (1, 4099), (40, 3), (7, 20011)])
+@pytest.mark.parametrize(
+    "shape", [(30, 5000), (5, 10001), (1, 4099), (40, 3), (7, 20011), (2, 65536), (4, 32768)]
+)
 def test_noise_writer_matches_the_one_shot_draw(shape, snr_db, order):
-    # Row blocks of 12, 1, 1, 40 and 1 rows: the first splits 30 rows
-    # unevenly. The last shape holds more than one 2**16-entry run of the
-    # signal power's summation tree.
+    # Row blocks of 12, 1, 1, 40 and 1 rows, then 1 and 1: the first splits
+    # 30 rows unevenly. The last three shapes hold more than one
+    # 2**16-entry run of the signal power's summation tree; in the last two
+    # every run ends exactly on a row end.
     clean = np.asarray(np.random.default_rng(40).random(shape), order=order)
     got = _add_noise(np.array(clean, order="F"), snr_db, np.random.default_rng(41), order)
     want = clean
@@ -332,6 +335,18 @@ def test_noise_writer_matches_the_one_shot_draw(shape, snr_db, order):
         want = clean + rng.normal(0.0, math.sqrt(noise_power), size=clean.shape)
     np.testing.assert_array_equal(got, want)
     assert got.flags.f_contiguous and got.flags.owndata and not got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (3, 5), (1, 4099), (7, 20011), (2, 65536), (4, 32768), (16384, 8)]
+)
+def test_sum_of_squares_matches_the_contiguous_sum(shape):
+    # A Fortran-ordered image summed in C order; the last three shapes split
+    # into 2**16-entry runs that each end exactly on a row end.
+    x = np.asfortranarray(np.random.default_rng(42).random(shape))
+    want = float(np.sum(np.ascontiguousarray(x) ** 2))
+    assert _sum_of_squares(x, 0, x.size) == want
+    assert _sum_of_squares(x.T, 0, x.size) == float(np.sum(x.T.ravel() ** 2))
 
 
 @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])

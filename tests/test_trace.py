@@ -1,5 +1,6 @@
 """The result contract shared by every unmixer."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -52,6 +53,14 @@ def test_result_holds_factors_until_the_reconstruction_is_read(name):
     np.testing.assert_array_equal(recon.data, b @ a_s)
     assert (recon.width, recon.height) == (image.width, image.height)
     assert rmse_x(image, res) == pytest.approx(rmse_x(image, recon), rel=1e-12)
+
+
+def test_single_shot_cost_is_the_rmse_x_kernel():
+    # The result builder and rmse_x sum the same residual in the same
+    # order, through one kernel, so they agree bit for bit.
+    em, image = noisy_scene(width=64, height=40)
+    res = unmix_slmm(image, em)
+    assert rmse_x(image, res) == math.sqrt(res.trace[-1].cost / image.data.size)
 
 
 @pytest.mark.parametrize("name", sorted(METHODS))

@@ -587,33 +587,63 @@ def nnls_fit(em, image):
     return np.column_stack([b for b, _ in fits]), sum(rnorm**2 for _, rnorm in fits)
 
 
+def bvls_minimum(em, image, upper):
+    """The two-step minimum over the box ``[lower, upper]``: with
+    ``B = diag(s_e) A_s`` it is ``min ||X - E B||^2`` over ``0 <= B <=
+    upper^2``, whatever ``lower``, one per-pixel bounded least-squares
+    problem (``scipy.optimize.lsq_linear`` by BVLS) per column."""
+    total = 0.0
+    for col in image.data.T:
+        fit = scipy.optimize.lsq_linear(em.data, col, bounds=(0.0, upper**2), method="bvls")
+        total += float(np.sum((em.data @ fit.x - col) ** 2))
+    return total
+
+
+def box_lbfgs_minimum(em, image, cfg):
+    """scipy's L-BFGS-B on the solver's cost and gradient over the packed
+    box of ``cfg``, from the uniform start: its final cost."""
+    e, x = em.data, image.data
+    k, n = em.endmember_count, image.pixel_count
+    _, *qr = _qr_fit(e, x)
+    cost_at = twostep._solver_cost(x, *qr)
+    gram, etx = _normal_parts(e, x)
+
+    def cost_and_gradient(z):
+        a_s, s_e = twostep._unpack(z, k, n)
+        return cost_at(a_s, s_e), twostep._pack(*twostep._gradient(gram, etx, a_s, s_e))
+
+    res = scipy.optimize.minimize(
+        cost_and_gradient,
+        TwoLmmState.uniform(k, n).packed,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, cfg.upper)] * (k * n) + [(cfg.lower, cfg.upper)] * k,
+        options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20000},
+    )
+    return res.fun
+
+
 class TestNnlsCertificate:
     # Noisy enough that J_nnls is far above rounding; upper^2 = 25 exceeds
     # every B*, so the bound is the minimum of the two-step cost.
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_box_lbfgs_on_the_solver_cost_reaches_the_bound(self, seed):
         em, _, scene = exact_scene(seed=seed, width=20, height=20, k=3, bands=30, snr_db=40.0)
-        e, x = em.data, scene.image.data
-        k, n = em.endmember_count, scene.image.pixel_count
-        cfg = TwoLmmConfig()
         _, j_nnls = nnls_fit(em, scene.image)
-        _, *qr = _qr_fit(e, x)
-        cost_at = twostep._solver_cost(x, *qr)
-        gram, etx = _normal_parts(e, x)
-
-        def cost_and_gradient(z):
-            a_s, s_e = twostep._unpack(z, k, n)
-            return cost_at(a_s, s_e), twostep._pack(*twostep._gradient(gram, etx, a_s, s_e))
-
-        res = scipy.optimize.minimize(
-            cost_and_gradient,
-            TwoLmmState.uniform(k, n).packed,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, cfg.upper)] * (k * n) + [(cfg.lower, cfg.upper)] * k,
-            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20000},
+        assert box_lbfgs_minimum(em, scene.image, TwoLmmConfig()) == pytest.approx(
+            j_nnls, rel=1e-9
         )
-        assert res.fun == pytest.approx(j_nnls, rel=1e-9)
+
+    # Boxes whose bound upper^2 binds: the minimum is the per-pixel bounded
+    # least-squares value, above J_nnls, and [1, 1] pins every scale.
+    @pytest.mark.parametrize("lower, upper", [(0.5, 2.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_box_lbfgs_on_a_binding_box_reaches_the_bvls_minimum(self, seed, lower, upper):
+        em, _, scene = exact_scene(seed=seed, width=20, height=20, k=3, bands=30, snr_db=40.0)
+        j_bvls = bvls_minimum(em, scene.image, upper)
+        assert j_bvls > nnls_fit(em, scene.image)[1] * (1.0 + 1e-6)
+        cfg = TwoLmmConfig(lower=lower, upper=upper)
+        assert box_lbfgs_minimum(em, scene.image, cfg) == pytest.approx(j_bvls, rel=1e-11)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_gauge_point_of_the_nnls_fit_attains_the_bound(self, seed):
