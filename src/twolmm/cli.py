@@ -47,6 +47,7 @@ from .datagen import (
     synthetic_endmembers,
 )
 from .endmembers import (
+    MatchResult,
     ProjectionSpec,
     _leading_subspace,
     _mean_direction,
@@ -69,6 +70,7 @@ from .fileio import (
     save_scaling_state,
 )
 from .solvers import SolverError
+from .trace import SolverTrace
 from .twostep import TwoLmmConfig, solve_als, solve_lbfgs
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
@@ -396,6 +398,38 @@ def _run_method(name: str, image: HsiImage, em: EndmemberMatrix, solver: TwoLmmC
     raise ConfigError(f"unknown method {name!r}")
 
 
+def _method_row(
+    name: str,
+    bundle: SceneBundle,
+    em_used: EndmemberMatrix,
+    solver: TwoLmmConfig,
+    match: MatchResult | None,
+) -> tuple[dict, SolverTrace | None]:
+    """The results row of one method and its trace (None when it raised a
+    :class:`SolverError`). The result itself is dropped on return, so the
+    next method runs without it."""
+    row = dict.fromkeys(_RESULT_COLUMNS)
+    row.update(method=name, iters=0, error="")
+    try:
+        t0 = time.perf_counter()
+        result = _run_method(name, bundle.image, em_used, solver)
+    except SolverError as exc:
+        row["error"] = str(exc)
+        return row, None
+    row["time_s"] = time.perf_counter() - t0
+    row["iters"] = result.iterations
+    if name in ("lmm", "slmm"):
+        # A single-shot result's one trace cost is the squared error rmse_x
+        # sums, bit for bit; it is not summed again.
+        row["rmse_x"] = math.sqrt(result.trace[-1].cost / bundle.image.data.size)
+    else:
+        row["rmse_x"] = rmse_x(bundle.image, result)
+    if match is not None:
+        a_est = align_abundances(result.abundances.data, match)
+        row["rmse_a"] = rmse_a(bundle.abundances_truth, AbundanceMatrix(a_est))
+    return row, result.trace
+
+
 def run_methods(
     cfg: ExperimentConfig,
     bundle: SceneBundle,
@@ -416,21 +450,10 @@ def run_methods(
     rows = []
     traces = {}
     for name in cfg.methods:
-        row = dict.fromkeys(_RESULT_COLUMNS)
-        row.update(method=name, iters=0, error="")
-        try:
-            t0 = time.perf_counter()
-            result = _run_method(name, bundle.image, em_used, cfg.solver)
-            row["time_s"] = time.perf_counter() - t0
-            row["iters"] = result.iterations
-            row["rmse_x"] = rmse_x(bundle.image, result)
-            if match is not None:
-                a_est = align_abundances(result.abundances.data, match)
-                row["rmse_a"] = rmse_a(bundle.abundances_truth, AbundanceMatrix(a_est))
-            traces[name] = result.trace
-        except SolverError as exc:
-            row["error"] = str(exc)
+        row, trace = _method_row(name, bundle, em_used, cfg.solver, match)
         rows.append(row)
+        if trace is not None:
+            traces[name] = trace
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         for name, trace in traces.items():

@@ -41,8 +41,10 @@ class IterationRecord:
     the rounding level.
 
     The last four fields count the work of the iteration. ``n_cost_evals``
-    is the number of cost evaluations: the trial points of the step-size
-    search, the fallback's, and the one at the accepted, clipped point.
+    is the number of costs the iteration decided: each trial point of the
+    step-size search, whether its cost was evaluated or it was rejected on
+    the bounds of the search line's quartic without being formed, the
+    fallback's, and the one at the accepted, clipped point.
     ``backtracks`` is the number of trial steps the acceptance test
     rejected. ``pair_skipped`` is true when the curvature test rejected the
     iteration's curvature pair, and ``als_fallback`` when the search ran

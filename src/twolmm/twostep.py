@@ -15,7 +15,11 @@ Both solvers run one outer iteration loop:
   with a non-monotone backtracking rule that accepts any step whose cost
   stays below ``(1 + exp(-t))`` times the current cost. Box bounds are
   enforced when the iterate is formed, not during step selection, so
-  trial points may leave the feasible set temporarily.
+  trial points may leave the feasible set temporarily. Along a search line
+  the cost is a quartic in the step; once the unit trial along a two-loop
+  direction is rejected, a halving whose quartic bounds
+  (:meth:`_SolverCost.line`) put it above the allowance is rejected
+  without forming its trial point.
 - :func:`solve_als` is the loop's other step rule, ``force_unit_step``:
   every iterate is the ALS point, so each iteration alternates the
   closed-form block updates (clipped least squares for ``A_s``, a
@@ -23,7 +27,7 @@ Both solvers run one outer iteration loop:
   direction, curvature pair or step-size search.
 
 The solver loop evaluates every cost in the K-dimensional coordinates of
-the fit (see :func:`_solver_cost`): with the thin QR ``E = QR``,
+the fit (see :class:`_SolverCost`): with the thin QR ``E = QR``,
 
     ``||X - E diag(s_e) A_s||^2 = c0 + ||Q^T X - R diag(s_e) A_s||^2``,
 
@@ -49,7 +53,11 @@ runs the K^2 scale sweep on Python floats. The bits of a reduction depend
 on its call and operand layout, so each keeps one (the Gram ``A_s A_s^T``,
 the ``einsum`` row dots, the cost's product and sum, the ``dot`` of each
 norm); ``tests/test_reference_loops.py`` holds the loop to a plain
-reference bit for bit.
+reference bit for bit. The search line's quartic does not change a bit of
+it: its bounds carry a slack that covers the rounding of both the quartic
+and the direct cost, so they only reject a step whose direct cost would
+exceed the allowance too, and every step they cannot decide, like the unit
+trial and the accepted step, has its cost evaluated directly.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -93,6 +101,7 @@ __all__ = [
 ]
 
 _CURVATURE_TOL = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -208,27 +217,120 @@ def _gradient(
     return 2.0 * s_e[:, None] * w, 2.0 * np.einsum("kn,kn->k", w, a_s)
 
 
-def _solver_cost(x: np.ndarray, q: np.ndarray, r: np.ndarray, qtx: np.ndarray):
-    """The cost function ``(a_s, s_e) -> J`` of the solver loop.
+class _SolverCost:
+    """The cost function ``(a_s, s_e) -> J`` of the solver loop, and its
+    quartic along a search line (:meth:`line`).
 
     ``J = c0 + ||Q^T X - R diag(s_e) A_s||^2`` with ``c0 = ||X - Q Q^T X||^2``
     (module docstring), from the thin QR ``E = QR`` and the ``Q^T X`` of the
     solve's least-squares fit (:func:`twolmm.solvers._qr_fit`), so E is not
     factorized again. ``c0`` is the one pass over the image, and ``J``
     agrees with :func:`cost` to rounding, about ``eps ||X|| / sqrt(J)``
-    relative. Every call forms the reduced residual in one K x N buffer that
-    the function keeps, so a cost allocates no K x N array.
+    relative. A call forms the reduced residual ``R diag(s_e) A_s - Q^T X``
+    in the (K, N) ``resid`` it is given, or else in the K x N buffer the
+    object keeps, and squares it into that buffer; so a cost allocates no
+    K x N array, and a caller's ``resid`` still holds the residual after it.
     """
-    c0 = _squared_error(x, q, qtx)
-    d = np.empty(qtx.shape)
 
-    def reduced_cost(a_s: np.ndarray, s_e: np.ndarray) -> float:
-        np.matmul(r * s_e, a_s, out=d)
-        np.subtract(d, qtx, out=d)
-        np.multiply(d, d, out=d)
-        return c0 + float(d.sum())
+    def __init__(self, x: np.ndarray, q: np.ndarray, r: np.ndarray, qtx: np.ndarray):
+        self.c0 = _squared_error(x, q, qtx)
+        self.r, self.qtx = r, qtx
+        self.squares = np.empty(qtx.shape)
+        # The sizes a line's rounding slack is stated in: ||R||_F and ||Q^T X||_F.
+        self.r_norm = math.sqrt(float(np.vdot(r, r)))
+        self.qtx_norm = math.sqrt(float(np.vdot(qtx, qtx)))
 
-    return reduced_cost
+    def residual(self, a_s: np.ndarray, s_e: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(self.r * s_e, a_s, out=out)
+        return np.subtract(out, self.qtx, out=out)
+
+    def __call__(self, a_s: np.ndarray, s_e: np.ndarray, resid: np.ndarray | None = None) -> float:
+        d = self.residual(a_s, s_e, self.squares if resid is None else resid)
+        np.multiply(d, d, out=self.squares)
+        return self.c0 + float(self.squares.sum())
+
+    def line(
+        self, z: np.ndarray, p: np.ndarray, j: float, unit: np.ndarray, spare: np.ndarray
+    ) -> Callable[[float], tuple[float, float]]:
+        """Bounds on the cost along the line ``z + gamma p`` (both packed,
+        K N + K): a function ``gamma -> (low, high)`` such that a call at the
+        trial point ``z + gamma * p``, formed as the solver loop forms it,
+        returns a value in ``[low, high]`` for every step ``gamma = 2^-m``.
+
+        With ``D0 = R diag(s) A - Q^T X`` at ``z = (A, s)``,
+        ``D1 = R (diag(s) p_a + diag(p_s) A)`` and ``D2 = R diag(p_s) p_a``,
+        the cost along the line is exactly the quartic
+        ``c0 + ||D0 + gamma D1 + gamma^2 D2||^2``. Its constant term is
+        anchored on ``j``, the value a call returned at ``z``; six dot
+        products of ``D0`` (formed again in the kept buffer), ``D2`` (formed
+        in ``spare``, a free (K, N) buffer) and ``D1 = U - D0 - D2`` give the
+        others, where ``U`` is the residual a call at ``z + p`` left in
+        ``unit``, which is overwritten with ``D1``. After this setup a bound
+        costs a few float operations and touches no array.
+
+        The interval is the quartic plus or minus a slack that covers the
+        rounding of both evaluations: the first-order bound in the unit
+        roundoff ``u``, doubled to cover the higher orders while
+        ``K N u`` is small. At a point ``(s_g, A_g)`` of the line every
+        residual entry a call forms is off by at most ``(K + 4) u`` times
+        the entry of ``|R| diag(|s_g|) |A_g| + |Q^T X|`` (the trial point's
+        rounding, the K-term products and the subtraction), so
+        ``eta(g) = (K + 4) u w(g)`` bounds the error of the whole residual,
+        with ``w(g) = ||R||_F (max|s| + g max|p_s|) (||A||_F + g ||p_a||_F)
+        + ||Q^T X||_F``. ``D2`` is off by at most
+        ``e2 = (K + 1) u ||R||_F max|p_s| ||p_a||_F`` and ``D1`` by
+        ``e1 = eta(1) + eta(0) + e2 + u (2 ||D1|| + ||D2||)``, so the line the
+        coefficients describe is within ``e = eta(0) + g e1 + g^2 e2`` of the
+        exact one. With ``f = ||D0|| + g ||D1|| + g^2 ||D2|| + 2 e + 2 eta(0)
+        + eta(g)`` bounding every residual norm involved, the sums of K N
+        squares and products, the Horner evaluation and the additions of
+        ``c0`` are off by at most ``(2 K N + 7) u (j + f^2)`` in all, and
+        the residuals' errors move the squared norms by at most
+        ``2 f (2 eta(0) + e + eta(g))``. The slack is twice their sum; on
+        noisy data it is some 1e-11 of the cost, about a thousand times the
+        gap it has to cover, and far below the gap between a rejected
+        step's cost and the allowance. Where the quartic or its
+        slack overflows, the interval is ``(-inf, inf)``; so a call's value
+        is finite wherever ``high`` is.
+        """
+        k, n = self.qtx.shape
+        kn = k * n
+        a, s = _unpack(z, k, n)
+        p_a, p_s = _unpack(p, k, n)
+        d0 = self.residual(a, s, self.squares).ravel()
+        d2 = np.matmul(self.r * p_s, p_a, out=spare).ravel()
+        d1 = np.subtract(unit, self.squares, out=unit).ravel()
+        d1 -= d2
+        d00, d01, d11 = float(d0.dot(d0)), float(d0.dot(d1)), float(d1.dot(d1))
+        d02, d12, d22 = float(d0.dot(d2)), float(d1.dot(d2)), float(d2.dot(d2))
+        n0, n1, n2 = math.sqrt(d00), math.sqrt(d11), math.sqrt(d22)
+        c1, c2, c3 = 2.0 * d01, d11 + 2.0 * d02, 2.0 * d12
+
+        u = _UNIT_ROUNDOFF
+        a_norm, p_norm = math.sqrt(z[:kn].dot(z[:kn])), math.sqrt(p[:kn].dot(p[:kn]))
+        s_max, p_max = max(map(abs, s.tolist())), max(map(abs, p_s.tolist()))
+        r_norm, qtx_norm = self.r_norm, self.qtx_norm
+        e_res = (k + 4) * u
+
+        def eta(g: float) -> float:
+            return e_res * (r_norm * (s_max + g * p_max) * (a_norm + g * p_norm) + qtx_norm)
+
+        eta0 = eta(0.0)
+        e2 = (k + 1) * u * r_norm * p_max * p_norm
+        e1 = eta(1.0) + eta0 + e2 + u * (2.0 * n1 + n2)
+        sums = (2 * kn + 7) * u
+
+        def bounds(gamma: float) -> tuple[float, float]:
+            q = j + gamma * (c1 + gamma * (c2 + gamma * (c3 + gamma * d22)))
+            e = eta0 + gamma * (e1 + gamma * e2)
+            eta_g = eta(gamma)
+            f = n0 + gamma * (n1 + gamma * n2) + 2.0 * (e + eta0) + eta_g
+            slack = 2.0 * (sums * (j + f * f) + 2.0 * f * (2.0 * eta0 + e + eta_g))
+            if not q + slack < math.inf:
+                return -math.inf, math.inf
+            return q - slack, q + slack
+
+        return bounds
 
 
 def _scaled_clip(fit: np.ndarray, s_e: np.ndarray, upper: float, out: np.ndarray) -> np.ndarray:
@@ -437,7 +539,15 @@ def solve_lbfgs(
     when ``dz . (-dd)`` is not safely positive), and halves the step from
     1 until the non-monotone test
     ``J(z + step * p) <= (1 + exp(-t)) * J(z)`` accepts; the accepted
-    point is then clipped into the box. If 30 halvings do not reach an
+    point is then clipped into the box. Once the unit step along a
+    two-loop direction is rejected, the cost along the line is known as
+    the quartic ``c0 + ||D0 + step D1 + step^2 D2||^2``
+    (:meth:`_SolverCost.line`), and a halving whose quartic, less a slack
+    that covers the rounding of both the quartic and the direct cost,
+    still exceeds the allowance is rejected without forming its trial
+    point; every other trial point has its cost evaluated. So each accept
+    decision, ``cost_accept`` and the trace's counters are those of
+    evaluating every trial point. If 30 halvings do not reach an
     accepted step, the raw ALS step is taken and the curvature history is
     dropped; when that step would itself fail the test, only the
     endmember scales are updated, so every iteration meets the test.
@@ -472,8 +582,12 @@ def _iterate(
     the two-loop direction, the trial point, the curvature pair) is written
     into a buffer, and a buffer the iteration retires goes to ``spare`` for
     the next one, so once the curvature history is full no iteration
-    allocates a K x N array. The buffers are freed when this returns,
-    before the result is normalized.
+    allocates a K x N array. With a two-loop direction the search needs the
+    ALS point only in the rare fallback, which forms it again, so the ALS
+    point's buffer holds the trial residuals the search line is built from;
+    the line's other two (K, N) vectors go to the cost's own buffer and the
+    idle trial buffer. The buffers are freed when this returns, before the
+    result is normalized.
     """
     k, n = e.shape[1], x.shape[1]
     kn = k * n
@@ -488,7 +602,7 @@ def _iterate(
     ):
         raise ValueError("initial state violates the box bounds")
 
-    cost_at = _solver_cost(x, *qr)
+    cost_at = _SolverCost(x, *qr)
     z = state.packed
     del state  # its K x N abundances are dead; z is the iterate from here on
     current_cost = cost_at(*_unpack(z, k, n))
@@ -537,25 +651,37 @@ def _iterate(
                 # buffer serves as the recursion's scratch.
                 direction = _two_loop(np.negative(precond, out=buffer()), history, trial)
                 np.negative(direction, out=direction)
+                # Of the search, only the fallback takes the ALS point, and it
+                # forms the point again; its buffer holds the trial residuals.
+                resid_buf, z_als = z_als, None
+                resid = resid_buf[:kn].reshape(k, n)
             else:
-                direction = precond
+                # The raw ALS displacement: its unit step is seldom rejected,
+                # and every trial point along it is evaluated.
+                direction, resid_buf, resid = precond, None, None
+            line = None  # the bounds along the line, once the unit trial is rejected
 
             allowance = (1.0 + math.exp(-t)) * current_cost
             for _ in range(cfg.max_backtracks + 1):
-                np.multiply(direction, gamma, out=trial)
-                trial += z
-                accept_cost = cost_at(*_unpack(trial, k, n))
                 evals += 1
-                if not math.isfinite(accept_cost):
-                    raise SolverError(f"non-finite cost during backtracking at t={t}")
-                if accept_cost <= allowance:
-                    # A unit step along the raw ALS displacement is the ALS
-                    # point itself, kept verbatim instead of re-adding the delta.
-                    if gamma != 1.0 or direction is not precond:
-                        np.clip(trial[:kn], 0.0, cfg.upper, out=trial[:kn])
-                        np.clip(trial[kn:], cfg.lower, cfg.upper, out=trial[kn:])
-                        z_new = trial
-                    break
+                # A step the line's bound rejects needs no trial point.
+                if line is None or line(gamma)[0] <= allowance:
+                    np.multiply(direction, gamma, out=trial)
+                    trial += z
+                    accept_cost = cost_at(*_unpack(trial, k, n), resid)
+                    if not math.isfinite(accept_cost):
+                        raise SolverError(f"non-finite cost during backtracking at t={t}")
+                    if accept_cost <= allowance:
+                        # A unit step along the raw ALS displacement is the ALS
+                        # point itself, kept verbatim instead of re-adding the delta.
+                        if gamma != 1.0 or direction is not precond:
+                            np.clip(trial[:kn], 0.0, cfg.upper, out=trial[:kn])
+                            np.clip(trial[kn:], cfg.lower, cfg.upper, out=trial[kn:])
+                            z_new = trial
+                        break
+                    if line is None and resid is not None:
+                        spare_kn = trial[:kn].reshape(k, n)
+                        line = cost_at.line(z, direction, current_cost, resid, spare_kn)
                 backtracks += 1
                 gamma *= cfg.step_shrink
             else:
@@ -565,6 +691,9 @@ def _iterate(
                 # so the ALS step can raise the cost; then only the scales move,
                 # by the Gauss-Seidel sweep, which never raises it.
                 fallback = True
+                if z_als is None:
+                    z_als, resid_buf = _als_point(fit, gram, etx, s_cur, cfg, resid_buf), None
+                z_new = z_als
                 accept_cost = cost_at(*_unpack(z_als, k, n))
                 evals += 1
                 if accept_cost > allowance:
@@ -575,9 +704,12 @@ def _iterate(
                     evals += 1
                 gamma = cfg.step_init
                 history.clear()
-            # The search point not taken is the scratch of the relative changes.
-            scratch = z_als if z_new is trial else trial
-            retired = [scratch] if direction is precond else [scratch, direction]
+            # The search buffers not taken retire; the first is the scratch
+            # of the relative changes.
+            retired = [b for b in (trial, resid_buf, z_als) if b is not None and b is not z_new]
+            scratch = retired[0]
+            if direction is not precond:
+                retired.append(direction)
             if cfg.memory:
                 prev_z, prev_dir = z, precond
             else:

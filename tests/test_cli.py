@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twolmm import EndmemberMatrix, HsiImage, apply_noise, cli, fileio
+from twolmm import EndmemberMatrix, HsiImage, apply_noise, cli, fileio, rmse_x
 from twolmm.cli import (
     ConfigError,
     ExperimentConfig,
@@ -292,6 +292,25 @@ class TestUnmix:
                 if isinstance(row[col], float):
                     assert float(cell) == row[col]
         assert [r["method"] for r in jrows] == [r["method"] for r in rows]
+
+    def test_rmse_x_rows_are_rmse_x_of_each_result(self, tmp_path, monkeypatch):
+        # The single-shot rows take rmse_x from the trace cost, bit for bit.
+        cfg = small_cfg(tmp_path, methods=("lmm", "slmm", "als2lmm", "lbfgs2lmm"))
+        bundle = build_scene(cfg)
+        results = {}
+        run = cli._run_method
+
+        def kept(name, *args):
+            results[name] = run(name, *args)
+            return results[name]
+
+        monkeypatch.setattr(cli, "_run_method", kept)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = run_methods(cfg, bundle, bundle.endmembers_truth)
+        assert [row["method"] for row in rows] == list(cfg.methods)
+        for row in rows:
+            assert row["rmse_x"] == rmse_x(bundle.image, results[row["method"]])
 
     def test_each_method_warns_at_its_own_line(self, tmp_path):
         cfg = small_cfg(tmp_path, methods=("slmm", "als2lmm", "lbfgs2lmm"))

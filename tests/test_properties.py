@@ -30,7 +30,7 @@ from twolmm import (
 from twolmm.datagen import GrfSpec
 from twolmm.twostep import TwoLmmConfig, TwoLmmState, cost, solve_als, solve_lbfgs
 
-PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 # The acceptance inequality is an L-BFGS property only: the clipped ALS step
 # can raise the cost. The other properties hold for both solvers.
 BOTH_SOLVERS = pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from twolmm import solvers
+from twolmm import solvers, twostep
 from twolmm.cli import ExperimentConfig, build_scene, resolve_endmembers
 from twolmm.core import HsiImage, _squared_error, normalize_abundances
 from twolmm.solvers import SolverError, _normal_parts, _qr_fit, _simplex_qp
@@ -288,6 +288,22 @@ class TestTwoStepLoopMatchesReference:
     def test_hapke_k6(self, solver):
         image, em = _scene("hapke", 6, seed=3, size=20)
         _compare(image, em, TwoLmmConfig(max_iter=120), solver)
+
+    def test_hapke_k6_long_searches(self, monkeypatch):
+        # Most halvings are rejected on the line's bounds, with no trial
+        # point formed and no direct cost, and every output keeps its bits.
+        image, em = _scene("hapke", 6, seed=4, size=40)
+        direct = []
+        call = twostep._SolverCost.__call__
+
+        def counted(self, *args):
+            direct.append(1)
+            return call(self, *args)
+
+        monkeypatch.setattr(twostep._SolverCost, "__call__", counted)
+        res = _compare(image, em, TwoLmmConfig(max_iter=120), solve_lbfgs)
+        tested = 1 + sum(r.n_cost_evals for r in res.trace)  # with the initial cost
+        assert len(direct) < tested // 2
 
     def test_memory_zero(self):
         image, em = _scene("2lmm", 3, seed=5)

@@ -527,7 +527,7 @@ class TestSolverCost:
         x = scene.image.data
         _, *qr = _qr_fit(em.data, x)
         images = counted_squared_error(monkeypatch)
-        cost_at = twostep._solver_cost(x, *qr)
+        cost_at = twostep._SolverCost(x, *qr)
         rng = np.random.default_rng(0)
         k, n = em.endmember_count, scene.image.pixel_count
         states = [
@@ -548,6 +548,38 @@ class TestSolverCost:
             res = solver(scene.image, em, TwoLmmConfig(max_iter=50))
         assert res.iterations > 1
         assert len(images) == 1 and images[0] is scene.image.data  # c0 only
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_line_bounds_hold_the_direct_cost(self, k):
+        # Random lines from points with scales in the box [0.5, 2] and
+        # zeroed pixels at 0, along directions of norm 0.1 to 100 times
+        # that of a unit normal: every halving's direct cost lies between
+        # the bounds, and the slack is far from vacuous.
+        em, _, scene = exact_scene(seed=k, width=20, height=20, k=k, bands=40, snr_db=40.0)
+        x = np.array(scene.image.data, order="F")
+        x[:, ::37] = 0.0
+        n = x.shape[1]
+        _, *qr = _qr_fit(em.data, x)
+        cost_at = twostep._SolverCost(x, *qr)
+        rng = np.random.default_rng(k)
+        unit, spare = np.empty((k, n)), np.empty((k, n))
+        for _ in range(8):
+            a_s = rng.uniform(0.0, 2.0, size=(k, n))
+            a_s[:, ~x.any(axis=0)] = 0.0
+            z = twostep._pack(a_s, rng.uniform(0.5, 2.0, size=k))
+            p = rng.standard_normal(z.size) * 10.0 ** rng.uniform(-1.0, 2.0)
+            j = cost_at(*twostep._unpack(z, k, n))
+            trial = p + z  # the unit trial, as the loop forms it
+            cost_at(*twostep._unpack(trial, k, n), unit)
+            bounds = cost_at.line(z, p, j, unit, spare)
+            for m in range(31):
+                gamma = 2.0**-m
+                np.multiply(p, gamma, out=trial)
+                trial += z
+                direct = cost_at(*twostep._unpack(trial, k, n))
+                low, high = bounds(gamma)
+                assert low <= direct <= high
+                assert high - low <= 2e-9 * direct
 
     @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
     def test_one_qr_per_solve(self, solver, monkeypatch):
@@ -605,7 +637,7 @@ def box_lbfgs_minimum(em, image, cfg):
     e, x = em.data, image.data
     k, n = em.endmember_count, image.pixel_count
     _, *qr = _qr_fit(e, x)
-    cost_at = twostep._solver_cost(x, *qr)
+    cost_at = twostep._SolverCost(x, *qr)
     gram, etx = _normal_parts(e, x)
 
     def cost_and_gradient(z):
