@@ -55,8 +55,8 @@ class GrfSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("grid dimensions must be positive")
-        if self.correlation_length <= 0:
-            raise ValueError("correlation length must be positive")
+        if not (0 < self.correlation_length < math.inf):
+            raise ValueError("correlation length must be positive and finite")
         if self.k < 1:
             raise ValueError("endmember count must be positive")
 
@@ -137,82 +137,37 @@ def _check_snr(snr_db: float | None) -> None:
         raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
 
 
-# numpy sums a contiguous float64 array pairwise: a run of more than 128
-# entries is split after n//2 - (n//2) % 8 of them and each half summed
-# alike. _sum_of_squares follows that tree down to runs of at most _LEAF
-# entries, which one np.add.reduce call sums exactly as numpy would.
-_LEAF = 1 << 16
-
-
-def _sum_of_squares(rows: np.ndarray, start: int, stop: int) -> float:
-    """``np.sum(flat[start:stop]**2)`` of ``flat``, the entries of the 2-D
-    ``rows`` in C order, bit for bit whatever the layout of ``rows``.
-
-    The summation follows numpy's pairwise tree down to its runs of at most
-    ``_LEAF`` entries. Each run is squared row segment by row segment into
-    one contiguous buffer of ``_LEAF`` entries, allocated once per call and
-    reused by every run, and summed there by one ``np.add.reduce``; so no
-    copy of ``rows`` is made and the bits are those of the contiguous
-    squares numpy would sum."""
-    return _pairwise_squares(rows, start, stop, np.empty(min(stop - start, _LEAF)))
-
-
-def _pairwise_squares(rows: np.ndarray, start: int, stop: int, leaf: np.ndarray) -> float:
-    """The tree of :func:`_sum_of_squares`, squaring each run into ``leaf``."""
-    if stop - start > _LEAF:
-        half = (stop - start) // 2
-        half -= half % 8
-        return _pairwise_squares(rows, start, start + half, leaf) + _pairwise_squares(
-            rows, start + half, stop, leaf
-        )
-    width = rows.shape[1]
-    r0, c0 = divmod(start, width)
-    r1, c1 = divmod(stop, width)
-    run = leaf[: stop - start]
-    if r0 == r1:
-        np.square(rows[r0, c0:c1], out=run)
-    else:
-        head = width - c0
-        body = (r1 - r0 - 1) * width
-        np.square(rows[r0, c0:], out=run[:head])
-        np.square(rows[r0 + 1 : r1], out=run[head : head + body].reshape(-1, width))
-        if c1:  # a run that ends on a row boundary has no tail; rows[r1] may not exist
-            np.square(rows[r1, :c1], out=run[head + body :])
-    return float(np.add.reduce(run))
-
-
-def _add_noise(
-    out: np.ndarray, snr_db: float | None, rng: np.random.Generator, order: str
-) -> np.ndarray:
+def _add_noise(out: np.ndarray, snr_db: float | None, rng: np.random.Generator) -> np.ndarray:
     """Add white Gaussian noise of the SNR ``snr_db`` (none for None or
-    ``inf``) to the Fortran-ordered ``out`` in place, and return it
-    read-only.
+    ``inf``) to the image ``out`` in place, and return it read-only.
 
-    The noise power comes from the mean squared entry of ``out`` as given,
-    summed in ``order`` (``"C"`` or ``"F"``) without squaring a copy
-    (:func:`_sum_of_squares`), so it is bit for bit ``np.mean(clean**2)``
-    of ``clean = np.asarray(out, order=order)``. The noise is drawn in C
-    order over the (P, N) shape, a block of rows at a time, by
-    ``rng.standard_normal`` into one C-ordered buffer of about ``_BLOCK``
-    pixels (or one row), allocated once and reused for every block; it is
-    scaled by ``sigma`` in place and added to the block's rows of ``out``.
-    So the result equals ``clean + rng.normal(0, sigma, size=clean.shape)``
-    bit for bit, and no more noise is held at a time than that buffer.
-    Callers check ``snr_db`` with :func:`_check_snr`.
+    ``out`` is taken a block of rows at a time through one C-ordered buffer
+    of about ``_BLOCK`` pixels (or one row), allocated once and reused by
+    both passes. The first pass squares each block into the buffer and sums
+    it with ``np.add.reduce``; the noise power is the mean squared entry
+    over the blocks. The second draws each block's noise into the buffer
+    with ``rng.standard_normal``, scales it by ``sigma`` in place and adds
+    it to the block's rows. So the noise is drawn in C order over the
+    (P, N) shape and equals ``rng.normal(0, sigma, size=out.shape)`` bit for
+    bit, no more of it is held at a time than the buffer, and no BLAS call
+    is made, so the bits do not depend on the BLAS thread count. Callers
+    check ``snr_db`` with :func:`_check_snr`.
     """
     if snr_db is not None and snr_db != math.inf:
-        squares = _sum_of_squares(out if order == "C" else out.T, 0, out.size)
-        signal_power = squares / out.size
-        sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
         p, n = out.shape
         rows = min(p, max(1, _BLOCK * p // max(n, 1)))
         buf = np.empty((rows, n))
-        for start in range(0, p, rows):
-            stop = min(start + rows, p)
-            noise = buf[: stop - start]
+        blocks = [(slice(i, i + rows), buf[: min(rows, p - i)]) for i in range(0, p, rows)]
+        squares = 0.0
+        for part, block in blocks:
+            np.square(out[part], out=block)
+            squares += float(np.add.reduce(block, axis=None))
+        signal_power = squares / out.size
+        sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
+        for part, noise in blocks:
             rng.standard_normal(out=noise)
             noise *= sigma
-            out[start:stop] += noise
+            out[part] += noise
     out.flags.writeable = False
     return out
 
@@ -245,9 +200,7 @@ def generate_2lmm_scene(
     s_e = rng.uniform(lo, hi, size=k)
     s_x = rng.uniform(lo, hi, size=n)
     scaling = ScalingState(s_e=s_e, s_x=s_x, lower=lo, upper=hi)
-    # The composition becomes the image; its signal power is summed in C
-    # order over the (P, N) shape, the order in which the noise is drawn.
-    noisy = _add_noise(_compose(endmembers, abundances, scaling), snr_db, rng, "C")
+    noisy = _add_noise(_compose(endmembers, abundances, scaling), snr_db, rng)
     return TwoLmmScene(
         image=HsiImage(noisy, width=width, height=height),
         scaling=scaling,
@@ -260,10 +213,13 @@ def apply_noise(clean: HsiImage, snr_db: float | None, seed: int = 0) -> HsiImag
     """Add SNR-calibrated white Gaussian noise to a clean image."""
     _check_snr(snr_db)
     rng = np.random.default_rng(seed)
-    # A copy of the image's Fortran-ordered data; its power is summed in
-    # that memory order, as np.mean sums it.
-    noisy = _add_noise(np.array(clean.data, order="F"), snr_db, rng, "F")
+    noisy = _add_noise(np.array(clean.data, order="F"), snr_db, rng)
     return HsiImage(noisy, width=clean.width, height=clean.height)
+
+
+def _are_cosines(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` lies in (0, 1]; NaN does not."""
+    return bool(np.all((x > 0) & (x <= 1)))
 
 
 def hapke_relative_reflectance(w, mu, mu0):
@@ -278,9 +234,9 @@ def hapke_relative_reflectance(w, mu, mu0):
     w = np.asarray(w, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     mu0 = np.asarray(mu0, dtype=np.float64)
-    if np.any(w < 0) or np.any(w > 1):
+    if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("single-scattering albedo must lie in [0, 1]")
-    if np.any(mu <= 0) or np.any(mu > 1) or np.any(mu0 <= 0) or np.any(mu0 > 1):
+    if not (_are_cosines(mu) and _are_cosines(mu0)):
         raise ValueError("angle cosines must lie in (0, 1]")
     root = np.sqrt(1.0 - w)
     y = w / ((1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root))
@@ -298,9 +254,9 @@ def hapke_invert(y, mu, mu0):
     y = np.asarray(y, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     mu0 = np.asarray(mu0, dtype=np.float64)
-    if np.any(y < 0) or np.any(y > 1):
+    if not np.all((y >= 0) & (y <= 1)):
         raise ValueError("relative reflectance must lie in [0, 1]")
-    if np.any(mu <= 0) or np.any(mu > 1) or np.any(mu0 <= 0) or np.any(mu0 > 1):
+    if not (_are_cosines(mu) and _are_cosines(mu0)):
         raise ValueError("angle cosines must lie in (0, 1]")
     a = 4.0 * y * mu * mu0 + 1.0
     b = 2.0 * y * (mu + mu0)
@@ -327,8 +283,8 @@ class Dsm:
         heights = np.atleast_2d(np.asarray(self.heights, dtype=np.float64))
         if not np.all(np.isfinite(heights)):
             raise ValueError("heights must be finite")
-        if self.cell_size <= 0:
-            raise ValueError("cell size must be positive")
+        if not (0 < self.cell_size < math.inf):
+            raise ValueError("cell size must be positive and finite")
         heights = heights.copy()
         heights.flags.writeable = False
         object.__setattr__(self, "heights", heights)
@@ -354,9 +310,9 @@ class HapkeGeometry:
         if not (mu.size == mu0.size == shadowed.size):
             raise ValueError("geometry arrays must have equal length")
         keep = ~shadowed
-        if np.any(mu[keep] <= 0) or np.any(mu[keep] > 1):
+        if not _are_cosines(mu[keep]):
             raise ValueError("retained view cosines must lie in (0, 1]")
-        if np.any(mu0[keep] <= 0) or np.any(mu0[keep] > 1):
+        if not _are_cosines(mu0[keep]):
             raise ValueError("retained incidence cosines must lie in (0, 1]")
         for name, arr in (("mu", mu), ("mu0", mu0), ("shadowed", shadowed)):
             arr = arr.copy()
@@ -413,8 +369,10 @@ def smoothed_random_dsm(
     """Synthetic terrain: Gaussian-smoothed white-noise heights.
 
     ``relief`` sets the height standard deviation in meters and
-    ``smoothness`` the correlation length in cells.
+    ``smoothness`` the correlation length in cells; both must be finite.
     """
+    if not (math.isfinite(relief) and math.isfinite(smoothness)):
+        raise ValueError("relief and smoothness must be finite")
     rng = np.random.default_rng(seed)
     field = _smooth_field(rng, height, width, smoothness)
     return Dsm(heights=relief * field, cell_size=cell_size)
@@ -531,8 +489,7 @@ def generate_hapke_scene(
     albedo = hapke_invert(e0, 1.0, 1.0)
     albedo.flags.writeable = False
     rng = np.random.default_rng(seed)
-    # The signal power is summed in C order, as for 2LMM scenes.
-    noisy = _add_noise(_hapke_mix(albedo, geom, abundances), snr_db, rng, "C")
+    noisy = _add_noise(_hapke_mix(albedo, geom, abundances), snr_db, rng)
     height, width = dsm.heights.shape
     return HapkeScene(
         image=HsiImage(noisy, width=width, height=height),

@@ -1,14 +1,20 @@
 """Synthetic scene generators: random fields, scaling scenes, topography."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twolmm
 from twolmm import (
     Dsm,
     GrfSpec,
+    HapkeGeometry,
     apply_noise,
     dsm_to_geometry,
     generate_2lmm_scene,
@@ -19,7 +25,8 @@ from twolmm import (
     smoothed_random_dsm,
     synthetic_endmembers,
 )
-from twolmm.datagen import _add_noise, _sum_of_squares
+from twolmm.core import _BLOCK
+from twolmm.datagen import _add_noise
 
 
 def spatial_autocorrelation(field: np.ndarray, lag: int) -> float:
@@ -57,6 +64,11 @@ class TestGrfAbundances:
         a1 = generate_grf_abundances(spec)
         a2 = generate_grf_abundances(spec)
         np.testing.assert_array_equal(a1.data, a2.data)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, 0.0])
+    def test_correlation_length_must_be_positive_and_finite(self, length):
+        with pytest.raises(ValueError, match="correlation length"):
+            GrfSpec(width=6, height=6, correlation_length=length)
 
 
 class TestGenerate2lmmScene:
@@ -156,6 +168,25 @@ class TestHapkeModel:
         with pytest.raises(ValueError, match="reflectance"):
             hapke_invert(1.5, 0.5, 0.5)
 
+    # A NaN compares false with every bound, so each check must ask that a
+    # value lies inside its range rather than that it lies outside.
+    @pytest.mark.parametrize(
+        "model, position, match",
+        [
+            (hapke_relative_reflectance, 0, "albedo"),
+            (hapke_relative_reflectance, 1, "cosines"),
+            (hapke_relative_reflectance, 2, "cosines"),
+            (hapke_invert, 0, "reflectance"),
+            (hapke_invert, 1, "cosines"),
+            (hapke_invert, 2, "cosines"),
+        ],
+    )
+    def test_nan_argument_rejected(self, model, position, match):
+        args = [0.5, 0.5, 0.5]
+        args[position] = math.nan
+        with pytest.raises(ValueError, match=match):
+            model(*args)
+
     def test_reflectance_increases_as_incidence_drops(self):
         # At fixed albedo the relative reflectance is monotone in mu0.
         w = 0.5
@@ -190,6 +221,28 @@ class TestDsmGeometry:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError, match="3x3"):
             dsm_to_geometry(Dsm(np.zeros((2, 5))), sun_dir=(0, 0, 1))
+
+    @pytest.mark.parametrize("cell_size", [math.nan, math.inf, 0.0])
+    def test_cell_size_must_be_positive_and_finite(self, cell_size):
+        with pytest.raises(ValueError, match="cell size"):
+            Dsm(np.zeros((5, 5)), cell_size=cell_size)
+
+    @pytest.mark.parametrize("field, match", [("mu", "view"), ("mu0", "incidence")])
+    def test_nan_cosine_rejected_on_unshadowed_pixel(self, field, match):
+        cosines = {"mu": [0.5, 0.5], "mu0": [0.5, 0.5]}
+        cosines[field] = [0.5, math.nan]
+        with pytest.raises(ValueError, match=match):
+            HapkeGeometry(**cosines, shadowed=[False, False])
+        # A shadowed pixel carries no geometry, so its cosine is not read.
+        assert HapkeGeometry(**cosines, shadowed=[False, True]).pixel_count == 2
+
+    @pytest.mark.parametrize(
+        "relief, smoothness",
+        [(30.0, math.nan), (30.0, math.inf), (math.inf, 6.0), (math.nan, 6.0)],
+    )
+    def test_terrain_parameters_must_be_finite(self, relief, smoothness):
+        with pytest.raises(ValueError, match="relief and smoothness must be finite"):
+            smoothed_random_dsm(8, 8, relief=relief, smoothness=smoothness)
 
 
 class TestGenerateHapkeScene:
@@ -247,7 +300,7 @@ class TestGenerateHapkeScene:
             hapke_invert(em.data, 1.0, 1.0)[:, :, None], geom.mu, geom.mu0
         )
         clean = np.einsum("pkn,kn->pn", tensor, ab.data)
-        image = _add_noise(np.asfortranarray(clean), 30.0, np.random.default_rng(25), "C")
+        image = _add_noise(np.asfortranarray(clean), 30.0, np.random.default_rng(25))
         np.testing.assert_array_equal(scene.image.data, image)
         np.testing.assert_array_equal(scene.clean.data, clean)
         np.testing.assert_array_equal(scene.endmembers_per_pixel, tensor)
@@ -319,34 +372,36 @@ class TestApplyNoise:
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("snr_db", [25.0, None])
 @pytest.mark.parametrize(
-    "shape", [(30, 5000), (5, 10001), (1, 4099), (40, 3), (7, 20011), (2, 65536), (4, 32768)]
+    "shape",
+    [
+        (30, 5000),
+        (5, 10001),
+        (1, 4099),
+        (40, 3),
+        (7, 20011),
+        (2, 65536),
+        (4, 32768),
+        (1, 1),
+        (3, 5),
+        (16384, 8),
+    ],
 )
 def test_noise_writer_matches_the_one_shot_draw(shape, snr_db, order):
-    # Row blocks of 12, 1, 1, 40 and 1 rows, then 1 and 1: the first splits
-    # 30 rows unevenly. The last three shapes hold more than one
-    # 2**16-entry run of the signal power's summation tree; in the last two
-    # every run ends exactly on a row end.
-    clean = np.asarray(np.random.default_rng(40).random(shape), order=order)
-    got = _add_noise(np.array(clean, order="F"), snr_db, np.random.default_rng(41), order)
+    # Row blocks of 12, 1, 1, 40, 1, 1, 1, 1, 3 and 16384 rows: the first
+    # splits 30 rows unevenly. The signal power is the sum of each block's
+    # squares in C order, whatever the memory order of the image.
+    clean = np.random.default_rng(40).random(shape)
+    got = _add_noise(np.array(clean, order=order), snr_db, np.random.default_rng(41))
     want = clean
     if snr_db is not None:
-        noise_power = float(np.mean(clean**2)) / 10.0 ** (snr_db / 10.0)
+        p, n = shape
+        rows = min(p, max(1, _BLOCK * p // n))
+        squares = sum(float(np.sum(clean[i : i + rows] ** 2)) for i in range(0, p, rows))
+        noise_power = squares / clean.size / 10.0 ** (snr_db / 10.0)
         rng = np.random.default_rng(41)
         want = clean + rng.normal(0.0, math.sqrt(noise_power), size=clean.shape)
     np.testing.assert_array_equal(got, want)
-    assert got.flags.f_contiguous and got.flags.owndata and not got.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "shape", [(1, 1), (3, 5), (1, 4099), (7, 20011), (2, 65536), (4, 32768), (16384, 8)]
-)
-def test_sum_of_squares_matches_the_contiguous_sum(shape):
-    # A Fortran-ordered image summed in C order; the last three shapes split
-    # into 2**16-entry runs that each end exactly on a row end.
-    x = np.asfortranarray(np.random.default_rng(42).random(shape))
-    want = float(np.sum(np.ascontiguousarray(x) ** 2))
-    assert _sum_of_squares(x, 0, x.size) == want
-    assert _sum_of_squares(x.T, 0, x.size) == float(np.sum(x.T.ravel() ** 2))
+    assert got.flags[order + "_CONTIGUOUS"] and got.flags.owndata and not got.flags.writeable
 
 
 @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
@@ -376,3 +431,34 @@ class TestSyntheticEndmembers:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert sad(em.data[:, i], em.data[:, j]) > 2.0
+
+
+# Writes the images of a 50x50, 120-band 2LMM scene and a 40x40, 20-band,
+# K = 6 Hapke scene to standard output.
+_GENERATE_BOTH = """
+import sys
+from twolmm import *
+em = synthetic_endmembers(120, 3, seed=1)
+ab = generate_grf_abundances(GrfSpec(width=50, height=50, k=3, seed=2))
+sys.stdout.buffer.write(generate_2lmm_scene(em, ab, snr_db=40.0, seed=3).image.data.tobytes())
+em = synthetic_endmembers(20, 6, seed=4, reflectance_range=(0.05, 0.6))
+ab = generate_grf_abundances(GrfSpec(width=40, height=40, k=6, seed=5))
+dsm = smoothed_random_dsm(40, 40, relief=5.0, smoothness=6.0, seed=6)
+sys.stdout.buffer.write(generate_hapke_scene(em, ab, dsm, seed=7).image.data.tobytes())
+"""
+
+
+def test_generation_does_not_depend_on_the_blas_thread_count():
+    # A BLAS reduction (a dot product for the signal power, say) may split
+    # its sum by thread and so change the last bits of the noise.
+    src = str(Path(twolmm.__file__).resolve().parents[1])
+    images = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _GENERATE_BOTH], env=env, capture_output=True, check=True
+        )
+        images.append(run.stdout)
+    assert len(images[0]) == 8 * (120 * 2500 + 20 * 1600)
+    assert images[0] == images[1]
