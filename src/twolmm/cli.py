@@ -39,6 +39,7 @@ from .baselines import unmix_lmm, unmix_slmm
 from .core import AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, rmse_a, rmse_x
 from .datagen import (
     GrfSpec,
+    _check_snr,
     apply_noise,
     generate_2lmm_scene,
     generate_grf_abundances,
@@ -186,8 +187,7 @@ _CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "run.seed": ("seed", int),
     "solver.lower": ("lower", float),
     "solver.upper": ("upper", float),
-    "solver.eps_a": ("eps_a", float),
-    "solver.eps_s": ("eps_s", float),
+    "solver.eps": ("eps", float),
     "solver.max_iter": ("max_iter", int),
     "solver.memory": ("memory", int),
 }
@@ -501,8 +501,11 @@ def cmd_sweep(cfg: ExperimentConfig, sweep: str, values: list[float]) -> list[di
         raise ConfigError(f"unknown sweep kind {sweep!r}; expected one of {SWEEP_KINDS}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if sweep == "bounds_alpha" and min(values) < 1.0:
-        raise ConfigError("bounds_alpha values must be >= 1")
+    for value in values:
+        if sweep == "snr":
+            _check_snr(value)
+        elif not 1.0 <= value < math.inf:
+            raise ConfigError(f"bounds_alpha values must be finite and >= 1, got {value}")
     if sweep == "snr" and cfg.scene_dir:
         raise ConfigError(
             "an snr sweep adds noise to the generator's clean image, which a "

@@ -40,6 +40,11 @@ __all__ = [
 # material, which pixel-based extraction needs.
 _FIELD_CONTRAST = 6.0
 
+# Spread, as a share of the mean's magnitude, at or below which a field is
+# constant: filtered down to its mean, a field keeps a spread of at most
+# about 3 machine epsilons of it, which standardizing would blow up into noise.
+_FLAT_SPREAD = 8 * 2.0**-52
+
 
 @dataclass(frozen=True)
 class GrfSpec:
@@ -68,10 +73,10 @@ def _smooth_field(rng: np.random.Generator, height: int, width: int, scale: floa
     fx = np.fft.fftfreq(width)[None, :]
     transfer = np.exp(-2.0 * math.pi**2 * scale**2 * (fx**2 + fy**2))
     field = np.fft.ifft2(np.fft.fft2(noise) * transfer).real
-    std = field.std()
-    if std == 0.0:
+    mean, std = field.mean(), field.std()
+    if std <= _FLAT_SPREAD * abs(mean):
         return np.zeros_like(field)
-    return (field - field.mean()) / std
+    return (field - mean) / std
 
 
 def generate_grf_abundances(spec: GrfSpec) -> AbundanceMatrix:

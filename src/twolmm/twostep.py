@@ -110,25 +110,20 @@ class TwoLmmConfig:
 
     ``lower``/``upper`` bound the scaling factors (``lower == upper`` pins
     them, which the bounds-sweep harness uses for the alpha = 1 case).
-    ``eps_a``/``eps_s`` are the relative-change thresholds of the
-    termination rule; iteration stops when both fall below their
-    threshold. The loop has two step rules. By default it takes a searched
-    quasi-Newton step: ``memory`` is the number of curvature pairs kept,
-    and with 0 the direction is the ALS displacement, but the step-size
-    search still runs, so ``memory = 0`` alone is not plain ALS. The
-    step-size search is fixed: from step 1 it halves the step at most 30
-    times (the class constants below), then takes the ALS step; the
-    acceptance test evaluates the cost at the raw trial point and the box
-    projection is applied afterwards. ``force_unit_step`` is plain ALS,
-    which is how :func:`solve_als` runs: every iterate is the ALS point,
-    the step is 1, no trial point is evaluated, ``cost_accept`` equals
-    ``cost``, and ``memory`` is not used.
+    ``eps`` is the relative-change threshold: iteration stops once the
+    relative changes of both blocks are at most ``eps``. ``memory`` is the
+    number of curvature pairs the quasi-Newton step keeps; with 0 the
+    direction is the ALS displacement, but the step-size search still
+    runs. The search is fixed (the class constants below): from step 1 it
+    halves the step at most 30 times, then takes the ALS step.
+    ``force_unit_step`` is plain ALS, which is how :func:`solve_als` runs:
+    every iterate is the ALS point at step 1, no trial point is evaluated,
+    ``cost_accept`` equals ``cost``, and ``memory`` is not used.
     """
 
     lower: float = 0.2
     upper: float = 5.0
-    eps_a: float = 1e-6
-    eps_s: float = 1e-6
+    eps: float = 1e-6
     max_iter: int = 500
     memory: int = 5
     force_unit_step: bool = False
@@ -139,7 +134,7 @@ class TwoLmmConfig:
     def __post_init__(self):
         if not (0.0 < self.lower <= self.upper):
             raise ValueError("bounds must satisfy 0 < lower <= upper")
-        if not (self.eps_a > 0 and self.eps_s > 0):
+        if not self.eps > 0:
             raise ValueError("termination thresholds must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
@@ -497,7 +492,7 @@ def solve_als(
     """Plain alternating least squares on the two-step model.
 
     Alternates the closed-form block updates until both relative changes
-    fall below their thresholds or ``max_iter`` is reached. Kept as an
+    are at most ``eps`` or ``max_iter`` is reached. Kept as an
     ablation baseline: it is the loop of :func:`solve_lbfgs` run with
     ``force_unit_step``, whatever ``config`` sets for it, so every iteration
     takes the ALS point and costs one cost evaluation.
@@ -553,14 +548,10 @@ def solve_lbfgs(
     endmember scales are updated, so every iteration meets the test.
     Every new iterate puts all-zero pixels back at ``a_s = 0``, their
     exact block minimizer, from which the two-loop direction can move them.
-    Terminates when the relative change of both blocks falls below the
-    thresholds; stopping at ``max_iter`` instead raises a
-    ``RuntimeWarning``.
-
-    With ``memory = 0`` the direction is the ALS displacement, and the
-    step-size search still runs. ``force_unit_step`` drops the direction
-    and the search, whatever ``memory`` is, and runs plain ALS, which is
-    what :func:`solve_als` does.
+    Terminates once the relative changes of both blocks are at most
+    ``eps``; stopping at ``max_iter`` instead raises a ``RuntimeWarning``.
+    :class:`TwoLmmConfig` documents the settings, ``memory = 0`` and
+    ``force_unit_step`` among them.
     """
     return _solve(image, endmembers, config or TwoLmmConfig(), init)
 
@@ -738,13 +729,12 @@ def _iterate(
         spare += retired
         z = z_new
         current_cost = new_cost
-        if rel_a <= cfg.eps_a and rel_s <= cfg.eps_s:
+        if rel_a <= cfg.eps and rel_s <= cfg.eps:
             break
     else:
         if cfg.max_iter:
             _warn(
                 f"stopped at max_iter={cfg.max_iter} without converging: last "
-                f"rel_change_a={rel_a:.3g}, rel_change_s={rel_s:.3g}, "
-                f"thresholds eps_a={cfg.eps_a:g}, eps_s={cfg.eps_s:g}"
+                f"rel_change_a={rel_a:.3g}, rel_change_s={rel_s:.3g}, eps={cfg.eps:g}"
             )
     return z, trace

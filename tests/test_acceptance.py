@@ -282,7 +282,7 @@ class TestCriterion10OracleEquivalences:
         ab = t.generate_grf_abundances(t.GrfSpec(width=12, height=12, k=3, seed=51))
         scene = t.generate_2lmm_scene(em, ab, snr_db=35.0, seed=52, width=12, height=12)
         cfg = TwoLmmConfig(
-            memory=0, force_unit_step=True, max_iter=10, eps_a=1e-30, eps_s=1e-30
+            memory=0, force_unit_step=True, max_iter=10, eps=1e-30
         )
         res_als = solve_als(scene.image, em, cfg)
         res_lb = solve_lbfgs(scene.image, em, cfg)

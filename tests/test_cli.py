@@ -482,7 +482,7 @@ class TestUnmix:
         from twolmm.twostep import TwoLmmConfig
 
         cfg = small_cfg(tmp_path, snr_db=None, methods=("lbfgs2lmm",))
-        cfg.solver = TwoLmmConfig(eps_a=1e-9, eps_s=1e-9, max_iter=2000)
+        cfg.solver = TwoLmmConfig(eps=1e-9, max_iter=2000)
         rows = cmd_unmix(cfg)
         assert rows[0]["rmse_x"] <= 1e-8
 
@@ -560,7 +560,19 @@ class TestSweep:
         )
         assert sweep_rows[0]["rmse_a"] == pytest.approx(unmix_rows[0]["rmse_a"], rel=1e-12)
 
-    def test_bounds_alpha_values_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "sweep, values, named",
+        [
+            ("bounds_alpha", "3,0.5", ">= 1, got 0.5"),
+            ("bounds_alpha", "3,nan", ">= 1, got nan"),
+            ("bounds_alpha", "3,inf", ">= 1, got inf"),
+            ("snr", "30,nan", "snr_db must be finite, +inf or None, got nan"),
+            ("snr", "30,-inf", "snr_db must be finite, +inf or None, got -inf"),
+        ],
+    )
+    def test_sweep_values_checked_before_any_work(
+        self, tmp_path, capsys, monkeypatch, sweep, values, named
+    ):
         import twolmm.cli as cli
 
         built = []
@@ -568,11 +580,12 @@ class TestSweep:
         path = write_config(tmp_path, SMALL_SCENE)
         code = main(
             ["sweep", "--config", str(path), "--out", str(tmp_path / "sw"),
-             "--sweep", "bounds_alpha", "--values", "3,0.5"]
+             "--sweep", sweep, "--values", values]
         )
         assert code == 1
-        assert ">= 1" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert built == []
+        assert not (tmp_path / "sw").exists()
 
     def test_bounds_alpha_sweep_runs_on_the_scene_directory(self, tmp_path):
         cmd_generate(small_cfg(tmp_path, out_dir=str(tmp_path / "scene"), seed=5))

@@ -26,7 +26,7 @@ from twolmm import (
     synthetic_endmembers,
 )
 from twolmm.core import _BLOCK
-from twolmm.datagen import _add_noise
+from twolmm.datagen import _add_noise, _smooth_field
 
 
 def spatial_autocorrelation(field: np.ndarray, lag: int) -> float:
@@ -69,6 +69,25 @@ class TestGrfAbundances:
     def test_correlation_length_must_be_positive_and_finite(self, length):
         with pytest.raises(ValueError, match="correlation length"):
             GrfSpec(width=6, height=6, correlation_length=length)
+
+    def test_field_filtered_down_to_its_mean_is_zero(self):
+        # The spread left is the inverse FFT's rounding, not a field.
+        field = _smooth_field(np.random.default_rng(0), 20, 20, 1e8)
+        np.testing.assert_array_equal(field, 0.0)
+
+    def test_faint_field_is_still_standardized(self):
+        # At 12 pixels a correlation length of 15 passes the lowest
+        # frequencies at about 4e-14: a spread of some 250 machine epsilons
+        # of the mean, far above the rounding of a flat field.
+        field = _smooth_field(np.random.default_rng(0), 12, 12, 15.0)
+        assert abs(field.std() - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("length", [1e3, 1e8])
+    def test_correlation_far_beyond_the_grid_is_the_uniform_mixture(self, length):
+        ab = generate_grf_abundances(
+            GrfSpec(width=20, height=20, correlation_length=length, k=3, seed=0)
+        )
+        np.testing.assert_array_equal(ab.data, 1.0 / 3.0)
 
 
 class TestGenerate2lmmScene:
@@ -243,6 +262,10 @@ class TestDsmGeometry:
     def test_terrain_parameters_must_be_finite(self, relief, smoothness):
         with pytest.raises(ValueError, match="relief and smoothness must be finite"):
             smoothed_random_dsm(8, 8, relief=relief, smoothness=smoothness)
+
+    def test_terrain_smoother_than_the_grid_is_flat_at_zero(self):
+        dsm = smoothed_random_dsm(20, 20, relief=30.0, smoothness=1e3)
+        np.testing.assert_array_equal(dsm.heights, 0.0)
 
 
 class TestGenerateHapkeScene:

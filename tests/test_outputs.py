@@ -100,8 +100,10 @@ class TestFlags:
 @pytest.mark.parametrize(
     "extra, argv, named",
     [
-        ("solver.eps_a = nan\n", [], "thresholds must be positive"),
-        ("solver.eps_s = nan\n", [], "thresholds must be positive"),
+        ("solver.eps = nan\n", [], "thresholds must be positive"),
+        # The retired pair of thresholds has no alias.
+        ("solver.eps_a = 1e-6\n", [], "unknown configuration key 'solver.eps_a'"),
+        ("solver.eps_s = 1e-6\n", [], "unknown configuration key 'solver.eps_s'"),
         ("scene.snr_db = -inf\n", [], "snr_db"),
         ("scene.snr_db = nan\n", [], "snr_db"),
         ("", ["--snr=-inf"], "snr_db"),

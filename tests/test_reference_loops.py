@@ -172,7 +172,7 @@ def reference_solve(image, endmembers, cfg):
         )
         z = z_new
         current_cost = new_cost
-        if rel_a <= cfg.eps_a and rel_s <= cfg.eps_s:
+        if rel_a <= cfg.eps and rel_s <= cfg.eps:
             break
 
     a_s, s_e = _ref_unpack(z, k, n)

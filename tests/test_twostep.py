@@ -84,11 +84,10 @@ class TestConfig:
     def test_zero_memory_allowed(self):
         assert TwoLmmConfig(memory=0).memory == 0
 
-    @pytest.mark.parametrize("field", ["eps_a", "eps_s"])
     @pytest.mark.parametrize("value", [0.0, -1e-6, math.nan])
-    def test_thresholds_must_be_positive(self, field, value):
+    def test_thresholds_must_be_positive(self, value):
         with pytest.raises(ValueError, match="thresholds must be positive"):
-            TwoLmmConfig(**{field: value})
+            TwoLmmConfig(eps=value)
 
     @pytest.mark.parametrize("field", ["max_iter", "memory"])
     def test_counts_must_be_nonnegative(self, field):
@@ -97,9 +96,7 @@ class TestConfig:
 
     def test_backtracking_rule_is_fixed(self):
         names = [f.name for f in fields(TwoLmmConfig)]
-        assert names == [
-            "lower", "upper", "eps_a", "eps_s", "max_iter", "memory", "force_unit_step"
-        ]
+        assert names == ["lower", "upper", "eps", "max_iter", "memory", "force_unit_step"]
         cfg = TwoLmmConfig()
         assert (cfg.step_init, cfg.step_shrink, cfg.max_backtracks) == (1.0, 0.5, 30)
         with pytest.raises(TypeError):
@@ -298,7 +295,7 @@ class TestPrecondition:
         x, e, state = random_instance(11)
         cfg = TwoLmmConfig()
         direction = precondition(x, e, state, cfg)
-        res = solve_als(x, e, TwoLmmConfig(max_iter=1, eps_a=1e-30, eps_s=1e-30), init=state)
+        res = solve_als(x, e, TwoLmmConfig(max_iter=1, eps=1e-30), init=state)
         a_after = res.abundances.data * res.s_x
         delta = np.concatenate(
             [
@@ -340,12 +337,12 @@ class TestSolveAls:
 
     def test_max_iter_stop_warns(self):
         em, ab, scene = exact_scene(seed=31, width=8, height=8)
-        cfg = TwoLmmConfig(max_iter=3, eps_a=1e-30, eps_s=1e-30)
+        cfg = TwoLmmConfig(max_iter=3, eps=1e-30)
         with pytest.warns(RuntimeWarning, match="max_iter") as caught:
             res = solve_als(scene.image, em, cfg)
         assert res.iterations == 3
         message = [str(w.message) for w in caught if "max_iter" in str(w.message)][0]
-        for name in ("max_iter=3", "rel_change_a=", "rel_change_s=", "eps_a=1e-30", "eps_s=1e-30"):
+        for name in ("max_iter=3", "rel_change_a=", "rel_change_s=", "eps=1e-30"):
             assert name in message
         assert [w.filename for w in caught if "max_iter" in str(w.message)] == [__file__]
 
@@ -387,7 +384,7 @@ class TestSolveLbfgs:
     def test_uniform_init_reaches_same_cost_basin(self):
         em, ab, scene = exact_scene(seed=41, width=12, height=12)
         init = TwoLmmState(a_s=ab.data * scene.scaling.s_x, s_e=scene.scaling.s_e)
-        cfg = TwoLmmConfig(eps_a=1e-9, eps_s=1e-9, max_iter=2000)
+        cfg = TwoLmmConfig(eps=1e-9, max_iter=2000)
         res_truth = solve_lbfgs(scene.image, em, cfg, init=init)
         res_cold = solve_lbfgs(scene.image, em, cfg)
         assert abs(res_cold.trace.records[-1].cost - res_truth.trace.records[-1].cost) <= 1e-6
@@ -426,7 +423,7 @@ class TestSolveLbfgs:
     def test_unit_step_reproduces_als(self, memory):
         em, ab, scene = exact_scene(seed=45, width=8, height=8)
         cfg = TwoLmmConfig(
-            memory=memory, force_unit_step=True, max_iter=10, eps_a=1e-30, eps_s=1e-30
+            memory=memory, force_unit_step=True, max_iter=10, eps=1e-30
         )
         res_als = solve_als(scene.image, em, cfg)
         res_lb = solve_lbfgs(scene.image, em, cfg)
@@ -469,7 +466,7 @@ class TestSolveLbfgs:
         # machine zero) the run still satisfies the acceptance inequality
         # and stays feasible.
         em = synthetic_endmembers(40, 3, seed=49)
-        ab = generate_grf_abundances(GrfSpec(width=8, height=8, k=3, seed=50))
+        ab = generate_grf_abundances(GrfSpec(width=8, height=8, k=3, seed=50, correlation_length=2.0))
         scene = generate_2lmm_scene(em, ab, snr_db=30.0, seed=51, width=8, height=8)
         monkeypatch.setattr(TwoLmmConfig, "max_backtracks", 0)
         cfg = TwoLmmConfig(max_iter=40)
@@ -495,7 +492,7 @@ class TestSolveLbfgs:
 
     def test_max_iter_stop_warns(self):
         em, ab, scene = exact_scene(seed=31, width=8, height=8)
-        cfg = TwoLmmConfig(max_iter=3, eps_a=1e-30, eps_s=1e-30)
+        cfg = TwoLmmConfig(max_iter=3, eps=1e-30)
         with pytest.warns(RuntimeWarning, match="max_iter") as caught:
             res = solve_lbfgs(scene.image, em, cfg)
         assert res.iterations == 3
