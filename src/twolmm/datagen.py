@@ -10,7 +10,9 @@ are pure functions of their seed.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -227,6 +229,34 @@ def _are_cosines(x: np.ndarray) -> bool:
     return bool(np.all((x > 0) & (x <= 1)))
 
 
+def _check_hapke(w: np.ndarray, mu: np.ndarray, mu0: np.ndarray) -> None:
+    """Raise unless the albedo ``w`` lies in [0, 1] and the cosines in (0, 1]."""
+    if not np.all((w >= 0) & (w <= 1)):
+        raise ValueError("single-scattering albedo must lie in [0, 1]")
+    if not (_are_cosines(mu) and _are_cosines(mu0)):
+        raise ValueError("angle cosines must lie in (0, 1]")
+
+
+def _render_hapke(w, root, mu, mu0, out=None, tmp=None) -> np.ndarray:
+    """The relative reflectance of the albedo ``w`` at the cosines
+    ``mu``/``mu0``, given ``root = sqrt(1 - w)``, written into ``out``
+    with ``tmp`` as scratch; both must have the broadcast shape, and are
+    allocated in the layout numpy gives ``2 mu * root`` when not given.
+
+    The one copy of the formula, with checked inputs: the product
+    ``(1 + 2 mu root) (1 + 2 mu0 root)`` is formed in ``out`` and ``w`` is
+    divided by it in place, each step the same operation in the same order
+    as the expression would take, so the bits do not depend on the buffers.
+    """
+    # A 0-d product comes back as a scalar, which the steps below cannot write.
+    out = np.asarray(np.multiply(2.0 * mu, root, out=out))
+    out += 1.0
+    tmp = np.asarray(np.multiply(2.0 * mu0, root, out=tmp))
+    tmp += 1.0
+    out *= tmp
+    return np.divide(w, out, out=out)
+
+
 def hapke_relative_reflectance(w, mu, mu0):
     """Reflectance relative to a white reference panel.
 
@@ -234,17 +264,14 @@ def hapke_relative_reflectance(w, mu, mu0):
     the single-scattering albedo in [0, 1] and ``mu``/``mu0`` are the
     cosines of the reflected/incident angles in (0, 1]. Applies
     elementwise over spectra; a perfectly white material maps to 1 for any
-    geometry.
+    geometry. Scenes render through the same kernel, block by block, and
+    check their albedo and cosines once.
     """
     w = np.asarray(w, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     mu0 = np.asarray(mu0, dtype=np.float64)
-    if not np.all((w >= 0) & (w <= 1)):
-        raise ValueError("single-scattering albedo must lie in [0, 1]")
-    if not (_are_cosines(mu) and _are_cosines(mu0)):
-        raise ValueError("angle cosines must lie in (0, 1]")
-    root = np.sqrt(1.0 - w)
-    y = w / ((1.0 + 2.0 * mu * root) * (1.0 + 2.0 * mu0 * root))
+    _check_hapke(w, mu, mu0)
+    y = _render_hapke(w, np.sqrt(1.0 - w), mu, mu0)
     return y if y.ndim else float(y)
 
 
@@ -394,7 +421,8 @@ class HapkeScene:
     and cached, so a scene holds one image until they are read:
     :attr:`endmembers_per_pixel` (P, K, N) holds the rendered endmember
     matrix of every pixel, and :attr:`clean` is the noise-free mixture,
-    bit for bit the one the noise was added to.
+    bit for bit the one the noise was added to. Both are rendered block by
+    block on the calling thread and one helper, as the image was.
     """
 
     image: HsiImage
@@ -404,11 +432,15 @@ class HapkeScene:
 
     @cached_property
     def endmembers_per_pixel(self) -> np.ndarray:
-        """The read-only (P, K, N) tensor of rendered endmember spectra."""
+        """The read-only (P, K, N) tensor of rendered endmember spectra,
+        rendered block by block in two lanes (:func:`_hapke_lanes`)."""
         p, k = self.albedo.shape
         out = np.empty((p, k, self.geometry.pixel_count))
-        for part, rendered in _hapke_blocks(self.albedo, self.geometry):
+
+        def put(part, rendered):
             out[:, :, part] = rendered
+
+        _hapke_lanes(self.albedo, self.geometry, put)
         out.flags.writeable = False
         return out
 
@@ -421,34 +453,88 @@ class HapkeScene:
         return HsiImage(clean, width=self.image.width, height=self.image.height)
 
 
-def _hapke_blocks(albedo: np.ndarray, geometry: HapkeGeometry):
-    """Yield ``(part, rendered)`` for consecutive slices ``part`` of
-    ``max(1, _BLOCK // K)`` pixels: ``rendered`` is the (P, K, len(part))
-    :func:`hapke_relative_reflectance` of ``albedo`` at those pixels'
-    cosines, about as many values as a P x ``_BLOCK`` block.
+def _hapke_lanes(albedo: np.ndarray, geometry: HapkeGeometry, use) -> None:
+    """Call ``use(part, rendered)`` for consecutive slices ``part`` of
+    ``max(1, _BLOCK // (2K))`` pixels: ``rendered`` is the (P, K, len(part))
+    :func:`hapke_relative_reflectance` of the (P, K) ``albedo`` at those
+    pixels' cosines, valid until ``use`` returns. The albedo and cosines
+    are checked once, here.
 
-    The albedo must stay Fortran-ordered, as every endmember matrix is, so
-    that K is not the contiguous axis of ``rendered``: numpy's einsum sums
-    a one-pixel block with a contiguous K in another order, and the
-    mixture would then differ from that of the whole tensor in its last
-    bits (a test pins a lone last pixel at K = 12).
+    Even-numbered blocks run on the calling thread and odd-numbered ones on
+    one helper thread, which starts only when there are two blocks or more.
+    Each lane renders through its own two buffers of one block, allocated
+    here before the helper starts, so the two lanes together hold what one
+    block of ``_BLOCK // K`` pixels and its scratch would. ``use`` must
+    write only what its ``part``
+    owns, and neither it nor the kernel calls BLAS. The helper runs in a
+    copy of the caller's context, so the caller's ``np.errstate`` governs
+    it; it is joined before this returns or raises, and its exception is
+    raised here.
+
+    Every block is laid out as a new array of its size with the endmembers
+    outermost and the pixels contiguous. numpy's einsum sums a block whose
+    K is the contiguous axis in another order when the block is one pixel,
+    and the mixture would then differ from that of the whole tensor in its
+    last bits (a test pins a lone last pixel at K = 12).
     """
-    step = max(1, _BLOCK // albedo.shape[1])
-    for start in range(0, geometry.pixel_count, step):
-        part = slice(start, start + step)
-        yield part, hapke_relative_reflectance(
-            albedo[:, :, None], geometry.mu[None, None, part], geometry.mu0[None, None, part]
-        )
+    w = albedo[:, :, None]
+    mu, mu0 = geometry.mu, geometry.mu0
+    _check_hapke(w, mu, mu0)
+    root = np.sqrt(1.0 - w)
+    p, k = albedo.shape
+    n = geometry.pixel_count
+    step = max(1, _BLOCK // (2 * k))
+    starts = range(0, n, step)
+
+    def run(lane_starts, out_buf, tmp_buf):
+        for start in lane_starts:
+            part = slice(start, min(start + step, n))
+            shape = (k, p, part.stop - start)
+            out, tmp = (
+                buf[: math.prod(shape)].reshape(shape).transpose(1, 0, 2)
+                for buf in (out_buf, tmp_buf)
+            )
+            use(part, _render_hapke(w, root, mu[part], mu0[part], out, tmp))
+
+    size = k * p * min(step, n)
+    lanes = [
+        (starts[first::2], np.empty(size), np.empty(size)) for first in range(min(2, len(starts)))
+    ]
+    if len(lanes) < 2:
+        for lane in lanes:
+            run(*lane)
+        return
+    errors = []
+
+    def helper():
+        try:
+            run(*lanes[1])
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        run(*lanes[0])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _hapke_mix(albedo: np.ndarray, geometry: HapkeGeometry, abundances: AbundanceMatrix):
     """The (P, N) mixture ``sum_k E_n[:, k] a[k, n]`` of the rendered
     endmembers as a new Fortran-ordered array, each block mixed into its own
-    contiguous columns: equal bit for bit to ``einsum("pkn,kn->pn")`` over
-    the whole tensor but holding one block of it at a time."""
+    contiguous columns (:func:`_hapke_lanes`): equal bit for bit to
+    ``einsum("pkn,kn->pn")`` over the whole tensor but holding two blocks of
+    it at a time."""
     clean = np.empty((albedo.shape[0], geometry.pixel_count), order="F")
-    for part, rendered in _hapke_blocks(albedo, geometry):
-        np.einsum("pkn,kn->pn", rendered, abundances.data[:, part], out=clean[:, part])
+    a = abundances.data
+
+    def mix(part, rendered):
+        np.einsum("pkn,kn->pn", rendered, a[:, part], out=clean[:, part])
+
+    _hapke_lanes(albedo, geometry, mix)
     return clean
 
 
@@ -472,8 +558,12 @@ def generate_hapke_scene(
     Rendering and mixing run over blocks of pixels, so the (P, K, N)
     tensor is never formed here: the mixture is written into the image's
     buffer and the noise added in place, so generation holds one image and
-    a few blocks, whatever K. The scene keeps only the noisy image; its
-    clean image and tensor are derived again when read.
+    a few blocks, whatever K. The blocks are split between the calling
+    thread and one helper thread, which renders and mixes the odd-numbered
+    ones with no BLAS call; each block writes only its own columns, so the
+    image has the same bits as one thread would give. The scene keeps only
+    the noisy image; its clean image and tensor are derived again when
+    read.
     """
     _check_snr(snr_db)
     e0 = endmembers.data

@@ -231,5 +231,5 @@ def solve_nnls_clipped(endmembers: EndmemberMatrix, image: HsiImage) -> np.ndarr
     never by inverting E^T E) and the negative entries are set to zero
     afterwards.
     """
-    a = solve_least_squares(*_arrays(endmembers, image))
+    a = _qr_fit(*_arrays(endmembers, image))[0]
     return np.clip(a, 0.0, np.inf)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from twolmm import (
     smoothed_random_dsm,
     synthetic_endmembers,
 )
+from twolmm import datagen
 from twolmm.core import _BLOCK
 from twolmm.datagen import _add_noise, _smooth_field
 
@@ -306,12 +308,27 @@ class TestGenerateHapkeScene:
         diffs = np.diff(interior, axis=2)
         assert (diffs > 0).all() or (diffs < 0).all()
 
-    # _BLOCK // K pixels a block: 40x40 at K = 3 is 682 + 682 + 236 pixels,
-    # 11x31 at K = 12 is 170 + 170 + a lone pixel, 20x20 at K = 12 ends in
-    # 60, and 8x8 and 50x50 at K = 1 are below one block and 2048 + 452.
+    # _BLOCK // (2K) pixels a block, even-numbered blocks on the calling
+    # thread and odd-numbered ones on the helper: 341 at K = 3, so 11x31 is
+    # exactly one block (no helper), 22x31 two, 33x31 three and 40x40 four
+    # and 236; 85 at K = 12, so 11x31 is four and a lone pixel on the
+    # calling thread, 16x16 three and a lone pixel on the helper, and 20x20
+    # ends in 60; 1024 at K = 1, so 8x8 is below one block and 50x50 is
+    # 1024 + 1024 + 452.
     @pytest.mark.parametrize(
         "width, height, k",
-        [(40, 40, 3), (8, 8, 3), (11, 31, 12), (20, 20, 12), (8, 8, 1), (50, 50, 1)],
+        [
+            (40, 40, 3),
+            (8, 8, 3),
+            (11, 31, 3),
+            (22, 31, 3),
+            (33, 31, 3),
+            (11, 31, 12),
+            (16, 16, 12),
+            (20, 20, 12),
+            (8, 8, 1),
+            (50, 50, 1),
+        ],
     )
     def test_blocks_match_the_whole_tensor_bit_for_bit(self, width, height, k):
         em, ab = self.make_inputs(width, height, k)
@@ -327,6 +344,26 @@ class TestGenerateHapkeScene:
         np.testing.assert_array_equal(scene.image.data, image)
         np.testing.assert_array_equal(scene.clean.data, clean)
         np.testing.assert_array_equal(scene.endmembers_per_pixel, tensor)
+
+    def test_lanes_keep_their_bits_under_fast_thread_switching(self):
+        # 40x40 at K = 3: five blocks, the helper's two interleaved with the
+        # caller's three at every few bytecodes.
+        em, ab = self.make_inputs(40, 40, 3)
+        dsm = smoothed_random_dsm(40, 40, relief=5.0, smoothness=3.0, seed=36)
+        geom = dsm_to_geometry(dsm, (0.0, 0.0, 1.0))
+        tensor = hapke_relative_reflectance(
+            hapke_invert(em.data, 1.0, 1.0)[:, :, None], geom.mu, geom.mu0
+        )
+        clean = np.einsum("pkn,kn->pn", tensor, ab.data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                scene = generate_hapke_scene(em, ab, dsm, snr_db=None, seed=37)
+                np.testing.assert_array_equal(scene.image.data, clean)
+                np.testing.assert_array_equal(scene.endmembers_per_pixel, tensor)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_oracle_arrays_derived_on_first_read(self):
         em, ab = self.make_inputs()
@@ -352,6 +389,58 @@ class TestGenerateHapkeScene:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0 * scene.image.data.nbytes
+
+    # 40x40 at K = 3: five blocks, the second and fourth on the helper.
+    @pytest.mark.parametrize("lane", ["caller", "helper"])
+    def test_lane_exception_reaches_the_caller(self, monkeypatch, lane):
+        em, ab = self.make_inputs(40, 40, 3)
+        dsm = smoothed_random_dsm(40, 40, relief=5.0, smoothness=3.0, seed=30)
+        caller = threading.current_thread()
+        render = datagen._render_hapke
+
+        def failing(*args):
+            if (threading.current_thread() is caller) == (lane == "caller"):
+                raise ArithmeticError(f"block failed on the {lane}")
+            return render(*args)
+
+        monkeypatch.setattr(datagen, "_render_hapke", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"^block failed on the {lane}$"):
+            generate_hapke_scene(em, ab, dsm, snr_db=30.0, seed=31)
+        assert threading.active_count() == before
+
+    def test_caller_errstate_governs_the_helper(self, monkeypatch):
+        em, ab = self.make_inputs(40, 40, 3)
+        dsm = smoothed_random_dsm(40, 40, relief=5.0, smoothness=3.0, seed=32)
+        caller = threading.current_thread()
+        render = datagen._render_hapke
+
+        def nan_on_helper(*args):
+            out = render(*args)
+            if threading.current_thread() is not caller:
+                np.sqrt(-out, out=out)
+            return out
+
+        monkeypatch.setattr(datagen, "_render_hapke", nan_on_helper)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            generate_hapke_scene(em, ab, dsm, snr_db=30.0, seed=33)
+
+    @pytest.mark.parametrize("width, threads", [(11, 0), (22, 1)])
+    def test_one_block_starts_no_thread(self, monkeypatch, width, threads):
+        # 11x31 at K = 3 is one block, 22x31 two.
+        em, ab = self.make_inputs(width, 31, 3)
+        dsm = smoothed_random_dsm(width, 31, relief=5.0, smoothness=3.0, seed=34)
+        started = []
+        thread = threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(1)
+            return thread(*args, **kwargs)
+
+        monkeypatch.setattr(datagen.threading, "Thread", counted)
+        scene = generate_hapke_scene(em, ab, dsm, snr_db=None, seed=35)
+        scene.endmembers_per_pixel
+        assert len(started) == 2 * threads
 
     def test_self_shadow_rejected_with_indices(self):
         em, ab = self.make_inputs()

@@ -12,6 +12,7 @@ from twolmm import (
     unmix_lmm,
     unmix_slmm,
 )
+from twolmm import solvers
 from twolmm.solvers import SolverError, _simplex_qp, solve_least_squares
 from twolmm.twostep import (
     TwoLmmState,
@@ -93,6 +94,25 @@ class TestBandCheck:
         with pytest.raises(ValueError) as caught:
             call(x, e)
         assert str(caught.value) == "band mismatch: image has shape (5, 4), endmembers (6, 2)"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, e: solve_nnls_clipped(e, x),
+        lambda x, e: als_update_a(x, e, np.ones(2)),
+        lambda x, e: precondition(x, e, TwoLmmState.uniform(2, 4)),
+    ],
+    ids=["nnls_clipped", "als_update_a", "precondition"],
+)
+def test_bands_checked_once_per_call(call, monkeypatch):
+    calls = []
+    check = solvers._check_bands
+    monkeypatch.setattr(solvers, "_check_bands", lambda e, x: calls.append(1) or check(e, x))
+    rng = np.random.default_rng(3)
+    e = EndmemberMatrix(rng.uniform(0.1, 1.0, size=(6, 2)))
+    call(HsiImage(rng.uniform(0.1, 1.0, size=(6, 4))), e)
+    assert len(calls) == 1
 
 
 class TestContainerCheck:

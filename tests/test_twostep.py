@@ -256,7 +256,7 @@ class TestAlsUpdateSe:
         a = rng.uniform(0.1, 1.0, size=(2, 5))
         x = HsiImage((e.data * [0.8, 1.5]) @ a)
         expected = als_update_se(x, e, a, np.ones(2), (0.1, 10.0))
-        monkeypatch.setattr(twostep, "solve_least_squares", no_fit)
+        monkeypatch.setattr(twostep, "_qr_fit", no_fit)
         np.testing.assert_array_equal(als_update_se(x, e, a, np.ones(2), (0.1, 10.0)), expected)
 
 
