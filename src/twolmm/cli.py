@@ -132,11 +132,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scene kind {self.scene_kind!r}")
         if self.seed < 0:
             raise ConfigError(f"run.seed must be nonnegative, got {self.seed}")
+        if not self.methods:
+            raise ConfigError("run.methods names no method")
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ConfigError(
                     f"unknown method {m!r}; expected one of {METHOD_NAMES}"
                 )
+            if self.methods.count(m) > 1:
+                raise ConfigError(f"run.methods names {m!r} more than once")
         if self.em_source not in EM_SOURCES:
             raise ConfigError(
                 f"unknown endmember source {self.em_source!r}; "

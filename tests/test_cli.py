@@ -648,6 +648,28 @@ class TestMainExitCodes:
         path = write_config(tmp_path, "run.methods = bogus\n")
         assert main(["unmix", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "verb", [["unmix"], ["sweep", "--sweep", "bounds_alpha", "--values", "2"]],
+        ids=["unmix", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "line, flags, message",
+        [
+            ("", ["--methods", ","], "run.methods names no method"),
+            ("run.methods =\n", [], "run.methods names no method"),
+            ("", ["--methods", "lmm,slmm,lmm"], "run.methods names 'lmm' more than once"),
+        ],
+        ids=["comma-flag", "empty-key", "repeated"],
+    )
+    def test_empty_or_repeated_method_list_is_config_error(
+        self, tmp_path, capsys, verb, line, flags, message
+    ):
+        path = write_config(tmp_path, SMALL_SCENE + line)
+        out = tmp_path / "res"
+        assert main([*verb, "--config", str(path), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, capsys):
         assert main(["unmix", "--config", "/nonexistent/x.cfg"]) == 3
 
