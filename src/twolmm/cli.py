@@ -51,7 +51,6 @@ from .endmembers import (
     MatchResult,
     ProjectionSpec,
     _leading_subspace,
-    _mean_direction,
     align_abundances,
     match_endmembers,
     perspective_project,  # not called here; perfbench's tracer wraps it by this name
@@ -380,8 +379,7 @@ def resolve_endmembers(cfg: ExperimentConfig, bundle: SceneBundle) -> EndmemberM
         return load_endmembers(cfg.em_file)
     k = cfg.k if bundle.k is None else bundle.k
     image = bundle.image
-    # for_image's vector; vca_extract makes the margin check.
-    projection = ProjectionSpec(v=_mean_direction(image))
+    projection = ProjectionSpec.for_image(image)  # vca_extract checks its margin
     _, indices = vca_extract(
         image, k, seed=_derive_seed(cfg.seed, _STREAM_VCA), projection=projection
     )

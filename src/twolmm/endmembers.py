@@ -58,23 +58,15 @@ class ProjectionSpec:
 
     @classmethod
     def for_image(cls, image: HsiImage) -> "ProjectionSpec":
-        """The spec of ``image``'s normalized mean spectrum (which maximizes
-        the worst-case margin on nonnegative data), after checking that every
-        pixel clears the margin. For another vector, construct the spec
-        directly; :func:`perspective_project` and :func:`vca_extract` make
-        the same check."""
-        spec = cls(v=_mean_direction(image))
-        _checked_dots(image, spec)
-        return spec
-
-
-def _mean_direction(image: HsiImage) -> np.ndarray:
-    """The image's mean spectrum scaled to unit length."""
-    mean = image.data.mean(axis=1)
-    norm = np.linalg.norm(mean)
-    if norm == 0.0:
-        raise ValueError("cannot derive a projection vector from an all-zero image")
-    return mean / norm
+        """The spec of ``image``'s normalized mean spectrum, which maximizes
+        the worst-case margin on nonnegative data. Whether every pixel clears
+        the margin is checked where the spec is used, by
+        :func:`perspective_project` and :func:`vca_extract`."""
+        mean = image.data.mean(axis=1)
+        norm = np.linalg.norm(mean)
+        if norm == 0.0:
+            raise ValueError("cannot derive a projection vector from an all-zero image")
+        return cls(v=mean / norm)
 
 
 def _checked_dots(image: HsiImage, spec: ProjectionSpec) -> np.ndarray:
@@ -289,11 +281,14 @@ def check_sufficiently_scattered(
     lies in the conic hull of the abundance columns via nonnegative
     least-squares feasibility (residual <= 1e-8). Failing directions
     witness that the hull does not cover the inscribed cone; passing all
-    samples is necessary but not sufficient for the full condition.
+    samples is necessary but not sufficient for the full condition, and
+    a check of no direction is refused rather than passed.
     """
     k = abundances.endmember_count
     if k < 2:
         raise ValueError("the scatter condition needs at least two endmembers")
+    if directions < 1:
+        raise ValueError(f"the scatter check needs at least one direction, got {directions}")
     # Imported here, not at module level: nothing else in twolmm uses scipy,
     # and loading it would add most of a second to every CLI start.
     import scipy.optimize

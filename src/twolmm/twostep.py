@@ -190,12 +190,11 @@ def _unpack(z: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z[: k * n].reshape((k, n), order="F"), z[k * n :]
 
 
-def _checked(endmembers, image, a_s=None, s_e=None) -> tuple[np.ndarray, np.ndarray]:
+def _checked(endmembers, image, a_s=None) -> tuple[np.ndarray, np.ndarray]:
     """The (E, X) arrays (:func:`twolmm.solvers._arrays`), after checking
-    that ``a_s`` is (K, N) and ``s_e`` is (K,) when given."""
+    that ``a_s`` is (K, N) when given."""
     e, x = _arrays(endmembers, image)
-    k, n = e.shape[1], x.shape[1]
-    if (a_s is not None and a_s.shape != (k, n)) or (s_e is not None and s_e.shape != (k,)):
+    if a_s is not None and a_s.shape != (e.shape[1], x.shape[1]):
         raise ValueError("state shape does not match image/endmembers")
     return e, x
 
@@ -400,52 +399,44 @@ def gradient(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -
 def als_update_a(
     image: HsiImage,
     endmembers: EndmemberMatrix,
-    s_e: np.ndarray,
-    upper: float = np.inf,
+    state: TwoLmmState,
+    config: TwoLmmConfig | None = None,
 ) -> np.ndarray:
-    """Scaled-clip update of the scaled abundances.
+    """Scaled-clip update of the scaled abundances from ``state.s_e``.
 
     Solves the per-column least-squares fit through QR, divides row k by
-    ``s_e[k]``, and clips the result into ``[0, upper]``. This is the
-    minimiser of the cost over ``a_s`` only when nothing is clipped: the
-    columns of ``E`` are not orthogonal, so clipping one coordinate moves
-    the best value of the others, and the clipped fit can even raise the
-    cost. With unit scales and an infinite bound this reduces to
-    :func:`twolmm.solvers.solve_nnls_clipped`.
+    ``s_e[k]``, and clips the result into ``[0, config.upper]``. This is
+    the minimiser of the cost over ``a_s`` only when nothing is clipped:
+    the columns of ``E`` are not orthogonal, so clipping one coordinate
+    moves the best value of the others, and the clipped fit can even raise
+    the cost. With unit scales and an infinite ``upper`` this reduces to
+    :func:`twolmm.solvers.solve_nnls_clipped`. Of ``state.a_s`` only the
+    shape is read.
     """
-    s_e = np.asarray(s_e, dtype=np.float64).ravel()
-    e, x = _checked(endmembers, image, s_e=s_e)
-    if np.any(s_e <= 0):
-        raise ValueError("s_e must be strictly positive")
-    if not (upper > 0):  # NaN fails too
-        raise ValueError(f"upper clip bound must be positive, got {upper}")
+    e, x = _checked(endmembers, image, state.a_s)
     fit = _qr_fit(e, x)[0]
-    return _scaled_clip(fit, s_e, upper, np.empty_like(fit))
+    return _scaled_clip(fit, state.s_e, (config or TwoLmmConfig()).upper, np.empty_like(fit))
 
 
 def als_update_se(
     image: HsiImage,
     endmembers: EndmemberMatrix,
-    a_s: np.ndarray,
-    s_e: np.ndarray,
-    bounds: tuple[float, float],
+    state: TwoLmmState,
+    config: TwoLmmConfig | None = None,
 ) -> np.ndarray:
-    """One Gauss-Seidel sweep over the endmember scales.
+    """One Gauss-Seidel sweep over the endmember scales of ``state``.
 
     Scales are visited in ascending index order; each coordinate is set to
-    its exact least-squares value given all the others (already-updated
-    values for smaller indices, current values for larger ones) and then
-    clipped into ``bounds``. Endmembers with zero total abundance keep
-    their current scale and are reported.
+    its exact least-squares value given ``state.a_s`` and all the other
+    scales (already-updated values for smaller indices, current values for
+    larger ones) and then clipped into ``[config.lower, config.upper]``.
+    Endmembers with zero total abundance keep their current scale and are
+    reported.
     """
-    lower, upper = bounds
-    if not (0.0 < lower <= upper):
-        raise ValueError("bounds must satisfy 0 < lower <= upper")
-    a_s = np.atleast_2d(np.asarray(a_s, dtype=np.float64))
-    s_e = np.asarray(s_e, dtype=np.float64).ravel()
-    e, x = _checked(endmembers, image, a_s, s_e)
+    e, x = _checked(endmembers, image, state.a_s)
+    cfg = config or TwoLmmConfig()
     _check_full_rank(e)
-    s, absent = _sweep_scales(*_normal_parts(e, x), a_s, s_e, lower, upper)
+    s, absent = _sweep_scales(*_normal_parts(e, x), state.a_s, state.s_e, cfg.lower, cfg.upper)
     if absent:
         _warn("endmembers absent from the scene kept their scales: " + _index_summary(absent))
     return np.array(s)

@@ -30,6 +30,8 @@ from twolmm import datagen
 from twolmm.core import _BLOCK
 from twolmm.datagen import _add_noise, _smooth_field
 
+from scenes import SHORT_LENGTH, grf_map
+
 
 def spatial_autocorrelation(field: np.ndarray, lag: int) -> float:
     a = field[:, :-lag].ravel()
@@ -95,7 +97,7 @@ class TestGrfAbundances:
 class TestGenerate2lmmScene:
     def test_degenerate_draw_is_exact_lmm(self):
         em = synthetic_endmembers(30, 3, seed=2)
-        ab = generate_grf_abundances(GrfSpec(width=8, height=8, k=3, seed=3))
+        ab = grf_map(8, 8, 3, seed=3, correlation_length=SHORT_LENGTH)
         scene = generate_2lmm_scene(em, ab, s_range=(1.0, 1.0), snr_db=None, seed=4)
         np.testing.assert_allclose(scene.image.data, em.data @ ab.data, atol=1e-14)
         np.testing.assert_array_equal(scene.scaling.s_e, 1.0)
@@ -106,7 +108,7 @@ class TestGenerate2lmmScene:
         # equal the C-ordered product bit for bit.
         for bands, side in [(40, 10), (120, 100)]:
             em = synthetic_endmembers(bands, 3, seed=5)
-            ab = generate_grf_abundances(GrfSpec(width=side, height=side, k=3, seed=6))
+            ab = grf_map(side, side, 3, seed=6, correlation_length=SHORT_LENGTH)
             scene = generate_2lmm_scene(em, ab, snr_db=20.0, seed=7, width=side, height=side)
             rebuilt = (em.data * scene.scaling.s_e) @ (ab.data * scene.scaling.s_x)
             assert "clean" not in vars(scene)  # composed again on first access
@@ -134,7 +136,7 @@ class TestGenerate2lmmScene:
 
     def test_deterministic(self):
         em = synthetic_endmembers(20, 2, seed=14)
-        ab = generate_grf_abundances(GrfSpec(width=6, height=6, k=2, seed=15))
+        ab = grf_map(6, 6, 2, seed=15, correlation_length=SHORT_LENGTH)
         s1 = generate_2lmm_scene(em, ab, snr_db=30.0, seed=16)
         s2 = generate_2lmm_scene(em, ab, snr_db=30.0, seed=16)
         np.testing.assert_array_equal(s1.image.data, s2.image.data)
@@ -273,7 +275,7 @@ class TestDsmGeometry:
 class TestGenerateHapkeScene:
     def make_inputs(self, width=8, height=8, k=3, seed=18):
         em = synthetic_endmembers(30, k, seed=seed, reflectance_range=(0.05, 0.6))
-        ab = generate_grf_abundances(GrfSpec(width=width, height=height, k=k, seed=seed + 1))
+        ab = grf_map(width, height, k, seed + 1, correlation_length=SHORT_LENGTH)
         return em, ab
 
     def test_reference_geometry_reduces_to_lmm(self):
@@ -467,14 +469,14 @@ class TestGenerateHapkeScene:
 class TestApplyNoise:
     def test_infinite_snr_returns_clean(self):
         em = synthetic_endmembers(20, 2, seed=24)
-        ab = generate_grf_abundances(GrfSpec(width=5, height=5, k=2, seed=25))
+        ab = grf_map(5, 5, 2, seed=25, correlation_length=SHORT_LENGTH)
         scene = generate_2lmm_scene(em, ab, snr_db=None, seed=26)
         noisy = apply_noise(scene.clean, None, seed=0)
         np.testing.assert_array_equal(noisy.data, scene.clean.data)
 
     def test_noise_is_seeded(self):
         em = synthetic_endmembers(20, 2, seed=27)
-        ab = generate_grf_abundances(GrfSpec(width=5, height=5, k=2, seed=28))
+        ab = grf_map(5, 5, 2, seed=28, correlation_length=SHORT_LENGTH)
         scene = generate_2lmm_scene(em, ab, snr_db=None, seed=29)
         n1 = apply_noise(scene.clean, 30.0, seed=5)
         n2 = apply_noise(scene.clean, 30.0, seed=5)
@@ -520,7 +522,7 @@ def test_noise_writer_matches_the_one_shot_draw(shape, snr_db, order):
 def test_undefined_snr_rejected_by_every_noise_path(snr_db):
     # Only None and +inf mean "no noise"; -inf and NaN name no noise level.
     em = synthetic_endmembers(20, 2, seed=30, reflectance_range=(0.05, 0.6))
-    ab = generate_grf_abundances(GrfSpec(width=5, height=5, k=2, seed=31))
+    ab = grf_map(5, 5, 2, seed=31, correlation_length=SHORT_LENGTH)
     clean = generate_2lmm_scene(em, ab, snr_db=math.inf, seed=32).clean
     with pytest.raises(ValueError, match="snr_db"):
         generate_2lmm_scene(em, ab, snr_db=snr_db, seed=32)

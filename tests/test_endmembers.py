@@ -79,11 +79,25 @@ class TestPerspectiveProject:
         with pytest.raises(ValueError, match=r"\[1\]"):
             vca_extract(img, 1, projection=spec)
 
-    def test_spec_construction_validates_margin(self):
+    def test_margin_of_the_mean_direction_checked_where_used(self):
         # The mean spectrum (0, 0.5) is orthogonal to the first pixel.
-        x = np.array([[1.0, -1.0], [0.0, 1.0]])
+        img = HsiImage(np.array([[1.0, -1.0], [0.0, 1.0]]))
+        spec = ProjectionSpec.for_image(img)
+        np.testing.assert_array_equal(spec.v, [0.0, 1.0])
         with pytest.raises(ValueError, match=r"orthogonal.*\[0\]"):
-            ProjectionSpec.for_image(HsiImage(x))
+            perspective_project(img, spec)
+        with pytest.raises(ValueError, match=r"orthogonal.*\[0\]"):
+            vca_extract(img, 1, projection=spec)
+
+    def test_margin_checked_once_from_spec_to_extraction(self, monkeypatch):
+        calls = []
+        check = endmembers_module._checked_dots
+        monkeypatch.setattr(
+            endmembers_module, "_checked_dots", lambda x, spec: calls.append(1) or check(x, spec)
+        )
+        img = HsiImage(np.random.default_rng(4).uniform(0.1, 1.0, size=(6, 20)))
+        vca_extract(img, 3, projection=ProjectionSpec.for_image(img))
+        assert len(calls) == 1
 
     def test_zero_projection_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -346,6 +360,12 @@ class TestCheckSufficientlyScattered:
         assert grid.shape == (3, 12)
         res = check_sufficiently_scattered(AbundanceMatrix(grid), directions=500, seed=0)
         assert res.passed
+
+    @pytest.mark.parametrize("directions", [0, -5])
+    def test_no_direction_is_not_a_pass(self, directions):
+        message = f"^the scatter check needs at least one direction, got {directions}$"
+        with pytest.raises(ValueError, match=message):
+            check_sufficiently_scattered(AbundanceMatrix(np.eye(3)), directions=directions)
 
     def test_pass_is_monotone_in_columns(self):
         rng = np.random.default_rng(17)

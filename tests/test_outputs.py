@@ -14,15 +14,19 @@ from twolmm.cli import (
     ConfigError,
     ExperimentConfig,
     build_config,
+    build_scene,
     cmd_unmix,
     main,
 )
+from twolmm.fileio import _read_key_values
 from twolmm.trace import IterationRecord, SolverTrace
+
+from scenes import assert_contrast
 
 SCENE = """
 scene.kind = 2lmm
-scene.width = 8
-scene.height = 8
+scene.width = 14
+scene.height = 14
 scene.k = 3
 scene.bands = 20
 scene.snr_db = 40
@@ -36,6 +40,12 @@ def flags(**kw):
     return argparse.Namespace(**{name: kw.get(name) for name in names})
 
 
+def test_scene_has_abundance_contrast(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(SCENE)
+    assert_contrast(build_scene(build_config(_read_key_values(path), flags())).abundances_truth)
+
+
 def test_every_table_takes_its_columns_from_one_place(tmp_path, monkeypatch):
     written = {}
     write_csv = SolverTrace.write_csv
@@ -46,13 +56,14 @@ def test_every_table_takes_its_columns_from_one_place(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SolverTrace, "write_csv", capture)
     cfg = ExperimentConfig(
-        width=8,
-        height=8,
+        width=14,
+        height=14,
         bands=20,
         methods=("lmm", "slmm", "als2lmm", "lbfgs2lmm"),
         out_dir=str(tmp_path),
         seed=1,
     )
+    assert_contrast(build_scene(cfg).abundances_truth)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         cmd_unmix(cfg)

@@ -11,16 +11,16 @@ from twolmm import (
     EndmemberMatrix,
     HsiImage,
     generate_2lmm_scene,
-    generate_grf_abundances,
     rmse_x,
     synthetic_endmembers,
     unmix_lmm,
     unmix_slmm,
 )
-from twolmm.datagen import GrfSpec
 from twolmm.solvers import SolverError
 from twolmm.trace import IterationRecord, SolverTrace
 from twolmm.twostep import TwoLmmConfig, solve_als, solve_lbfgs
+
+from scenes import SHORT_LENGTH, grf_map
 
 METHODS = {
     "lmm": unmix_lmm,
@@ -32,7 +32,7 @@ METHODS = {
 
 def noisy_scene(width=8, height=6, k=3, bands=30):
     em = synthetic_endmembers(bands, k, seed=60)
-    ab = generate_grf_abundances(GrfSpec(width=width, height=height, k=k, seed=61))
+    ab = grf_map(width, height, k, seed=61, correlation_length=SHORT_LENGTH)
     scene = generate_2lmm_scene(em, ab, snr_db=40.0, seed=62, width=width, height=height)
     return em, scene.image
 
@@ -115,7 +115,7 @@ def overflowing_scene():
     """A 6x6, 20-band scene and its endmembers scaled by 1e160: every
     squared error over it overflows to inf."""
     em = synthetic_endmembers(20, 3, seed=0)
-    ab = generate_grf_abundances(GrfSpec(width=6, height=6, k=3, seed=1))
+    ab = grf_map(6, 6, 3, seed=1, correlation_length=SHORT_LENGTH)
     scene = generate_2lmm_scene(em, ab, snr_db=40.0, seed=2, width=6, height=6)
     return EndmemberMatrix(em.data * 1e160), HsiImage(scene.image.data * 1e160, 6, 6)
 

@@ -13,7 +13,6 @@ from twolmm import (
     EndmemberMatrix,
     HsiImage,
     generate_2lmm_scene,
-    generate_grf_abundances,
     normalize_abundances,
     rmse_a,
     rmse_x,
@@ -21,7 +20,6 @@ from twolmm import (
 )
 from twolmm import twostep
 from twolmm.cli import ExperimentConfig, build_scene
-from twolmm.datagen import GrfSpec
 from twolmm.solvers import SolverError, _normal_parts, _qr_fit
 from twolmm.twostep import (
     TwoLmmConfig,
@@ -34,6 +32,8 @@ from twolmm.twostep import (
     solve_als,
     solve_lbfgs,
 )
+
+from scenes import SHORT_LENGTH, grf_map
 
 
 def random_instance(seed, p=10, k=3, n=8):
@@ -63,9 +63,11 @@ def finite_difference_gradient(x, e, state):
     return fd
 
 
-def exact_scene(seed=0, width=12, height=12, k=3, bands=40, snr_db=None):
+def exact_scene(
+    seed=0, width=12, height=12, k=3, bands=40, snr_db=None, correlation_length=15.0
+):
     em = synthetic_endmembers(bands, k, seed=seed)
-    ab = generate_grf_abundances(GrfSpec(width=width, height=height, k=k, seed=seed + 1))
+    ab = grf_map(width, height, k, seed + 1, correlation_length)
     scene = generate_2lmm_scene(
         em, ab, snr_db=snr_db, seed=seed + 2, width=width, height=height
     )
@@ -76,6 +78,11 @@ class TestConfig:
     def test_bounds_validated(self):
         with pytest.raises(ValueError, match="bounds"):
             TwoLmmConfig(lower=2.0, upper=1.0)
+
+    @pytest.mark.parametrize("upper", [0.0, -1.0, -np.inf, np.nan])
+    def test_nonpositive_or_nan_upper_rejected(self, upper):
+        with pytest.raises(ValueError, match=r"^bounds must satisfy 0 < lower <= upper$"):
+            TwoLmmConfig(upper=upper)
 
     def test_pinned_bounds_allowed(self):
         cfg = TwoLmmConfig(lower=1.0, upper=1.0)
@@ -161,13 +168,14 @@ class TestAlsUpdateA:
         from twolmm import solve_nnls_clipped
 
         x, e, _ = random_instance(3)
-        out = als_update_a(x, e, np.ones(3), np.inf)
+        out = als_update_a(x, e, TwoLmmState.uniform(3, 8), TwoLmmConfig(upper=np.inf))
         np.testing.assert_array_equal(out, solve_nnls_clipped(e, x))
 
     def test_doubling_scales_halves_preclip_exactly(self):
         x, e, state = random_instance(4)
-        a1 = als_update_a(x, e, state.s_e, np.inf)
-        a2 = als_update_a(x, e, 2.0 * state.s_e, np.inf)
+        unbounded = TwoLmmConfig(upper=np.inf)
+        a1 = als_update_a(x, e, state, unbounded)
+        a2 = als_update_a(x, e, replace(state, s_e=2.0 * state.s_e), unbounded)
         np.testing.assert_array_equal(a2, a1 / 2.0)
 
     def test_matches_per_column_oracle_then_clip(self):
@@ -175,17 +183,21 @@ class TestAlsUpdateA:
         upper = 1.2
         fit = np.linalg.solve(e.data.T @ e.data, e.data.T @ x.data)
         oracle = np.clip(fit / state.s_e[:, None], 0.0, upper)
-        out = als_update_a(x, e, state.s_e, upper)
+        out = als_update_a(x, e, state, TwoLmmConfig(upper=upper))
         np.testing.assert_allclose(out, oracle, atol=1e-10)
 
 
 class TestAlsUpdateSe:
+    wide = TwoLmmConfig(lower=0.1, upper=10.0)
+
     def test_single_endmember_closed_form(self):
         rng = np.random.default_rng(6)
         e = rng.uniform(0.1, 1.0, size=(6, 1))
         a = rng.uniform(0.1, 2.0, size=(1, 10))
         x = HsiImage(rng.uniform(0.1, 1.0, size=(6, 10)))
-        got = als_update_se(x, EndmemberMatrix(e), a, np.ones(1), (1e-6, 1e6))
+        got = als_update_se(
+            x, EndmemberMatrix(e), TwoLmmState(a, np.ones(1)), TwoLmmConfig(1e-6, 1e6)
+        )
         num = sum(a[0, n] * float(e[:, 0] @ x.data[:, n]) for n in range(10))
         den = float(e[:, 0] @ e[:, 0]) * float((a[0] ** 2).sum())
         assert got[0] == pytest.approx(num / den, rel=1e-12)
@@ -196,7 +208,7 @@ class TestAlsUpdateSe:
         a = rng.uniform(0.1, 2.0, size=(1, 8))
         truth = 1.7
         x = HsiImage(truth * (e @ a))
-        got = als_update_se(x, EndmemberMatrix(e), a, np.ones(1), (0.1, 10.0))
+        got = als_update_se(x, EndmemberMatrix(e), TwoLmmState(a, np.ones(1)), self.wide)
         assert got[0] == pytest.approx(truth, abs=1e-10)
 
     def test_repeated_sweeps_converge_to_truth(self):
@@ -208,7 +220,7 @@ class TestAlsUpdateSe:
         em = EndmemberMatrix(e)
         s = np.ones(3)
         for _ in range(200):
-            s = als_update_se(x, em, a, s, (0.1, 10.0))
+            s = als_update_se(x, em, TwoLmmState(a, s), self.wide)
         np.testing.assert_allclose(s, truth, atol=1e-8)
 
     def test_out_of_bounds_clipped(self):
@@ -216,7 +228,7 @@ class TestAlsUpdateSe:
         e = rng.uniform(0.1, 1.0, size=(5, 1))
         a = rng.uniform(0.1, 1.0, size=(1, 6))
         x = HsiImage(10.0 * (e @ a))
-        got = als_update_se(x, EndmemberMatrix(e), a, np.ones(1), (0.2, 5.0))
+        got = als_update_se(x, EndmemberMatrix(e), TwoLmmState(a, np.ones(1)))
         assert got[0] == 5.0
 
     def test_absent_endmember_left_unchanged(self):
@@ -225,15 +237,16 @@ class TestAlsUpdateSe:
         a = np.vstack([rng.uniform(0.1, 1.0, size=(1, 6)), np.zeros((1, 6))])
         x = HsiImage(e @ a)
         with pytest.warns(RuntimeWarning, match="absent"):
-            got = als_update_se(x, EndmemberMatrix(e), a, np.array([1.0, 0.77]), (0.1, 10.0))
+            got = als_update_se(x, EndmemberMatrix(e), TwoLmmState(a, [1.0, 0.77]), self.wide)
         assert got[1] == 0.77
 
     def test_absent_warning_gives_count_and_first_eight(self):
         rng = np.random.default_rng(11)
         e = rng.uniform(0.1, 1.0, size=(12, 10))
         a = np.vstack([rng.uniform(0.1, 1.0, size=(1, 6)), np.zeros((9, 6))])
+        state = TwoLmmState(a, np.ones(10))
         with pytest.warns(RuntimeWarning, match="absent") as caught:
-            als_update_se(HsiImage(e @ a), EndmemberMatrix(e), a, np.ones(10), (0.1, 10.0))
+            als_update_se(HsiImage(e @ a), EndmemberMatrix(e), state, self.wide)
         assert str(caught[0].message).endswith(
             "9 (first indices [1, 2, 3, 4, 5, 6, 7, 8])"
         )
@@ -244,8 +257,9 @@ class TestAlsUpdateSe:
         e = rng.uniform(0.1, 1.0, size=(8, 2))
         e = np.hstack([e, e[:, :1] + e[:, 1:]])
         a = rng.uniform(0.1, 1.0, size=(3, 5))
+        state = TwoLmmState(a, np.ones(3))
         with pytest.raises(SolverError, match="rank deficient"):
-            als_update_se(HsiImage(e @ a), EndmemberMatrix(e), a, np.ones(3), (0.1, 10.0))
+            als_update_se(HsiImage(e @ a), EndmemberMatrix(e), state, self.wide)
 
     def test_needs_no_least_squares_fit(self, monkeypatch):
         def no_fit(*args):
@@ -255,9 +269,38 @@ class TestAlsUpdateSe:
         e = EndmemberMatrix(rng.uniform(0.1, 1.0, size=(6, 2)))
         a = rng.uniform(0.1, 1.0, size=(2, 5))
         x = HsiImage((e.data * [0.8, 1.5]) @ a)
-        expected = als_update_se(x, e, a, np.ones(2), (0.1, 10.0))
+        state = TwoLmmState(a, np.ones(2))
+        expected = als_update_se(x, e, state, self.wide)
         monkeypatch.setattr(twostep, "_qr_fit", no_fit)
-        np.testing.assert_array_equal(als_update_se(x, e, a, np.ones(2), (0.1, 10.0)), expected)
+        np.testing.assert_array_equal(als_update_se(x, e, state, self.wide), expected)
+
+
+class TestStateChecks:
+    # The block updates read their inputs from a TwoLmmState, so a value the
+    # state refuses never reaches them; as loose arrays, each of these used
+    # to pass silently (NaN or zero abundances, scales outside the bounds).
+    @pytest.mark.parametrize(
+        "helper, field, value, message",
+        [
+            (als_update_a, "s_e", np.nan, "state contains non-finite values"),
+            (als_update_a, "s_e", np.inf, "state contains non-finite values"),
+            (als_update_se, "a_s", np.nan, "state contains non-finite values"),
+            (als_update_se, "a_s", -0.5, "a_s must be nonnegative"),
+            (als_update_se, "s_e", 0.0, "s_e must be strictly positive"),
+            (als_update_se, "s_e", -1.0, "s_e must be strictly positive"),
+        ],
+        ids=["a-nan-s_e", "a-inf-s_e", "se-nan-a_s", "se-neg-a_s", "se-zero-s_e", "se-neg-s_e"],
+    )
+    def test_helpers_take_the_state_and_its_checks(self, helper, field, value, message):
+        x, e, state = random_instance(15)
+        cfg = TwoLmmConfig()
+        out = helper(x, e, state, cfg)
+        low = 0.0 if helper is als_update_a else cfg.lower
+        assert np.all((low <= out) & (out <= cfg.upper))
+        bad = getattr(state, field).copy()
+        bad.flat[0] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            helper(x, e, replace(state, **{field: bad}), cfg)
 
 
 class TestShapeChecks:
@@ -267,8 +310,8 @@ class TestShapeChecks:
         [
             lambda x, e, bad: cost(x, e, bad),
             lambda x, e, bad: gradient(x, e, bad),
-            lambda x, e, bad: als_update_a(x, e, [2.0]),
-            lambda x, e, bad: als_update_se(x, e, bad.a_s, bad.s_e, (0.2, 5.0)),
+            lambda x, e, bad: als_update_a(x, e, bad),
+            lambda x, e, bad: als_update_se(x, e, bad),
             lambda x, e, bad: precondition(x, e, bad),
         ],
         ids=["cost", "gradient", "als_update_a", "als_update_se", "precondition"],
@@ -282,7 +325,7 @@ class TestShapeChecks:
 
 class TestPrecondition:
     def test_zero_at_fixed_point(self):
-        em, ab, scene = exact_scene(seed=20, width=6, height=6)
+        em, ab, scene = exact_scene(seed=20, width=6, height=6, correlation_length=SHORT_LENGTH)
         norm = normalize_abundances(ab.data * scene.scaling.s_x)
         state = TwoLmmState(
             a_s=ab.data * scene.scaling.s_x, s_e=scene.scaling.s_e
@@ -317,7 +360,7 @@ class TestPrecondition:
 
 class TestSolveAls:
     def test_truth_initialized_fixed_point(self):
-        em, ab, scene = exact_scene(seed=30, width=8, height=8)
+        em, ab, scene = exact_scene(seed=30, width=8, height=8, correlation_length=SHORT_LENGTH)
         init = TwoLmmState(a_s=ab.data * scene.scaling.s_x, s_e=scene.scaling.s_e)
         cfg = TwoLmmConfig(lower=1.0 / 3.0, upper=3.0)
         res = solve_als(scene.image, em, cfg, init=init)
@@ -325,7 +368,7 @@ class TestSolveAls:
         assert res.trace.records[-1].cost <= 1e-16
 
     def test_converged_run_does_not_warn_about_max_iter(self):
-        em, ab, scene = exact_scene(seed=30, width=8, height=8)
+        em, ab, scene = exact_scene(seed=30, width=8, height=8, correlation_length=SHORT_LENGTH)
         init = TwoLmmState(a_s=ab.data * scene.scaling.s_x, s_e=scene.scaling.s_e)
         cfg = TwoLmmConfig(lower=1.0 / 3.0, upper=3.0)
         with warnings.catch_warnings(record=True) as caught:
@@ -336,7 +379,7 @@ class TestSolveAls:
         assert not [w for w in caught if "max_iter" in str(w.message)]
 
     def test_max_iter_stop_warns(self):
-        em, ab, scene = exact_scene(seed=31, width=8, height=8)
+        em, ab, scene = exact_scene(seed=31, width=8, height=8, correlation_length=SHORT_LENGTH)
         cfg = TwoLmmConfig(max_iter=3, eps=1e-30)
         with pytest.warns(RuntimeWarning, match="max_iter") as caught:
             res = solve_als(scene.image, em, cfg)
@@ -362,7 +405,7 @@ class TestSolveAls:
             solve_als(x, e, TwoLmmConfig(), init=bad)
 
     def test_degenerate_warning_gives_count_and_first_eight(self):
-        em, ab, scene = exact_scene(seed=48, width=6, height=5)
+        em, ab, scene = exact_scene(seed=48, width=6, height=5, correlation_length=SHORT_LENGTH)
         x = np.array(scene.image.data)
         x[:, 10:22] = 0.0
         with pytest.warns(RuntimeWarning, match="degenerate") as caught:
@@ -401,7 +444,7 @@ class TestSolveLbfgs:
         assert reached[0] + 1 < res_als.iterations
 
     def test_acceptance_inequality_from_trace(self):
-        em, ab, scene = exact_scene(seed=43, width=10, height=10)
+        em, ab, scene = exact_scene(seed=43, width=10, height=10, correlation_length=SHORT_LENGTH)
         res = solve_lbfgs(scene.image, em, TwoLmmConfig())
         prev = res.trace.initial_cost
         for rec in res.trace:
@@ -410,7 +453,7 @@ class TestSolveLbfgs:
             prev = rec.cost
 
     def test_iterates_stay_in_box(self):
-        em, ab, scene = exact_scene(seed=44, width=10, height=10)
+        em, ab, scene = exact_scene(seed=44, width=10, height=10, correlation_length=SHORT_LENGTH)
         cfg = TwoLmmConfig(lower=0.5, upper=2.0)
         res = solve_lbfgs(scene.image, em, cfg)
         a_s = res.abundances.data * res.s_x
@@ -421,7 +464,7 @@ class TestSolveLbfgs:
 
     @pytest.mark.parametrize("memory", [0, 5])
     def test_unit_step_reproduces_als(self, memory):
-        em, ab, scene = exact_scene(seed=45, width=8, height=8)
+        em, ab, scene = exact_scene(seed=45, width=8, height=8, correlation_length=SHORT_LENGTH)
         cfg = TwoLmmConfig(
             memory=memory, force_unit_step=True, max_iter=10, eps=1e-30
         )
@@ -439,7 +482,7 @@ class TestSolveLbfgs:
         np.testing.assert_array_equal(res_als.s_x, res_lb.s_x)
 
     def test_deterministic_trace(self):
-        em, ab, scene = exact_scene(seed=46, width=9, height=9)
+        em, ab, scene = exact_scene(seed=46, width=9, height=9, correlation_length=SHORT_LENGTH)
         r1 = solve_lbfgs(scene.image, em, TwoLmmConfig())
         r2 = solve_lbfgs(scene.image, em, TwoLmmConfig())
         assert [r.cost for r in r1.trace] == [r.cost for r in r2.trace]
@@ -466,7 +509,7 @@ class TestSolveLbfgs:
         # machine zero) the run still satisfies the acceptance inequality
         # and stays feasible.
         em = synthetic_endmembers(40, 3, seed=49)
-        ab = generate_grf_abundances(GrfSpec(width=8, height=8, k=3, seed=50, correlation_length=2.0))
+        ab = grf_map(8, 8, 3, seed=50, correlation_length=2.0)
         scene = generate_2lmm_scene(em, ab, snr_db=30.0, seed=51, width=8, height=8)
         monkeypatch.setattr(TwoLmmConfig, "max_backtracks", 0)
         cfg = TwoLmmConfig(max_iter=40)
@@ -491,7 +534,7 @@ class TestSolveLbfgs:
                 assert rec.n_cost_evals == rec.backtracks + 2 == 2
 
     def test_max_iter_stop_warns(self):
-        em, ab, scene = exact_scene(seed=31, width=8, height=8)
+        em, ab, scene = exact_scene(seed=31, width=8, height=8, correlation_length=SHORT_LENGTH)
         cfg = TwoLmmConfig(max_iter=3, eps=1e-30)
         with pytest.warns(RuntimeWarning, match="max_iter") as caught:
             res = solve_lbfgs(scene.image, em, cfg)
@@ -708,8 +751,8 @@ class TestMemoryContract:
             lambda x, e, state: cost(x, e, state),
             lambda x, e, state: gradient(x, e, state),
             lambda x, e, state: precondition(x, e, state),
-            lambda x, e, state: als_update_a(x, e, state.s_e, 5.0),
-            lambda x, e, state: als_update_se(x, e, state.a_s, state.s_e, (0.2, 5.0)),
+            lambda x, e, state: als_update_a(x, e, state),
+            lambda x, e, state: als_update_se(x, e, state),
         ],
         ids=["cost", "gradient", "precondition", "als_update_a", "als_update_se"],
     )
