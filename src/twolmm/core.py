@@ -11,11 +11,12 @@ Array shape conventions
   pixels individually.
 
 All containers hold their payload as float64 in column-major (Fortran)
-layout, so per-pixel solves touch contiguous memory, and read-only. An
-image or endmember payload that already is such an array and owns its
+layout, so per-pixel solves touch contiguous memory, and read-only. Every
+value type that takes arrays from its caller stores them through
+:func:`_freeze`: a payload that already is such an array and owns its
 memory is adopted as it is; any other payload (a writable array, a view,
 another layout or dtype) is copied, so that changing the caller's array
-never changes a container. twolmm's own producers of P x N arrays (the
+never changes a value. twolmm's own producers of P x N arrays (the
 scene generators, the perspective projection, the raw-file reader and the
 lazy reconstruction of a result) mark their fresh array read-only before
 wrapping it, so an image is never copied. An abundance matrix never
@@ -79,13 +80,20 @@ def _warn(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
-def _freeze(data: np.ndarray) -> np.ndarray:
-    """``data`` itself when it is a read-only, Fortran-ordered float64 array
-    that owns its memory, else a read-only Fortran-ordered float64 copy."""
+def _freeze(data, dtype=np.float64, flat: bool = False) -> np.ndarray:
+    """How a value type stores an array from its caller: ``data`` itself when
+    it is a read-only, Fortran-ordered ``dtype`` array that owns its memory,
+    else a read-only Fortran-ordered ``dtype`` copy, flattened in row-major
+    order first with ``flat``. Complex data is refused, not truncated."""
+    data = np.asarray(data)
+    if np.iscomplexobj(data):
+        raise ValueError("complex values are not accepted")
+    if flat and data.ndim != 1:
+        data = data.ravel()
     flags = data.flags
-    if data.dtype == np.float64 and flags.f_contiguous and flags.owndata and not flags.writeable:
+    if data.dtype == dtype and flags.f_contiguous and flags.owndata and not flags.writeable:
         return data
-    out = np.array(data, dtype=np.float64, order="F")
+    out = np.array(data, dtype=dtype, order="F")
     out.flags.writeable = False
     return out
 
@@ -235,12 +243,13 @@ class AbundanceMatrix:
         # One copy: _freeze adopts the clamp's fresh read-only Fortran array.
         data = np.maximum(data, 0.0, order="F")
         data.flags.writeable = False
+        data = _freeze(data)
         sums = data.sum(axis=0)
         ok = (np.abs(sums - 1.0) <= ASC_TOL) | (sums == 0.0)
         if not np.all(ok):
             bad = _index_summary(np.flatnonzero(~ok))
             raise ValueError(f"columns that do not sum to one: {bad}")
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", data)
 
     @property
     def endmember_count(self) -> int:
@@ -265,8 +274,9 @@ class ScalingState:
     upper: float = 5.0
 
     def __post_init__(self):
-        s_e = np.asarray(self.s_e, dtype=np.float64).ravel()
-        s_x = np.asarray(self.s_x, dtype=np.float64).ravel()
+        for name in ("s_e", "s_x"):
+            object.__setattr__(self, name, _freeze(getattr(self, name), flat=True))
+        s_e, s_x = self.s_e, self.s_x
         if not (np.all(np.isfinite(s_e)) and np.all(np.isfinite(s_x))):
             raise ValueError("scaling vectors contain non-finite values")
         if not (0.0 < self.lower <= self.upper):
@@ -275,10 +285,6 @@ class ScalingState:
             raise ValueError("endmember scalings violate the box bounds")
         if np.any(s_x <= 0):
             raise ValueError("pixel scalings must be strictly positive")
-        for name, v in (("s_e", s_e), ("s_x", s_x)):
-            v = v.copy()
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _index_summary
+from .core import (
+    _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _freeze, _index_summary
+)
 
 __all__ = [
     "GrfSpec",
@@ -206,6 +208,7 @@ def generate_2lmm_scene(
     rng = np.random.default_rng(seed)
     s_e = rng.uniform(lo, hi, size=k)
     s_x = rng.uniform(lo, hi, size=n)
+    s_e.flags.writeable = s_x.flags.writeable = False  # so that the state adopts them
     scaling = ScalingState(s_e=s_e, s_x=s_x, lower=lo, upper=hi)
     noisy = _add_noise(_compose(endmembers, abundances, scaling), snr_db, rng)
     return TwoLmmScene(
@@ -312,14 +315,11 @@ class Dsm:
     cell_size: float = 1.0
 
     def __post_init__(self):
-        heights = np.atleast_2d(np.asarray(self.heights, dtype=np.float64))
-        if not np.all(np.isfinite(heights)):
+        object.__setattr__(self, "heights", _freeze(np.atleast_2d(self.heights)))
+        if not np.all(np.isfinite(self.heights)):
             raise ValueError("heights must be finite")
         if not (0 < self.cell_size < math.inf):
             raise ValueError("cell size must be positive and finite")
-        heights = heights.copy()
-        heights.flags.writeable = False
-        object.__setattr__(self, "heights", heights)
 
 
 @dataclass(frozen=True)
@@ -336,9 +336,9 @@ class HapkeGeometry:
     shadowed: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64).ravel()
-        mu0 = np.asarray(self.mu0, dtype=np.float64).ravel()
-        shadowed = np.asarray(self.shadowed, dtype=bool).ravel()
+        for name, dtype in (("mu", np.float64), ("mu0", np.float64), ("shadowed", bool)):
+            object.__setattr__(self, name, _freeze(getattr(self, name), dtype, flat=True))
+        mu, mu0, shadowed = self.mu, self.mu0, self.shadowed
         if not (mu.size == mu0.size == shadowed.size):
             raise ValueError("geometry arrays must have equal length")
         keep = ~shadowed
@@ -346,10 +346,6 @@ class HapkeGeometry:
             raise ValueError("retained view cosines must lie in (0, 1]")
         if not _are_cosines(mu0[keep]):
             raise ValueError("retained incidence cosines must lie in (0, 1]")
-        for name, arr in (("mu", mu), ("mu0", mu0), ("shadowed", shadowed)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def pixel_count(self) -> int:
@@ -403,6 +399,8 @@ def smoothed_random_dsm(
     ``relief`` sets the height standard deviation in meters and
     ``smoothness`` the correlation length in cells; both must be finite.
     """
+    if width < 1 or height < 1:
+        raise ValueError("grid dimensions must be positive")
     if not (math.isfinite(relief) and math.isfinite(smoothness)):
         raise ValueError("relief and smoothness must be finite")
     rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, _index_summary, sad
+from .core import _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, _freeze, _index_summary, sad
 
 __all__ = [
     "ProjectionSpec",
@@ -49,12 +49,9 @@ class ProjectionSpec:
     v: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(v)) or np.linalg.norm(v) == 0.0:
+        object.__setattr__(self, "v", _freeze(self.v, flat=True))
+        if not np.all(np.isfinite(self.v)) or np.linalg.norm(self.v) == 0.0:
             raise ValueError("projection vector must be finite and nonzero")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
 
     @classmethod
     def for_image(cls, image: HsiImage) -> "ProjectionSpec":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK, EndmemberMatrix, HsiImage, _warn
+from .core import _BLOCK, EndmemberMatrix, HsiImage, _freeze, _warn
 
 __all__ = [
     "SolverError",
@@ -50,8 +50,9 @@ class QpProblem:
     linear: np.ndarray
 
     def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=np.float64)
-        linear = np.asarray(self.linear, dtype=np.float64).ravel()
+        object.__setattr__(self, "gram", _freeze(self.gram))
+        object.__setattr__(self, "linear", _freeze(self.linear, flat=True))
+        gram, linear = self.gram, self.linear
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError("gram must be a square matrix")
         if gram.shape[0] != linear.size:
@@ -69,8 +70,6 @@ class QpProblem:
             raise ValueError(
                 f"gram matrix is not positive {kind} (min eigenvalue {min_eig:g})"
             ) from None
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "linear", linear)
 
 
 def solve_simplex_qp(problem: QpProblem) -> np.ndarray:
@@ -81,7 +80,8 @@ def solve_simplex_qp(problem: QpProblem) -> np.ndarray:
     with the sum-to-one constraint kept as a permanent equality; ties are
     broken toward the lowest index so the result is deterministic.
     """
-    return _simplex_qp(problem.gram, problem.linear[:, None])[:, 0]
+    # Row-major, as unmix_lmm's Gram: the kernel's products round by layout.
+    return _simplex_qp(np.ascontiguousarray(problem.gram), problem.linear[:, None])[:, 0]
 
 
 def _simplex_qp(gram: np.ndarray, linear: np.ndarray) -> np.ndarray:

@@ -63,6 +63,7 @@ trial and the accepted step, has its cost evaluated directly.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -73,6 +74,7 @@ import numpy as np
 from .core import (
     EndmemberMatrix,
     HsiImage,
+    _freeze,
     _index_summary,
     _squared_error,
     _warn,
@@ -136,6 +138,9 @@ class TwoLmmConfig:
             raise ValueError("bounds must satisfy 0 < lower <= upper")
         if not self.eps > 0:
             raise ValueError("termination thresholds must be positive")
+        for name in ("max_iter", "memory"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.memory < 0:
@@ -145,7 +150,8 @@ class TwoLmmConfig:
 @dataclass(frozen=True)
 class TwoLmmState:
     """Optimization state: scaled abundances ``a_s`` (K, N) and endmember
-    scales ``s_e`` (K,). ``packed`` concatenates ``vec(a_s)`` (column
+    scales ``s_e`` (K,), held read-only (:func:`twolmm.core._freeze`), so a
+    state stays as checked. ``packed`` concatenates ``vec(a_s)`` (column
     major) and ``s_e`` into the flat iterate the quasi-Newton solver
     works on."""
 
@@ -153,8 +159,9 @@ class TwoLmmState:
     s_e: np.ndarray
 
     def __post_init__(self):
-        a_s = np.atleast_2d(np.asarray(self.a_s, dtype=np.float64))
-        s_e = np.asarray(self.s_e, dtype=np.float64).ravel()
+        object.__setattr__(self, "a_s", _freeze(np.atleast_2d(self.a_s)))
+        object.__setattr__(self, "s_e", _freeze(self.s_e, flat=True))
+        a_s, s_e = self.a_s, self.s_e
         if a_s.shape[0] != s_e.size:
             raise ValueError("a_s row count must match s_e length")
         if not (np.all(np.isfinite(a_s)) and np.all(np.isfinite(s_e))):
@@ -163,8 +170,6 @@ class TwoLmmState:
             raise ValueError("a_s must be nonnegative")
         if np.any(s_e <= 0):
             raise ValueError("s_e must be strictly positive")
-        object.__setattr__(self, "a_s", a_s)
-        object.__setattr__(self, "s_e", s_e)
 
     @property
     def packed(self) -> np.ndarray:
@@ -172,11 +177,13 @@ class TwoLmmState:
 
     @classmethod
     def uniform(cls, k: int, n: int) -> "TwoLmmState":
-        return cls(a_s=np.full((k, n), 1.0 / k), s_e=np.ones(k))
+        a_s = np.full((k, n), 1.0 / k, order="F")
+        a_s.flags.writeable = False
+        return cls(a_s=a_s, s_e=np.ones(k))
 
     @classmethod
     def from_packed(cls, z: np.ndarray, k: int, n: int) -> "TwoLmmState":
-        a_s, s_e = _unpack(np.asarray(z, dtype=np.float64), k, n)
+        a_s, s_e = _unpack(np.asarray(z), k, n)
         return cls(a_s=a_s, s_e=s_e)
 
 

@@ -8,9 +8,14 @@ import pytest
 
 from twolmm import (
     AbundanceMatrix,
+    Dsm,
     EndmemberMatrix,
+    HapkeGeometry,
     HsiImage,
+    ProjectionSpec,
+    QpProblem,
     ScalingState,
+    TwoLmmState,
     normalize_abundances,
     rmse_a,
     rmse_x,
@@ -75,6 +80,63 @@ class TestFreeze:
         source[0, 0] = base[0, 0] = 5.0
         for img in images:
             np.testing.assert_array_equal(img.data, np.ones((3, 4)))
+
+    # Valid arrays for every field of each value type that takes arrays
+    # from its caller, beside the three containers.
+    VALUE_TYPES = {
+        "ScalingState": (ScalingState, {"s_e": [1.0, 2.0], "s_x": [0.5, 1.5, 2.0]}),
+        "Dsm": (Dsm, {"heights": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}),
+        "HapkeGeometry": (
+            HapkeGeometry,
+            {"mu": [0.5, 0.9], "mu0": [0.7, 0.8], "shadowed": np.array([False, True])},
+        ),
+        "ProjectionSpec": (ProjectionSpec, {"v": [1.0, 2.0, 3.0]}),
+        "QpProblem": (QpProblem, {"gram": [[2.0, 0.5], [0.5, 1.0]], "linear": [1.0, 0.5]}),
+        "TwoLmmState": (
+            TwoLmmState, {"a_s": [[0.5, 1.0, 0.0], [0.2, 0.0, 3.0]], "s_e": [1.0, 2.0]}
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(VALUE_TYPES))
+    def test_every_value_type_owns_its_arrays(self, name):
+        cls, fields = self.VALUE_TYPES[name]
+        # Writable caller arrays are copied: writing to them later leaves the
+        # value as built, and the value's own arrays refuse writes.
+        given = {field: np.array(data, order="F") for field, data in fields.items()}
+        value = cls(**given)
+        for field, array in given.items():
+            held = getattr(value, field)
+            kept = held.copy()
+            array.flat[0] = not array.flat[0] if array.dtype == bool else array.flat[0] + 1.0
+            np.testing.assert_array_equal(held, kept)
+            with pytest.raises(ValueError, match="read-only"):
+                held.flat[0] = held.flat[0]
+        # A read-only payload that owns its memory, of the field's dtype and in
+        # Fortran order, is adopted without a copy.
+        frozen = {field: np.array(data, order="F") for field, data in fields.items()}
+        for array in frozen.values():
+            array.flags.writeable = False
+        value = cls(**frozen)
+        for field, array in frozen.items():
+            assert getattr(value, field) is array
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            HsiImage,
+            EndmemberMatrix,
+            AbundanceMatrix,
+            lambda data: ScalingState(s_e=data[0], s_x=data[1], upper=10.0),
+            lambda data: TwoLmmState(a_s=data, s_e=[1.0, 1.0]),
+        ],
+        ids=["HsiImage", "EndmemberMatrix", "AbundanceMatrix", "ScalingState", "TwoLmmState"],
+    )
+    def test_complex_payload_refused_not_truncated(self, build):
+        # Each column sums to one and the real parts are valid for every type,
+        # so only the imaginary parts are wrong.
+        data = np.array([[0.5 + 5j, 0.25], [0.5 - 5j, 0.75]])
+        with pytest.raises(ValueError, match="^complex values are not accepted$"):
+            build(data)
 
 
 class TestEndmemberMatrix:

@@ -267,6 +267,11 @@ class TestDsmGeometry:
         with pytest.raises(ValueError, match="relief and smoothness must be finite"):
             smoothed_random_dsm(8, 8, relief=relief, smoothness=smoothness)
 
+    @pytest.mark.parametrize("width, height", [(0, 3), (3, 0), (-2, 4)])
+    def test_empty_terrain_grid_rejected(self, width, height):
+        with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
+            smoothed_random_dsm(width, height)
+
     def test_terrain_smoother_than_the_grid_is_flat_at_zero(self):
         dsm = smoothed_random_dsm(20, 20, relief=30.0, smoothness=1e3)
         np.testing.assert_array_equal(dsm.heights, 0.0)

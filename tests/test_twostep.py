@@ -101,6 +101,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative$"):
             TwoLmmConfig(**{field: -1})
 
+    @pytest.mark.parametrize(
+        "field, value", [("max_iter", 2.5), ("memory", 1.5), ("max_iter", 500.0), ("memory", "5")]
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            TwoLmmConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = TwoLmmConfig(max_iter=np.int64(7), memory=np.int32(2))
+        assert (cfg.max_iter, cfg.memory) == (7, 2)
+
     def test_backtracking_rule_is_fixed(self):
         names = [f.name for f in fields(TwoLmmConfig)]
         assert names == ["lower", "upper", "eps", "max_iter", "memory", "force_unit_step"]
@@ -301,6 +312,24 @@ class TestStateChecks:
         bad.flat[0] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
             helper(x, e, replace(state, **{field: bad}), cfg)
+
+    def test_a_built_state_cannot_be_changed_in_place(self):
+        # A state is checked once, when it is built, so its arrays are read-only.
+        x, e, _ = random_instance(15)
+        state = TwoLmmState.uniform(3, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            state.s_e[0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            state.a_s[0, 0] = -1.0
+        assert np.all(np.isfinite(als_update_a(x, e, state)))
+
+    def test_helpers_do_not_depend_on_the_layout_of_the_callers_arrays(self):
+        # The state holds a_s Fortran-ordered, the layout of the solver's iterate.
+        x, e, state = random_instance(16, n=500)
+        c_ordered = TwoLmmState(a_s=np.ascontiguousarray(state.a_s), s_e=state.s_e)
+        f_ordered = TwoLmmState(a_s=np.asfortranarray(state.a_s), s_e=state.s_e)
+        for helper in (cost, gradient, als_update_a, als_update_se, precondition):
+            np.testing.assert_array_equal(helper(x, e, c_ordered), helper(x, e, f_ordered))
 
 
 class TestShapeChecks:
@@ -786,6 +815,13 @@ class TestMemoryContract:
         image = scene.image
         peak = traced_peak(lambda: solver(image, em, TwoLmmConfig()))
         assert peak <= bound * em.endmember_count * image.pixel_count * 8
+
+    def test_uniform_start_packs_without_a_copy_of_its_abundances(self):
+        # The uniform a_s is built Fortran-ordered and adopted, so packing it
+        # allocates only the packed vector beside it.
+        k, n = 3, 100_000
+        peak = traced_peak(lambda: TwoLmmState.uniform(k, n).packed)
+        assert peak < 2.1 * k * n * 8
 
     @pytest.mark.parametrize("solver", [solve_als, solve_lbfgs], ids=lambda f: f.__name__)
     def test_near_exact_fit_solve_holds_no_image_sized_array(self, solver):
