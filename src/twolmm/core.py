@@ -80,20 +80,29 @@ def _warn(message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
-def _freeze(data, dtype=np.float64, flat: bool = False) -> np.ndarray:
-    """How a value type stores an array from its caller: ``data`` itself when
-    it is a read-only, Fortran-ordered ``dtype`` array that owns its memory,
-    else a read-only Fortran-ordered ``dtype`` copy, flattened in row-major
-    order first with ``flat``. Complex data is refused, not truncated."""
+def _as_real(data, dtype=np.float64, order: str = "K") -> np.ndarray:
+    """How twolmm reads an array from its caller: ``data`` as a ``dtype``
+    array in ``order``, copied only to convert. Complex data is refused,
+    not truncated."""
     data = np.asarray(data)
     if np.iscomplexobj(data):
         raise ValueError("complex values are not accepted")
+    return np.asarray(data, dtype=dtype, order=order)
+
+
+def _freeze(data, dtype=np.float64, flat: bool = False) -> np.ndarray:
+    """How a value type stores an array from its caller: ``data`` itself when
+    it is a read-only, Fortran-ordered ``dtype`` array that owns its memory,
+    else a read-only Fortran-ordered ``dtype`` copy, converted by :func:`_as_real`
+    (complex data is refused) and flattened in row-major order first with ``flat``."""
+    data = np.asarray(data)
     if flat and data.ndim != 1:
         data = data.ravel()
-    flags = data.flags
-    if data.dtype == dtype and flags.f_contiguous and flags.owndata and not flags.writeable:
-        return data
-    out = np.array(data, dtype=dtype, order="F")
+    out = _as_real(data, dtype, order="F")
+    if out is data:
+        if data.flags.owndata and not data.flags.writeable:
+            return data
+        out = data.copy(order="F")
     out.flags.writeable = False
     return out
 
@@ -339,10 +348,12 @@ def sad(e1: np.ndarray, e2: np.ndarray) -> float:
 
     Invariant to positive rescaling of either argument.
     """
-    v1 = np.asarray(e1, dtype=np.float64).ravel()
-    v2 = np.asarray(e2, dtype=np.float64).ravel()
+    v1 = _as_real(e1).ravel()
+    v2 = _as_real(e2).ravel()
     if v1.shape != v2.shape:
         raise ValueError("spectra must have the same length")
+    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
+        raise ValueError("spectral angle is undefined for a non-finite spectrum")
     n1 = np.linalg.norm(v1)
     n2 = np.linalg.norm(v2)
     if n1 == 0.0 or n2 == 0.0:
@@ -360,7 +371,7 @@ def normalize_abundances(a_s: np.ndarray) -> NormalizationResult:
     ``s_x[n] = 0`` so that the recombination identity
     ``a[:, n] * s_x[n] == a_s[:, n]`` holds for every pixel.
     """
-    a_s = np.atleast_2d(np.asarray(a_s, dtype=np.float64))
+    a_s = np.atleast_2d(_as_real(a_s))
     if np.any(a_s < -ANC_TOL):
         raise ValueError("non-normalized abundances must be nonnegative")
     a_s = np.maximum(a_s, 0.0)

@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _freeze, _index_summary
+    _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, ScalingState, _as_real, _freeze,
+    _index_summary,
 )
 
 __all__ = [
@@ -270,9 +271,7 @@ def hapke_relative_reflectance(w, mu, mu0):
     geometry. Scenes render through the same kernel, block by block, and
     check their albedo and cosines once.
     """
-    w = np.asarray(w, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    mu0 = np.asarray(mu0, dtype=np.float64)
+    w, mu, mu0 = _as_real(w), _as_real(mu), _as_real(mu0)
     _check_hapke(w, mu, mu0)
     y = _render_hapke(w, np.sqrt(1.0 - w), mu, mu0)
     return y if y.ndim else float(y)
@@ -286,9 +285,7 @@ def hapke_invert(y, mu, mu0):
     which has exactly one root in [0, 1] for physical inputs; the albedo
     is ``1 - u^2``. Round-trips with the forward model to 1e-12.
     """
-    y = np.asarray(y, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    mu0 = np.asarray(mu0, dtype=np.float64)
+    y, mu, mu0 = _as_real(y), _as_real(mu), _as_real(mu0)
     if not np.all((y >= 0) & (y <= 1)):
         raise ValueError("relative reflectance must lie in [0, 1]")
     if not (_are_cosines(mu) and _are_cosines(mu0)):
@@ -353,7 +350,7 @@ class HapkeGeometry:
 
 
 def _unit(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64).ravel()
+    v = _as_real(vec).ravel()
     if v.size != 3 or not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be a finite 3-vector")
     norm = np.linalg.norm(v)

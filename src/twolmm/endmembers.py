@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, _freeze, _index_summary, sad
+from .core import (
+    _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, _as_real, _freeze, _index_summary, sad
+)
 
 __all__ = [
     "ProjectionSpec",
@@ -255,7 +257,7 @@ def match_endmembers(estimated: EndmemberMatrix, reference: EndmemberMatrix) -> 
 
 def align_abundances(a_est: np.ndarray, match: MatchResult) -> np.ndarray:
     """Reorder estimated abundance rows into the reference endmember order."""
-    a_est = np.atleast_2d(np.asarray(a_est, dtype=np.float64))
+    a_est = np.atleast_2d(_as_real(a_est))
     out = np.empty_like(a_est)
     out[match.permutation, :] = a_est
     return out

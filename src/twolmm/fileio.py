@@ -246,8 +246,9 @@ def save_image(image: HsiImage, path: str | Path, fmt: str = "raw-f64") -> None:
 def load_image(path: str | Path) -> HsiImage:
     """Read an image; the format is sniffed from the file."""
     path, matrix, extras = _load(path, _MAGIC_IMAGE)
-    grid = dict(zip(("width", "height"), extras)) if len(extras) >= 2 else {}
-    return _contain(path, HsiImage, matrix, **grid)
+    if len(extras) not in (0, 2):
+        raise FormatError(f"{path}: image header must be rows,cols[,width,height]")
+    return _contain(path, HsiImage, matrix, **dict(zip(("width", "height"), extras)))
 
 
 def save_endmembers(em: EndmemberMatrix, path: str | Path, fmt: str = "raw-f64") -> None:

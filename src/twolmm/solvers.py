@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK, EndmemberMatrix, HsiImage, _freeze, _warn
+from .core import _BLOCK, EndmemberMatrix, HsiImage, _as_real, _freeze, _warn
 
 __all__ = [
     "SolverError",
@@ -218,8 +218,8 @@ def solve_least_squares(endmembers: np.ndarray, pixels: np.ndarray) -> np.ndarra
     when E is rank deficient, and warns when cond(E^T E) exceeds
     ``CONDITION_WARN_THRESHOLD``.
     """
-    e = np.asarray(endmembers, dtype=np.float64)
-    x = np.asarray(pixels, dtype=np.float64)
+    e = _as_real(endmembers)
+    x = _as_real(pixels)
     _check_bands(e, x)
     return _qr_fit(e, x)[0]
 

@@ -162,6 +162,8 @@ class TwoLmmState:
         object.__setattr__(self, "a_s", _freeze(np.atleast_2d(self.a_s)))
         object.__setattr__(self, "s_e", _freeze(self.s_e, flat=True))
         a_s, s_e = self.a_s, self.s_e
+        if a_s.ndim != 2:
+            raise ValueError("a_s must be a (K, N) array")
         if a_s.shape[0] != s_e.size:
             raise ValueError("a_s row count must match s_e length")
         if not (np.all(np.isfinite(a_s)) and np.all(np.isfinite(s_e))):

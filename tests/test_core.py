@@ -12,16 +12,22 @@ from twolmm import (
     EndmemberMatrix,
     HapkeGeometry,
     HsiImage,
+    MatchResult,
     ProjectionSpec,
     QpProblem,
     ScalingState,
     TwoLmmState,
+    align_abundances,
+    dsm_to_geometry,
+    hapke_invert,
+    hapke_relative_reflectance,
     normalize_abundances,
     rmse_a,
     rmse_x,
     sad,
 )
 from twolmm.core import _BLOCK, _freeze, _squared_error
+from twolmm.solvers import solve_least_squares
 
 
 class TestHsiImage:
@@ -137,6 +143,41 @@ class TestFreeze:
         data = np.array([[0.5 + 5j, 0.25], [0.5 - 5j, 0.75]])
         with pytest.raises(ValueError, match="^complex values are not accepted$"):
             build(data)
+
+    # One complex array among otherwise valid arguments, for each function
+    # that takes plain arrays; each used to drop the imaginary part with
+    # only a ComplexWarning.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sad(np.array([1 + 9j, 1.0]), np.array([1.0, 1.0])),
+            lambda: normalize_abundances(np.array([[0.5 + 1j, 0.2], [0.5, 0.8]])),
+            lambda: hapke_relative_reflectance(np.array([0.5 + 0.1j, 0.3]), 0.8, 0.9),
+            lambda: hapke_invert(np.array([0.5, 0.3]), np.array([0.8 + 0.1j, 0.7]), 0.9),
+            lambda: dsm_to_geometry(Dsm(np.zeros((3, 3))), np.array([0.3 + 1j, 0.2, 1.0])),
+            lambda: align_abundances(
+                np.array([[0.5 + 1j, 0.5], [0.5, 0.5]]),
+                MatchResult(permutation=np.array([1, 0]), scales=np.ones(2), mean_sad_deg=0.0),
+            ),
+            lambda: solve_least_squares(
+                np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([[1.0], [2.0], [3 + 1j]])
+            ),
+        ],
+        ids=[
+            "sad",
+            "normalize_abundances",
+            "hapke_relative_reflectance",
+            "hapke_invert",
+            "dsm_to_geometry",
+            "align_abundances",
+            "solve_least_squares",
+        ],
+    )
+    def test_complex_argument_refused_not_truncated(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^complex values are not accepted$"):
+                call()
 
 
 class TestEndmemberMatrix:
@@ -330,6 +371,16 @@ class TestSad:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             sad([0.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_non_finite_spectrum_rejected(self, value, first):
+        # NaN used to give nan silently, and inf nan with an "invalid value"
+        # warning.
+        bad, good = np.array([value, 1.0]), np.array([1.0, 1.0])
+        message = "^spectral angle is undefined for a non-finite spectrum$"
+        with pytest.raises(ValueError, match=message):
+            sad(*((bad, good) if first else (good, bad)))
 
 
 class TestNormalizeAbundances:

@@ -149,6 +149,16 @@ class TestCsvFormat:
             load_endmembers(path)
         assert str(caught.value) == f"{path}: {reason}"
 
+    @pytest.mark.parametrize("header", ["4,6,3", "4,6,3,2,9"])
+    def test_image_header_that_is_not_rows_cols_width_height_refused(self, header, tmp_path):
+        # "4,6,3" used to load as a 6 x 1 image, dropping the width, and
+        # "4,6,3,2,9" as a 3 x 2 one, ignoring the fifth field.
+        path = tmp_path / "img.csv"
+        path.write_text(header + "\n" + "0.5,0.5,0.5,0.5,0.5,0.5\n" * 4)
+        with pytest.raises(FormatError) as caught:
+            load_image(path)
+        assert str(caught.value) == f"{path}: image header must be rows,cols[,width,height]"
+
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n1.0,oops\n")

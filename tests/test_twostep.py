@@ -313,6 +313,13 @@ class TestStateChecks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             helper(x, e, replace(state, **{field: bad}), cfg)
 
+    def test_a_s_with_more_than_two_dimensions_refused_when_built(self):
+        # It used to build, with a 10-entry packed vector, and fail only at the
+        # first step helper. A 1-D a_s still means K = 1.
+        with pytest.raises(ValueError, match=r"^a_s must be a \(K, N\) array$"):
+            TwoLmmState(np.ones((2, 2, 2)), np.ones(2))
+        assert TwoLmmState(np.ones(4), np.ones(1)).a_s.shape == (1, 4)
+
     def test_a_built_state_cannot_be_changed_in_place(self):
         # A state is checked once, when it is built, so its arrays are read-only.
         x, e, _ = random_instance(15)
