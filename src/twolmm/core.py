@@ -376,6 +376,8 @@ def normalize_abundances(a_s: np.ndarray) -> NormalizationResult:
         raise ValueError("non-normalized abundances must be nonnegative")
     a_s = np.maximum(a_s, 0.0)
     s_x = a_s.sum(axis=0)
+    if not math.isfinite(s_x.max(initial=0.0)):  # +inf or NaN; -inf is refused above
+        raise ValueError("non-normalized abundances must be finite")
     degenerate = np.flatnonzero(s_x == 0.0)
     safe = np.where(s_x > 0.0, s_x, 1.0)
     a = a_s / safe

@@ -75,7 +75,6 @@ from .core import (
     EndmemberMatrix,
     HsiImage,
     _freeze,
-    _index_summary,
     _squared_error,
     _warn,
     normalize_abundances,
@@ -83,7 +82,6 @@ from .core import (
 from .solvers import (
     SolverError,
     _arrays,
-    _check_full_rank,
     _normal_parts,
     _qr_fit,
     solve_least_squares,  # not called here; perfbench's tracer wraps it by this name
@@ -95,9 +93,7 @@ __all__ = [
     "TwoLmmState",
     "cost",
     "gradient",
-    "als_update_a",
-    "als_update_se",
-    "precondition",
+    "als_step",
     "solve_als",
     "solve_lbfgs",
 ]
@@ -349,26 +345,22 @@ def _scaled_clip(fit: np.ndarray, s_e: np.ndarray, upper: float, out: np.ndarray
 
 def _sweep_scales(
     gram: np.ndarray, etx: np.ndarray, a_s: np.ndarray, s_e: np.ndarray, lower: float, upper: float
-) -> tuple[list[float], list[int]]:
-    """Gauss-Seidel sweep over the scales (see :func:`als_update_se`);
-    also returns the endmembers with zero total abundance, whose scales
-    it left unchanged. The K^2 loop runs on Python floats."""
+) -> list[float]:
+    """Gauss-Seidel sweep over the scales (see :func:`als_step`), on Python floats."""
     b = np.einsum("kn,kn->k", etx, a_s).tolist()
     overlap = (a_s @ a_s.T).tolist()
     g = gram.tolist()
     s = s_e.tolist()
-    absent = []
     for k in range(len(s)):
         den = g[k][k] * overlap[k][k]
         if den == 0.0:
-            absent.append(k)
             continue
         cross = 0.0
         for i in range(len(s)):
             if i != k:
                 cross += g[k][i] * overlap[k][i] * s[i]
         s[k] = min(max((b[k] - cross) / den, lower), upper)
-    return s, absent
+    return s
 
 
 def _als_point(
@@ -384,7 +376,7 @@ def _als_point(
     scaled-clip abundance update, then one sweep over the scales."""
     a_new, s_new = _unpack(out, *fit.shape)
     _scaled_clip(fit, s_e, cfg.upper, a_new)
-    s_new[:] = _sweep_scales(gram, etx, a_new, s_e, cfg.lower, cfg.upper)[0]
+    s_new[:] = _sweep_scales(gram, etx, a_new, s_e, cfg.lower, cfg.upper)
     return out
 
 
@@ -405,70 +397,36 @@ def gradient(image: HsiImage, endmembers: EndmemberMatrix, state: TwoLmmState) -
     return _pack(*_gradient(*_normal_parts(e, x), state.a_s, state.s_e))
 
 
-def als_update_a(
+def als_step(
     image: HsiImage,
     endmembers: EndmemberMatrix,
     state: TwoLmmState,
     config: TwoLmmConfig | None = None,
-) -> np.ndarray:
-    """Scaled-clip update of the scaled abundances from ``state.s_e``.
+) -> TwoLmmState:
+    """The state one ALS iteration of the solver loop reaches from ``state``:
+    the point :func:`solve_als` takes and, less ``state.packed``, the
+    displacement :func:`solve_lbfgs` uses in place of the gradient (zero
+    exactly at an ALS fixed point).
 
-    Solves the per-column least-squares fit through QR, divides row k by
-    ``s_e[k]``, and clips the result into ``[0, config.upper]``. This is
-    the minimiser of the cost over ``a_s`` only when nothing is clipped:
-    the columns of ``E`` are not orthogonal, so clipping one coordinate
-    moves the best value of the others, and the clipped fit can even raise
-    the cost. With unit scales and an infinite ``upper`` this reduces to
-    :func:`twolmm.solvers.solve_nnls_clipped`. Of ``state.a_s`` only the
-    shape is read.
+    First ``a_s``: the per-column least-squares fit (through QR), row k
+    divided by ``state.s_e[k]`` and clipped into ``[0, config.upper]``; of
+    ``state.a_s`` only the shape is read. This is the block minimiser only
+    when nothing is clipped: the columns of ``E`` are not orthogonal, so
+    clipping one coordinate moves the best value of the others, and the
+    clipped fit can even raise the cost. With unit scales and an infinite
+    ``upper`` it is :func:`twolmm.solvers.solve_nnls_clipped`.
+
+    Then ``s_e``: one Gauss-Seidel sweep given the new ``a_s``, in
+    ascending index order. Each scale is set to its exact least-squares
+    value given the others (already updated for smaller indices) and
+    clipped into ``[config.lower, config.upper]``; an endmember with zero
+    total abundance keeps its scale.
     """
     e, x = _checked(endmembers, image, state.a_s)
-    fit = _qr_fit(e, x)[0]
-    return _scaled_clip(fit, state.s_e, (config or TwoLmmConfig()).upper, np.empty_like(fit))
-
-
-def als_update_se(
-    image: HsiImage,
-    endmembers: EndmemberMatrix,
-    state: TwoLmmState,
-    config: TwoLmmConfig | None = None,
-) -> np.ndarray:
-    """One Gauss-Seidel sweep over the endmember scales of ``state``.
-
-    Scales are visited in ascending index order; each coordinate is set to
-    its exact least-squares value given ``state.a_s`` and all the other
-    scales (already-updated values for smaller indices, current values for
-    larger ones) and then clipped into ``[config.lower, config.upper]``.
-    Endmembers with zero total abundance keep their current scale and are
-    reported.
-    """
-    e, x = _checked(endmembers, image, state.a_s)
-    cfg = config or TwoLmmConfig()
-    _check_full_rank(e)
-    s, absent = _sweep_scales(*_normal_parts(e, x), state.a_s, state.s_e, cfg.lower, cfg.upper)
-    if absent:
-        _warn("endmembers absent from the scene kept their scales: " + _index_summary(absent))
-    return np.array(s)
-
-
-def precondition(
-    image: HsiImage,
-    endmembers: EndmemberMatrix,
-    state: TwoLmmState,
-    config: TwoLmmConfig | None = None,
-) -> np.ndarray:
-    """Displacement produced by one full ALS iteration from ``state``.
-
-    Returns ``pack(als(state)) - pack(state)``; zero exactly at an ALS
-    fixed point. This vector replaces the gradient inside the
-    quasi-Newton solver.
-    """
-    e, x = _checked(endmembers, image, state.a_s)
-    cfg = config or TwoLmmConfig()
-    z = state.packed
-    fit = _qr_fit(e, x)[0]
-    z_plus = _als_point(fit, *_normal_parts(e, x), state.s_e, cfg, np.empty_like(z))
-    return z_plus - z
+    k, n = state.a_s.shape
+    z = np.empty(k * n + k)
+    _als_point(_qr_fit(e, x)[0], *_normal_parts(e, x), state.s_e, config or TwoLmmConfig(), z)
+    return TwoLmmState.from_packed(z, k, n)
 
 
 def _rel_change(new: np.ndarray, old: np.ndarray, scratch: np.ndarray) -> float:
@@ -690,7 +648,7 @@ def _iterate(
                 if accept_cost > allowance:
                     z_new = trial
                     z_new[:kn] = z[:kn]
-                    z_new[kn:] = _sweep_scales(gram, etx, a_cur, s_cur, cfg.lower, cfg.upper)[0]
+                    z_new[kn:] = _sweep_scales(gram, etx, a_cur, s_cur, cfg.lower, cfg.upper)
                     accept_cost = cost_at(*_unpack(z_new, k, n))
                     evals += 1
                 gamma = cfg.step_init

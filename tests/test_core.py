@@ -413,3 +413,12 @@ class TestNormalizeAbundances:
         rng = np.random.default_rng(9)
         res = normalize_abundances(rng.uniform(0.1, 2.0, size=(3, 50)))
         np.testing.assert_allclose(res.abundances.data.sum(axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_entry_refused_before_dividing(self, value):
+        # It used to reach the division, which warned for inf, and then fail
+        # with a message about the output.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-normalized abundances must be finite$"):
+                normalize_abundances(np.array([[value, 1.0], [1.0, 1.0]]))

@@ -1,5 +1,10 @@
 """The package namespace: each public name is declared once, in its
-module's ``__all__``, and the package re-exports them all."""
+module's ``__all__``, and the package re-exports them all; README's
+examples use it as written."""
+
+import re
+import warnings
+from pathlib import Path
 
 import twolmm
 from twolmm import baselines, core, datagen, endmembers, fileio, solvers, trace, twostep
@@ -12,7 +17,7 @@ def test_all_is_the_version_and_every_module_all():
     for module in MODULES:
         expected += module.__all__
     assert twolmm.__all__ == expected
-    assert len(set(twolmm.__all__)) == len(twolmm.__all__) == 59
+    assert len(set(twolmm.__all__)) == len(twolmm.__all__) == 57
 
 
 def test_every_exported_name_resolves_to_its_module_object():
@@ -33,3 +38,15 @@ def test_least_squares_kernel_is_a_module_attribute_not_an_export():
     assert "solve_least_squares" not in solvers.__all__
     assert not hasattr(twolmm, "solve_least_squares")
     assert twostep.solve_least_squares is solvers.solve_least_squares
+
+
+def test_readme_python_examples_run_as_written():
+    # The blocks run in order in one namespace, as a reader would paste them.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)

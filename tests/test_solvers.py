@@ -16,11 +16,9 @@ from twolmm import solvers
 from twolmm.solvers import SolverError, _simplex_qp, solve_least_squares
 from twolmm.twostep import (
     TwoLmmState,
-    als_update_a,
-    als_update_se,
+    als_step,
     cost,
     gradient,
-    precondition,
     solve_als,
     solve_lbfgs,
 )
@@ -100,9 +98,10 @@ class TestBandCheck:
     "call",
     [
         lambda x, e: solve_nnls_clipped(e, x),
-        lambda x, e: als_update_a(x, e, TwoLmmState.uniform(2, 4)),
-        lambda x, e: precondition(x, e, TwoLmmState.uniform(2, 4)),
+        lambda x, e: als_step(x, e, TwoLmmState.uniform(2, 4)).a_s,
+        lambda x, e: als_step(x, e, (s := TwoLmmState.uniform(2, 4))).packed - s.packed,
     ],
+    # The last two read als_step's abundance block and its displacement.
     ids=["nnls_clipped", "als_update_a", "precondition"],
 )
 def test_bands_checked_once_per_call(call, monkeypatch):
@@ -126,11 +125,13 @@ class TestContainerCheck:
             solve_lbfgs,
             lambda x, e: cost(x, e, TwoLmmState.uniform(2, 3)),
             lambda x, e: gradient(x, e, TwoLmmState.uniform(2, 3)),
-            lambda x, e: als_update_a(x, e, TwoLmmState.uniform(2, 3)),
-            lambda x, e: als_update_se(x, e, TwoLmmState.uniform(2, 3)),
-            lambda x, e: precondition(x, e, TwoLmmState.uniform(2, 3)),
+            lambda x, e: als_step(x, e, TwoLmmState.uniform(2, 3)).a_s,
+            lambda x, e: als_step(x, e, TwoLmmState.uniform(2, 3)).s_e,
+            lambda x, e: als_step(x, e, (s := TwoLmmState.uniform(2, 3))).packed - s.packed,
             lambda x, e: solve_nnls_clipped(e, x),
         ],
+        # The als_update_a, als_update_se and precondition cases read
+        # als_step's abundance block, its scale block and its displacement.
         ids=[
             "unmix_lmm",
             "unmix_slmm",
@@ -329,7 +330,7 @@ class TestSolveNnlsClipped:
             unmix_slmm,
             solve_als,
             solve_lbfgs,
-            lambda x, e: als_update_se(x, e, TwoLmmState(np.ones((2, 1)), np.ones(2))),
+            lambda x, e: als_step(x, e, TwoLmmState(np.ones((2, 1)), np.ones(2))).s_e,
         ],
         ids=[
             "least_squares",

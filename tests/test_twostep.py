@@ -24,11 +24,9 @@ from twolmm.solvers import SolverError, _normal_parts, _qr_fit
 from twolmm.twostep import (
     TwoLmmConfig,
     TwoLmmState,
-    als_update_a,
-    als_update_se,
+    als_step,
     cost,
     gradient,
-    precondition,
     solve_als,
     solve_lbfgs,
 )
@@ -175,18 +173,19 @@ class TestGradient:
 
 
 class TestAlsUpdateA:
+    # The abundance block of als_step.
     def test_unit_scales_match_nnls_clipped(self):
         from twolmm import solve_nnls_clipped
 
         x, e, _ = random_instance(3)
-        out = als_update_a(x, e, TwoLmmState.uniform(3, 8), TwoLmmConfig(upper=np.inf))
+        out = als_step(x, e, TwoLmmState.uniform(3, 8), TwoLmmConfig(upper=np.inf)).a_s
         np.testing.assert_array_equal(out, solve_nnls_clipped(e, x))
 
     def test_doubling_scales_halves_preclip_exactly(self):
         x, e, state = random_instance(4)
         unbounded = TwoLmmConfig(upper=np.inf)
-        a1 = als_update_a(x, e, state, unbounded)
-        a2 = als_update_a(x, e, replace(state, s_e=2.0 * state.s_e), unbounded)
+        a1 = als_step(x, e, state, unbounded).a_s
+        a2 = als_step(x, e, replace(state, s_e=2.0 * state.s_e), unbounded).a_s
         np.testing.assert_array_equal(a2, a1 / 2.0)
 
     def test_matches_per_column_oracle_then_clip(self):
@@ -194,21 +193,24 @@ class TestAlsUpdateA:
         upper = 1.2
         fit = np.linalg.solve(e.data.T @ e.data, e.data.T @ x.data)
         oracle = np.clip(fit / state.s_e[:, None], 0.0, upper)
-        out = als_update_a(x, e, state, TwoLmmConfig(upper=upper))
+        out = als_step(x, e, state, TwoLmmConfig(upper=upper)).a_s
         np.testing.assert_allclose(out, oracle, atol=1e-10)
 
 
-class TestAlsUpdateSe:
-    wide = TwoLmmConfig(lower=0.1, upper=10.0)
+def sweep(x, e, a, s_e, lower=0.1, upper=10.0):
+    """One Gauss-Seidel sweep over the scales ``s_e`` given abundances ``a``."""
+    gram, etx = _normal_parts(e, x.data)
+    return twostep._sweep_scales(gram, etx, a, np.asarray(s_e, dtype=float), lower, upper)
 
+
+class TestAlsUpdateSe:
+    # The scale sweep of als_step, on a caller-given a_s.
     def test_single_endmember_closed_form(self):
         rng = np.random.default_rng(6)
         e = rng.uniform(0.1, 1.0, size=(6, 1))
         a = rng.uniform(0.1, 2.0, size=(1, 10))
         x = HsiImage(rng.uniform(0.1, 1.0, size=(6, 10)))
-        got = als_update_se(
-            x, EndmemberMatrix(e), TwoLmmState(a, np.ones(1)), TwoLmmConfig(1e-6, 1e6)
-        )
+        got = sweep(x, e, a, np.ones(1), 1e-6, 1e6)
         num = sum(a[0, n] * float(e[:, 0] @ x.data[:, n]) for n in range(10))
         den = float(e[:, 0] @ e[:, 0]) * float((a[0] ** 2).sum())
         assert got[0] == pytest.approx(num / den, rel=1e-12)
@@ -219,7 +221,7 @@ class TestAlsUpdateSe:
         a = rng.uniform(0.1, 2.0, size=(1, 8))
         truth = 1.7
         x = HsiImage(truth * (e @ a))
-        got = als_update_se(x, EndmemberMatrix(e), TwoLmmState(a, np.ones(1)), self.wide)
+        got = sweep(x, e, a, np.ones(1))
         assert got[0] == pytest.approx(truth, abs=1e-10)
 
     def test_repeated_sweeps_converge_to_truth(self):
@@ -228,10 +230,9 @@ class TestAlsUpdateSe:
         a = rng.uniform(0.05, 2.0, size=(3, 50))
         truth = np.array([0.6, 1.4, 2.2])
         x = HsiImage((e * truth) @ a)
-        em = EndmemberMatrix(e)
         s = np.ones(3)
         for _ in range(200):
-            s = als_update_se(x, em, TwoLmmState(a, s), self.wide)
+            s = sweep(x, e, a, s)
         np.testing.assert_allclose(s, truth, atol=1e-8)
 
     def test_out_of_bounds_clipped(self):
@@ -239,7 +240,7 @@ class TestAlsUpdateSe:
         e = rng.uniform(0.1, 1.0, size=(5, 1))
         a = rng.uniform(0.1, 1.0, size=(1, 6))
         x = HsiImage(10.0 * (e @ a))
-        got = als_update_se(x, EndmemberMatrix(e), TwoLmmState(a, np.ones(1)))
+        got = sweep(x, e, a, np.ones(1), upper=5.0)
         assert got[0] == 5.0
 
     def test_absent_endmember_left_unchanged(self):
@@ -247,21 +248,8 @@ class TestAlsUpdateSe:
         e = rng.uniform(0.1, 1.0, size=(5, 2))
         a = np.vstack([rng.uniform(0.1, 1.0, size=(1, 6)), np.zeros((1, 6))])
         x = HsiImage(e @ a)
-        with pytest.warns(RuntimeWarning, match="absent"):
-            got = als_update_se(x, EndmemberMatrix(e), TwoLmmState(a, [1.0, 0.77]), self.wide)
+        got = sweep(x, e, a, [1.0, 0.77])
         assert got[1] == 0.77
-
-    def test_absent_warning_gives_count_and_first_eight(self):
-        rng = np.random.default_rng(11)
-        e = rng.uniform(0.1, 1.0, size=(12, 10))
-        a = np.vstack([rng.uniform(0.1, 1.0, size=(1, 6)), np.zeros((9, 6))])
-        state = TwoLmmState(a, np.ones(10))
-        with pytest.warns(RuntimeWarning, match="absent") as caught:
-            als_update_se(HsiImage(e @ a), EndmemberMatrix(e), state, self.wide)
-        assert str(caught[0].message).endswith(
-            "9 (first indices [1, 2, 3, 4, 5, 6, 7, 8])"
-        )
-        assert caught[0].filename == __file__
 
     def test_rank_deficient_endmembers_rejected(self):
         rng = np.random.default_rng(12)
@@ -270,20 +258,7 @@ class TestAlsUpdateSe:
         a = rng.uniform(0.1, 1.0, size=(3, 5))
         state = TwoLmmState(a, np.ones(3))
         with pytest.raises(SolverError, match="rank deficient"):
-            als_update_se(HsiImage(e @ a), EndmemberMatrix(e), state, self.wide)
-
-    def test_needs_no_least_squares_fit(self, monkeypatch):
-        def no_fit(*args):
-            raise AssertionError("als_update_se must not fit the abundances")
-
-        rng = np.random.default_rng(13)
-        e = EndmemberMatrix(rng.uniform(0.1, 1.0, size=(6, 2)))
-        a = rng.uniform(0.1, 1.0, size=(2, 5))
-        x = HsiImage((e.data * [0.8, 1.5]) @ a)
-        state = TwoLmmState(a, np.ones(2))
-        expected = als_update_se(x, e, state, self.wide)
-        monkeypatch.setattr(twostep, "_qr_fit", no_fit)
-        np.testing.assert_array_equal(als_update_se(x, e, state, self.wide), expected)
+            als_step(HsiImage(e @ a), EndmemberMatrix(e), state)
 
 
 class TestStateChecks:
@@ -291,27 +266,27 @@ class TestStateChecks:
     # state refuses never reaches them; as loose arrays, each of these used
     # to pass silently (NaN or zero abundances, scales outside the bounds).
     @pytest.mark.parametrize(
-        "helper, field, value, message",
+        "field, value, message",
         [
-            (als_update_a, "s_e", np.nan, "state contains non-finite values"),
-            (als_update_a, "s_e", np.inf, "state contains non-finite values"),
-            (als_update_se, "a_s", np.nan, "state contains non-finite values"),
-            (als_update_se, "a_s", -0.5, "a_s must be nonnegative"),
-            (als_update_se, "s_e", 0.0, "s_e must be strictly positive"),
-            (als_update_se, "s_e", -1.0, "s_e must be strictly positive"),
+            ("s_e", np.nan, "state contains non-finite values"),
+            ("s_e", np.inf, "state contains non-finite values"),
+            ("a_s", np.nan, "state contains non-finite values"),
+            ("a_s", -0.5, "a_s must be nonnegative"),
+            ("s_e", 0.0, "s_e must be strictly positive"),
+            ("s_e", -1.0, "s_e must be strictly positive"),
         ],
         ids=["a-nan-s_e", "a-inf-s_e", "se-nan-a_s", "se-neg-a_s", "se-zero-s_e", "se-neg-s_e"],
     )
-    def test_helpers_take_the_state_and_its_checks(self, helper, field, value, message):
+    def test_helpers_take_the_state_and_its_checks(self, field, value, message):
         x, e, state = random_instance(15)
         cfg = TwoLmmConfig()
-        out = helper(x, e, state, cfg)
-        low = 0.0 if helper is als_update_a else cfg.lower
-        assert np.all((low <= out) & (out <= cfg.upper))
+        out = als_step(x, e, state, cfg)
+        assert np.all((0.0 <= out.a_s) & (out.a_s <= cfg.upper))
+        assert np.all((cfg.lower <= out.s_e) & (out.s_e <= cfg.upper))
         bad = getattr(state, field).copy()
         bad.flat[0] = value
         with pytest.raises(ValueError, match=f"^{message}$"):
-            helper(x, e, replace(state, **{field: bad}), cfg)
+            als_step(x, e, replace(state, **{field: bad}), cfg)
 
     def test_a_s_with_more_than_two_dimensions_refused_when_built(self):
         # It used to build, with a 10-entry packed vector, and fail only at the
@@ -328,14 +303,14 @@ class TestStateChecks:
             state.s_e[0] = np.nan
         with pytest.raises(ValueError, match="read-only"):
             state.a_s[0, 0] = -1.0
-        assert np.all(np.isfinite(als_update_a(x, e, state)))
+        assert np.all(np.isfinite(als_step(x, e, state).packed))
 
     def test_helpers_do_not_depend_on_the_layout_of_the_callers_arrays(self):
         # The state holds a_s Fortran-ordered, the layout of the solver's iterate.
         x, e, state = random_instance(16, n=500)
         c_ordered = TwoLmmState(a_s=np.ascontiguousarray(state.a_s), s_e=state.s_e)
         f_ordered = TwoLmmState(a_s=np.asfortranarray(state.a_s), s_e=state.s_e)
-        for helper in (cost, gradient, als_update_a, als_update_se, precondition):
+        for helper in (cost, gradient, lambda x, e, state: als_step(x, e, state).packed):
             np.testing.assert_array_equal(helper(x, e, c_ordered), helper(x, e, f_ordered))
 
 
@@ -346,10 +321,12 @@ class TestShapeChecks:
         [
             lambda x, e, bad: cost(x, e, bad),
             lambda x, e, bad: gradient(x, e, bad),
-            lambda x, e, bad: als_update_a(x, e, bad),
-            lambda x, e, bad: als_update_se(x, e, bad),
-            lambda x, e, bad: precondition(x, e, bad),
+            lambda x, e, bad: als_step(x, e, bad).a_s,
+            lambda x, e, bad: als_step(x, e, bad).s_e,
+            lambda x, e, bad: als_step(x, e, bad).packed - bad.packed,
         ],
+        # The last three read als_step's abundance block, its scale block
+        # and its displacement.
         ids=["cost", "gradient", "als_update_a", "als_update_se", "precondition"],
     )
     def test_mismatched_state_rejected(self, call):
@@ -359,21 +336,26 @@ class TestShapeChecks:
             call(x, e, bad)
 
 
+def als_displacement(x, e, state, cfg):
+    """The ALS displacement, which the quasi-Newton solver takes in place
+    of the gradient."""
+    return als_step(x, e, state, cfg).packed - state.packed
+
+
 class TestPrecondition:
     def test_zero_at_fixed_point(self):
         em, ab, scene = exact_scene(seed=20, width=6, height=6, correlation_length=SHORT_LENGTH)
-        norm = normalize_abundances(ab.data * scene.scaling.s_x)
         state = TwoLmmState(
             a_s=ab.data * scene.scaling.s_x, s_e=scene.scaling.s_e
         )
         cfg = TwoLmmConfig(lower=1.0 / 3.0, upper=3.0)
-        direction = precondition(scene.image, em, state, cfg)
+        direction = als_displacement(scene.image, em, state, cfg)
         assert np.abs(direction).max() <= 1e-10
 
     def test_matches_single_als_iteration_delta(self):
         x, e, state = random_instance(11)
         cfg = TwoLmmConfig()
-        direction = precondition(x, e, state, cfg)
+        direction = als_displacement(x, e, state, cfg)
         res = solve_als(x, e, TwoLmmConfig(max_iter=1, eps=1e-30), init=state)
         a_after = res.abundances.data * res.s_x
         delta = np.concatenate(
@@ -387,10 +369,7 @@ class TestPrecondition:
     def test_descent_compatible(self):
         for seed in range(10):
             x, e, state = random_instance(200 + seed)
-            cfg = TwoLmmConfig()
-            direction = precondition(x, e, state, cfg)
-            k, n = state.a_s.shape
-            stepped = TwoLmmState.from_packed(state.packed + direction, k, n)
+            stepped = als_step(x, e, state, TwoLmmConfig())
             assert cost(x, e, stepped) <= cost(x, e, state) * (1.0 + 1e-12)
 
 
@@ -786,10 +765,12 @@ class TestMemoryContract:
         [
             lambda x, e, state: cost(x, e, state),
             lambda x, e, state: gradient(x, e, state),
-            lambda x, e, state: precondition(x, e, state),
-            lambda x, e, state: als_update_a(x, e, state),
-            lambda x, e, state: als_update_se(x, e, state),
+            lambda x, e, state: als_step(x, e, state).packed - state.packed,
+            lambda x, e, state: als_step(x, e, state).a_s,
+            lambda x, e, state: als_step(x, e, state).s_e,
         ],
+        # The last three read als_step's displacement, its abundance block
+        # and its scale block.
         ids=["cost", "gradient", "precondition", "als_update_a", "als_update_se"],
     )
     def test_public_helpers_hold_no_image_sized_array(self, call):
