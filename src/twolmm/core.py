@@ -29,6 +29,7 @@ call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -83,18 +84,21 @@ def _warn(message: str) -> None:
 def _as_real(data, dtype=np.float64, order: str = "K") -> np.ndarray:
     """How twolmm reads an array from its caller: ``data`` as a ``dtype``
     array in ``order``, copied only to convert. Complex data is refused,
-    not truncated."""
+    not truncated, and so are NaN and infinite entries (:func:`_all_finite`)."""
     data = np.asarray(data)
     if np.iscomplexobj(data):
         raise ValueError("complex values are not accepted")
-    return np.asarray(data, dtype=dtype, order=order)
+    out = np.asarray(data, dtype=dtype, order=order)
+    if not _all_finite(np.atleast_2d(out)):
+        raise ValueError("non-finite values are not accepted")
+    return out
 
 
 def _freeze(data, dtype=np.float64, flat: bool = False) -> np.ndarray:
-    """How a value type stores an array from its caller: ``data`` itself when
-    it is a read-only, Fortran-ordered ``dtype`` array that owns its memory,
-    else a read-only Fortran-ordered ``dtype`` copy, converted by :func:`_as_real`
-    (complex data is refused) and flattened in row-major order first with ``flat``."""
+    """How a value type stores an array from its caller, read by :func:`_as_real`:
+    ``data`` itself when it is a read-only, Fortran-ordered ``dtype`` array that
+    owns its memory, else a read-only Fortran-ordered ``dtype`` copy, flattened
+    in row-major order first with ``flat``."""
     data = np.asarray(data)
     if flat and data.ndim != 1:
         data = data.ravel()
@@ -108,8 +112,8 @@ def _freeze(data, dtype=np.float64, flat: bool = False) -> np.ndarray:
 
 
 def _all_finite(data: np.ndarray) -> bool:
-    """Whether every entry of the 2-D ``data`` is finite, checked over
-    blocks of columns so that no P x N mask is formed."""
+    """Whether every entry of ``data`` (at least 2-D) is finite, checked
+    over blocks of columns so that no P x N mask is formed."""
     return all(
         np.isfinite(data[:, start : start + _BLOCK]).all()
         for start in range(0, data.shape[1], _BLOCK)
@@ -117,9 +121,9 @@ def _all_finite(data: np.ndarray) -> bool:
 
 
 def _checked_matrix(data, name: str, axes: str, sizes: str) -> np.ndarray:
-    """``data`` as a 2-D array, after the checks of all three matrix
-    containers: 2-D ``axes``, at least ``sizes``, and finite
-    (:func:`_all_finite`). The messages name ``name`` (``"image"``,
+    """``data`` as a 2-D array, after the shape checks of all three matrix
+    containers: 2-D ``axes`` and at least ``sizes``; their :func:`_freeze`
+    refuses non-finite entries. The messages name ``name`` (``"image"``,
     ``"endmember matrix"``) and its data by the first word of ``name``."""
     kind = name.split()[0]
     data = np.atleast_2d(np.asarray(data))
@@ -127,8 +131,6 @@ def _checked_matrix(data, name: str, axes: str, sizes: str) -> np.ndarray:
         raise ValueError(f"{kind} data must be a 2-D {axes} array")
     if data.shape[0] < 1 or data.shape[1] < 1:
         raise ValueError(f"{name} must have at least {sizes}")
-    if not _all_finite(data):
-        raise ValueError(f"{kind} data contains non-finite values")
     return data
 
 
@@ -176,6 +178,8 @@ class HsiImage:
         data = _checked_matrix(self.data, "image", "(bands, pixels)", "one band and one pixel")
         n = data.shape[1]
         width, height = self.width, self.height
+        if not (isinstance(width, numbers.Integral) and isinstance(height, numbers.Integral)):
+            raise ValueError(f"grid dimensions must be integers, got {width!r}x{height!r}")
         if width < 0 or height < 0:
             raise ValueError(f"grid dimensions must be nonnegative, got {width}x{height}")
         if width == 0 and height == 0:
@@ -286,8 +290,6 @@ class ScalingState:
         for name in ("s_e", "s_x"):
             object.__setattr__(self, name, _freeze(getattr(self, name), flat=True))
         s_e, s_x = self.s_e, self.s_x
-        if not (np.all(np.isfinite(s_e)) and np.all(np.isfinite(s_x))):
-            raise ValueError("scaling vectors contain non-finite values")
         if not (0.0 < self.lower <= self.upper):
             raise ValueError("scaling bounds must satisfy 0 < lower <= upper")
         if np.any(s_e < self.lower) or np.any(s_e > self.upper):
@@ -352,8 +354,6 @@ def sad(e1: np.ndarray, e2: np.ndarray) -> float:
     v2 = _as_real(e2).ravel()
     if v1.shape != v2.shape:
         raise ValueError("spectra must have the same length")
-    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
-        raise ValueError("spectral angle is undefined for a non-finite spectrum")
     n1 = np.linalg.norm(v1)
     n2 = np.linalg.norm(v2)
     if n1 == 0.0 or n2 == 0.0:
@@ -375,9 +375,10 @@ def normalize_abundances(a_s: np.ndarray) -> NormalizationResult:
     if np.any(a_s < -ANC_TOL):
         raise ValueError("non-normalized abundances must be nonnegative")
     a_s = np.maximum(a_s, 0.0)
-    s_x = a_s.sum(axis=0)
-    if not math.isfinite(s_x.max(initial=0.0)):  # +inf or NaN; -inf is refused above
-        raise ValueError("non-normalized abundances must be finite")
+    with np.errstate(over="ignore"):
+        s_x = a_s.sum(axis=0)
+    if not math.isfinite(s_x.max(initial=0.0)):  # finite entries whose sum overflows
+        raise ValueError("non-normalized abundances overflow their column sums")
     degenerate = np.flatnonzero(s_x == 0.0)
     safe = np.where(s_x > 0.0, s_x, 1.0)
     a = a_s / safe

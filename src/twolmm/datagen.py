@@ -229,7 +229,7 @@ def apply_noise(clean: HsiImage, snr_db: float | None, seed: int = 0) -> HsiImag
 
 
 def _are_cosines(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` lies in (0, 1]; NaN does not."""
+    """Whether every entry of ``x`` lies in (0, 1]."""
     return bool(np.all((x > 0) & (x <= 1)))
 
 
@@ -313,8 +313,6 @@ class Dsm:
 
     def __post_init__(self):
         object.__setattr__(self, "heights", _freeze(np.atleast_2d(self.heights)))
-        if not np.all(np.isfinite(self.heights)):
-            raise ValueError("heights must be finite")
         if not (0 < self.cell_size < math.inf):
             raise ValueError("cell size must be positive and finite")
 
@@ -351,8 +349,8 @@ class HapkeGeometry:
 
 def _unit(vec, name: str) -> np.ndarray:
     v = _as_real(vec).ravel()
-    if v.size != 3 or not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be a finite 3-vector")
+    if v.size != 3:
+        raise ValueError(f"{name} must be a 3-vector")
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError(f"{name} must be nonzero")

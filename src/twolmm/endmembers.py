@@ -52,8 +52,8 @@ class ProjectionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "v", _freeze(self.v, flat=True))
-        if not np.all(np.isfinite(self.v)) or np.linalg.norm(self.v) == 0.0:
-            raise ValueError("projection vector must be finite and nonzero")
+        if np.linalg.norm(self.v) == 0.0:
+            raise ValueError("projection vector must be nonzero")
 
     @classmethod
     def for_image(cls, image: HsiImage) -> "ProjectionSpec":

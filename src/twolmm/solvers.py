@@ -57,8 +57,6 @@ class QpProblem:
             raise ValueError("gram must be a square matrix")
         if gram.shape[0] != linear.size:
             raise ValueError("gram and linear sizes are inconsistent")
-        if not (np.isfinite(gram).all() and np.isfinite(linear).all()):
-            raise ValueError("gram and linear must not hold non-finite values")
         scale = max(1.0, float(np.abs(gram).max()))
         if np.abs(gram - gram.T).max() > 1e-12 * scale:
             raise ValueError("gram matrix is not symmetric")

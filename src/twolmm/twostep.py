@@ -162,8 +162,6 @@ class TwoLmmState:
             raise ValueError("a_s must be a (K, N) array")
         if a_s.shape[0] != s_e.size:
             raise ValueError("a_s row count must match s_e length")
-        if not (np.all(np.isfinite(a_s)) and np.all(np.isfinite(s_e))):
-            raise ValueError("state contains non-finite values")
         if np.any(a_s < 0):
             raise ValueError("a_s must be nonnegative")
         if np.any(s_e <= 0):

@@ -1,5 +1,6 @@
 """Core types, metrics, and abundance normalization."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -29,6 +30,9 @@ from twolmm import (
 from twolmm.core import _BLOCK, _freeze, _squared_error
 from twolmm.solvers import solve_least_squares
 
+COMPLEX = "^complex values are not accepted$"
+NON_FINITE = "^non-finite values are not accepted$"
+
 
 class TestHsiImage:
     def test_dimensions_and_grid(self):
@@ -55,6 +59,14 @@ class TestHsiImage:
     def test_negative_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="nonnegative"):
             HsiImage(np.ones((3, 6)), width=grid[0], height=grid[1])
+
+    @pytest.mark.parametrize("grid", [(2.5, 2), (5, 1.0)], ids=["fractional", "float"])
+    def test_non_integer_grid_rejected(self, grid):
+        # 2.5 * 2 == 5 passed the pixel-count check and stored a 2x2 grid for
+        # five pixels, which load_image then refused after save_image wrote it.
+        with pytest.raises(ValueError, match="^grid dimensions must be integers, got "):
+            HsiImage(np.ones((2, 5)), width=grid[0], height=grid[1])
+        assert HsiImage(np.ones((2, 6)), width=np.int64(3), height=2).width == 3
 
     def test_data_is_immutable(self):
         img = HsiImage(np.ones((2, 2)))
@@ -126,58 +138,92 @@ class TestFreeze:
         for field, array in frozen.items():
             assert getattr(value, field) is array
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            HsiImage,
-            EndmemberMatrix,
-            AbundanceMatrix,
-            lambda data: ScalingState(s_e=data[0], s_x=data[1], upper=10.0),
-            lambda data: TwoLmmState(a_s=data, s_e=[1.0, 1.0]),
-        ],
-        ids=["HsiImage", "EndmemberMatrix", "AbundanceMatrix", "ScalingState", "TwoLmmState"],
-    )
-    def test_complex_payload_refused_not_truncated(self, build):
-        # Each column sums to one and the real parts are valid for every type,
-        # so only the imaginary parts are wrong.
-        data = np.array([[0.5 + 5j, 0.25], [0.5 - 5j, 0.75]])
-        with pytest.raises(ValueError, match="^complex values are not accepted$"):
-            build(data)
+    # Each column sums to one and the real parts are valid for every type,
+    # so only the imaginary parts, or the one NaN or infinite entry, are
+    # wrong. The id suffix names the bad entry; complex cases have none.
+    BAD_PAYLOADS = {
+        "": (np.array([[0.5 + 5j, 0.25], [0.5 - 5j, 0.75]]), COMPLEX),
+        "-nan": (np.array([[np.nan, 0.25], [0.5, 0.75]]), NON_FINITE),
+        "-inf": (np.array([[np.inf, 0.25], [0.5, 0.75]]), NON_FINITE),
+    }
+    PAYLOAD_BUILDERS = {
+        "HsiImage": HsiImage,
+        "EndmemberMatrix": EndmemberMatrix,
+        "AbundanceMatrix": AbundanceMatrix,
+        "ScalingState": lambda data: ScalingState(s_e=data[0], s_x=data[1], upper=10.0),
+        "TwoLmmState": lambda data: TwoLmmState(a_s=data, s_e=[1.0, 1.0]),
+        "Dsm": Dsm,
+        "ProjectionSpec": ProjectionSpec,
+        "QpProblem": lambda data: QpProblem(gram=data, linear=[1.0, 1.0]),
+    }
 
-    # One complex array among otherwise valid arguments, for each function
-    # that takes plain arrays; each used to drop the imaginary part with
-    # only a ComplexWarning.
     @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: sad(np.array([1 + 9j, 1.0]), np.array([1.0, 1.0])),
-            lambda: normalize_abundances(np.array([[0.5 + 1j, 0.2], [0.5, 0.8]])),
-            lambda: hapke_relative_reflectance(np.array([0.5 + 0.1j, 0.3]), 0.8, 0.9),
-            lambda: hapke_invert(np.array([0.5, 0.3]), np.array([0.8 + 0.1j, 0.7]), 0.9),
-            lambda: dsm_to_geometry(Dsm(np.zeros((3, 3))), np.array([0.3 + 1j, 0.2, 1.0])),
-            lambda: align_abundances(
-                np.array([[0.5 + 1j, 0.5], [0.5, 0.5]]),
+        "name, suffix",
+        list(itertools.product(PAYLOAD_BUILDERS, BAD_PAYLOADS)),
+        ids=[name + suffix for name, suffix in itertools.product(PAYLOAD_BUILDERS, BAD_PAYLOADS)],
+    )
+    def test_complex_payload_refused_not_truncated(self, name, suffix):
+        data, message = self.BAD_PAYLOADS[suffix]
+        with pytest.raises(ValueError, match=message):
+            self.PAYLOAD_BUILDERS[name](data)
+
+    # One bad entry ``z`` among otherwise valid arguments, for each function
+    # that takes plain arrays, with the complex value of its case. Complex
+    # entries used to lose their imaginary part with only a ComplexWarning;
+    # a NaN pixel gave solve_least_squares NaN abundances without a word,
+    # and a NaN endmember entry numpy's LinAlgError.
+    BAD_ARGUMENTS = {
+        "sad": (lambda z: sad(np.array([z, 1.0]), np.array([1.0, 1.0])), 1 + 9j),
+        "normalize_abundances": (
+            lambda z: normalize_abundances(np.array([[z, 0.2], [0.5, 0.8]])), 0.5 + 1j
+        ),
+        "hapke_relative_reflectance": (
+            lambda z: hapke_relative_reflectance(np.array([z, 0.3]), 0.8, 0.9), 0.5 + 0.1j
+        ),
+        "hapke_invert": (
+            lambda z: hapke_invert(np.array([0.5, 0.3]), np.array([z, 0.7]), 0.9), 0.8 + 0.1j
+        ),
+        "dsm_to_geometry": (
+            lambda z: dsm_to_geometry(Dsm(np.zeros((3, 3))), np.array([z, 0.2, 1.0])), 0.3 + 1j
+        ),
+        "align_abundances": (
+            lambda z: align_abundances(
+                np.array([[z, 0.5], [0.5, 0.5]]),
                 MatchResult(permutation=np.array([1, 0]), scales=np.ones(2), mean_sad_deg=0.0),
             ),
-            lambda: solve_least_squares(
-                np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([[1.0], [2.0], [3 + 1j]])
+            0.5 + 1j,
+        ),
+        "solve_least_squares": (
+            lambda z: solve_least_squares(
+                np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([[1.0], [2.0], [z]])
             ),
-        ],
-        ids=[
-            "sad",
-            "normalize_abundances",
-            "hapke_relative_reflectance",
-            "hapke_invert",
-            "dsm_to_geometry",
-            "align_abundances",
-            "solve_least_squares",
-        ],
+            3 + 1j,
+        ),
+        "solve_least_squares_endmembers": (
+            lambda z: solve_least_squares(
+                np.array([[1.0, 0.0], [0.0, z], [1.0, 1.0]]), np.array([[1.0], [2.0], [3.0]])
+            ),
+            1 + 1j,
+        ),
+        # The second pixel is shadowed, so its cosine's range is not checked.
+        "HapkeGeometry": (
+            lambda z: HapkeGeometry(mu=[0.5, z], mu0=[0.7, 0.8], shadowed=[False, True]), 0.5 + 1j
+        ),
+    }
+    BAD_ENTRIES = {"": None, "-nan": np.nan, "-inf": np.inf, "-neg-inf": -np.inf}
+
+    @pytest.mark.parametrize(
+        "name, suffix",
+        list(itertools.product(BAD_ARGUMENTS, BAD_ENTRIES)),
+        ids=[name + suffix for name, suffix in itertools.product(BAD_ARGUMENTS, BAD_ENTRIES)],
     )
-    def test_complex_argument_refused_not_truncated(self, call):
+    def test_complex_argument_refused_not_truncated(self, name, suffix):
+        call, complex_value = self.BAD_ARGUMENTS[name]
+        value = self.BAD_ENTRIES[suffix]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^complex values are not accepted$"):
-                call()
+            with pytest.raises(ValueError, match=NON_FINITE if suffix else COMPLEX):
+                call(complex_value if value is None else value)
 
 
 class TestEndmemberMatrix:
@@ -378,8 +424,7 @@ class TestSad:
         # NaN used to give nan silently, and inf nan with an "invalid value"
         # warning.
         bad, good = np.array([value, 1.0]), np.array([1.0, 1.0])
-        message = "^spectral angle is undefined for a non-finite spectrum$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=NON_FINITE):
             sad(*((bad, good) if first else (good, bad)))
 
 
@@ -420,5 +465,15 @@ class TestNormalizeAbundances:
         # with a message about the output.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^non-normalized abundances must be finite$"):
+            with pytest.raises(ValueError, match=NON_FINITE):
                 normalize_abundances(np.array([[value, 1.0], [1.0, 1.0]]))
+
+    def test_overflowing_column_sum_refused_without_a_warning(self):
+        # Every entry is finite, but the first column's sum overflows; it used
+        # to warn "overflow encountered in reduce" and then blame the entries.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="^non-normalized abundances overflow their column sums$"
+            ):
+                normalize_abundances(np.array([[1e308, 1.0], [1e308, 1.0]]))

@@ -194,20 +194,29 @@ class TestHapkeModel:
     # A NaN compares false with every bound, so each check must ask that a
     # value lies inside its range rather than that it lies outside.
     @pytest.mark.parametrize(
-        "model, position, match",
+        "model, position",
         [
-            (hapke_relative_reflectance, 0, "albedo"),
-            (hapke_relative_reflectance, 1, "cosines"),
-            (hapke_relative_reflectance, 2, "cosines"),
-            (hapke_invert, 0, "reflectance"),
-            (hapke_invert, 1, "cosines"),
-            (hapke_invert, 2, "cosines"),
+            (hapke_relative_reflectance, 0),
+            (hapke_relative_reflectance, 1),
+            (hapke_relative_reflectance, 2),
+            (hapke_invert, 0),
+            (hapke_invert, 1),
+            (hapke_invert, 2),
+        ],
+        # Each id ends with the range check a NaN used to fail.
+        ids=[
+            "hapke_relative_reflectance-0-albedo",
+            "hapke_relative_reflectance-1-cosines",
+            "hapke_relative_reflectance-2-cosines",
+            "hapke_invert-0-reflectance",
+            "hapke_invert-1-cosines",
+            "hapke_invert-2-cosines",
         ],
     )
-    def test_nan_argument_rejected(self, model, position, match):
+    def test_nan_argument_rejected(self, model, position):
         args = [0.5, 0.5, 0.5]
         args[position] = math.nan
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match="^non-finite values are not accepted$"):
             model(*args)
 
     def test_reflectance_increases_as_incidence_drops(self):
@@ -254,9 +263,15 @@ class TestDsmGeometry:
     def test_nan_cosine_rejected_on_unshadowed_pixel(self, field, match):
         cosines = {"mu": [0.5, 0.5], "mu0": [0.5, 0.5]}
         cosines[field] = [0.5, math.nan]
+        # NaN is refused on every pixel, as in every array twolmm takes.
+        for shadowed in ([False, False], [False, True]):
+            with pytest.raises(ValueError, match="^non-finite values are not accepted$"):
+                HapkeGeometry(**cosines, shadowed=shadowed)
+        # A cosine out of range is refused only where the pixel is not shadowed:
+        # a shadowed pixel carries no geometry, so its cosine's range is not read.
+        cosines[field] = [0.5, -0.5]
         with pytest.raises(ValueError, match=match):
             HapkeGeometry(**cosines, shadowed=[False, False])
-        # A shadowed pixel carries no geometry, so its cosine is not read.
         assert HapkeGeometry(**cosines, shadowed=[False, True]).pixel_count == 2
 
     @pytest.mark.parametrize(

@@ -311,12 +311,12 @@ BAD_FILES = {
     "image-non-finite-raw": (
         lambda path: fileio._write_raw(path, fileio._MAGIC_IMAGE, np.array([[1.0, np.nan]]), 0),
         load_image,
-        "image data contains non-finite values",
+        "non-finite values are not accepted",
     ),
     "endmembers-non-finite-csv": (
         lambda path: path.write_text("1,2\n1.0,inf\n"),
         load_endmembers,
-        "endmember data contains non-finite values",
+        "non-finite values are not accepted",
     ),
     "reader-error": (
         lambda path: path.write_text("1,2\n1.0,oops\n"),

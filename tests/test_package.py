@@ -2,6 +2,7 @@
 module's ``__all__``, and the package re-exports them all; README's
 examples use it as written."""
 
+import importlib.util
 import re
 import warnings
 from pathlib import Path
@@ -38,6 +39,27 @@ def test_least_squares_kernel_is_a_module_attribute_not_an_export():
     assert "solve_least_squares" not in solvers.__all__
     assert not hasattr(twolmm, "solve_least_squares")
     assert twostep.solve_least_squares is solvers.solve_least_squares
+
+
+def test_every_name_perfbench_looks_up_resolves():
+    # perfbench wraps library functions by name and only reports a name it
+    # cannot find, so a rename would silently drop its spans. The tracer
+    # imports only the standard library, so it loads here by path.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.WRAPS) == 34
+    missing = [f"{m}.{a}" for m, a, *_ in tracer.WRAPS if tracer._resolve(m, a) is None]
+    assert missing == []
+    # The worker's own lookups: the captured solvers and the cost probe.
+    for module, attr in [
+        ("twolmm.cli", "solve_als"),
+        ("twolmm.cli", "solve_lbfgs"),
+        ("twolmm.twostep", "cost"),
+        ("twolmm.twostep", "TwoLmmState"),
+    ]:
+        assert tracer._resolve(module, attr) is not None, f"{module}.{attr}"
 
 
 def test_readme_python_examples_run_as_written():

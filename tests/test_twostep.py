@@ -268,9 +268,9 @@ class TestStateChecks:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("s_e", np.nan, "state contains non-finite values"),
-            ("s_e", np.inf, "state contains non-finite values"),
-            ("a_s", np.nan, "state contains non-finite values"),
+            ("s_e", np.nan, "non-finite values are not accepted"),
+            ("s_e", np.inf, "non-finite values are not accepted"),
+            ("a_s", np.nan, "non-finite values are not accepted"),
             ("a_s", -0.5, "a_s must be nonnegative"),
             ("s_e", 0.0, "s_e must be strictly positive"),
             ("s_e", -1.0, "s_e must be strictly positive"),
