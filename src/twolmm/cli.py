@@ -9,7 +9,8 @@ Configuration is a flat key-value text file with dotted section prefixes
 (``scene.width = 50``); command-line flags override file values. All
 randomness derives from the single ``--seed``, so every output row can be
 re-derived from the manifest and seed. Exit codes: 0 success, 1
-configuration error, 2 solver error, 3 I/O error.
+configuration error, 2 solver error (a method's row of the results holds
+its error, and every output is still written), 3 I/O error.
 
 The scene keys are ``scene.kind`` (``2lmm`` or ``hapke``),
 ``scene.width``, ``scene.height``, ``scene.k``, ``scene.bands``,
@@ -588,7 +589,8 @@ def main(argv=None) -> int:
         if args.verb == "generate":
             out = cmd_generate(cfg)
             print(f"scene written to {out}")
-        elif args.verb == "unmix":
+            return EXIT_OK
+        if args.verb == "unmix":
             rows = cmd_unmix(cfg)
             for row in rows:
                 print(
@@ -596,17 +598,15 @@ def main(argv=None) -> int:
                     f"rmse_x={_cell(row['rmse_x']) or 'n/a'} "
                     f"iters={row['iters']} {row['error']}"
                 )
-        elif args.verb == "sweep":
+        else:
             values = [float(v) for v in args.values.split(",") if v.strip()]
             rows = cmd_sweep(cfg, args.sweep, values)
             print(f"{len(rows)} sweep rows written to {cfg.out_dir}")
-        return EXIT_OK
+        # A method's SolverError is its row, written with the rest.
+        return EXIT_SOLVER if any(row["error"] for row in rows) else EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

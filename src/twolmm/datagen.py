@@ -228,17 +228,16 @@ def apply_noise(clean: HsiImage, snr_db: float | None, seed: int = 0) -> HsiImag
     return HsiImage(noisy, width=clean.width, height=clean.height)
 
 
-def _are_cosines(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` lies in (0, 1]."""
-    return bool(np.all((x > 0) & (x <= 1)))
+def _check_cosines(*arrays: np.ndarray) -> None:
+    """Raise unless every entry of each of ``arrays`` lies in (0, 1]."""
+    if not all(np.all((x > 0) & (x <= 1)) for x in arrays):
+        raise ValueError("angle cosines must lie in (0, 1]")
 
 
-def _check_hapke(w: np.ndarray, mu: np.ndarray, mu0: np.ndarray) -> None:
-    """Raise unless the albedo ``w`` lies in [0, 1] and the cosines in (0, 1]."""
+def _check_albedo(w: np.ndarray) -> None:
+    """Raise unless every entry of the albedo ``w`` lies in [0, 1]."""
     if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("single-scattering albedo must lie in [0, 1]")
-    if not (_are_cosines(mu) and _are_cosines(mu0)):
-        raise ValueError("angle cosines must lie in (0, 1]")
 
 
 def _render_hapke(w, root, mu, mu0, out=None, tmp=None) -> np.ndarray:
@@ -268,11 +267,12 @@ def hapke_relative_reflectance(w, mu, mu0):
     the single-scattering albedo in [0, 1] and ``mu``/``mu0`` are the
     cosines of the reflected/incident angles in (0, 1]. Applies
     elementwise over spectra; a perfectly white material maps to 1 for any
-    geometry. Scenes render through the same kernel, block by block, and
-    check their albedo and cosines once.
+    geometry. Scenes render through the same kernel, block by block, from
+    an albedo and cosines checked when the scene and its geometry were built.
     """
     w, mu, mu0 = _as_real(w), _as_real(mu), _as_real(mu0)
-    _check_hapke(w, mu, mu0)
+    _check_albedo(w)
+    _check_cosines(mu, mu0)
     y = _render_hapke(w, np.sqrt(1.0 - w), mu, mu0)
     return y if y.ndim else float(y)
 
@@ -288,8 +288,7 @@ def hapke_invert(y, mu, mu0):
     y, mu, mu0 = _as_real(y), _as_real(mu), _as_real(mu0)
     if not np.all((y >= 0) & (y <= 1)):
         raise ValueError("relative reflectance must lie in [0, 1]")
-    if not (_are_cosines(mu) and _are_cosines(mu0)):
-        raise ValueError("angle cosines must lie in (0, 1]")
+    _check_cosines(mu, mu0)
     a = 4.0 * y * mu * mu0 + 1.0
     b = 2.0 * y * (mu + mu0)
     c = y - 1.0
@@ -321,26 +320,20 @@ class Dsm:
 class HapkeGeometry:
     """Per-pixel view/illumination cosines derived from a surface model.
 
-    ``mu``/``mu0`` are flattened row-major over the grid. ``shadowed``
-    marks self-shadowed pixels (incidence cosine <= 0) and pixels facing
-    away from the sensor; those carry no usable geometry.
+    ``mu``/``mu0`` are flattened row-major over the grid, of equal length,
+    and every cosine lies in (0, 1]: a pixel in shadow has no usable
+    geometry, so none is held.
     """
 
     mu: np.ndarray
     mu0: np.ndarray
-    shadowed: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("mu", np.float64), ("mu0", np.float64), ("shadowed", bool)):
-            object.__setattr__(self, name, _freeze(getattr(self, name), dtype, flat=True))
-        mu, mu0, shadowed = self.mu, self.mu0, self.shadowed
-        if not (mu.size == mu0.size == shadowed.size):
+        for name in ("mu", "mu0"):
+            object.__setattr__(self, name, _freeze(getattr(self, name), flat=True))
+        if self.mu.size != self.mu0.size:
             raise ValueError("geometry arrays must have equal length")
-        keep = ~shadowed
-        if not _are_cosines(mu[keep]):
-            raise ValueError("retained view cosines must lie in (0, 1]")
-        if not _are_cosines(mu0[keep]):
-            raise ValueError("retained incidence cosines must lie in (0, 1]")
+        _check_cosines(self.mu, self.mu0)
 
     @property
     def pixel_count(self) -> int:
@@ -361,10 +354,11 @@ def dsm_to_geometry(dsm: Dsm, sun_dir) -> HapkeGeometry:
     """Per-cell illumination/view cosines from central-difference normals.
 
     The surface normal of each cell is ``(-dz/dx, -dz/dy, 1)`` normalized;
-    ``mu0`` is its dot product with the sun direction (cells with
-    ``mu0 <= 0`` are marked shadowed) and ``mu`` with the nadir view
-    direction ``(0, 0, 1)``, which is the normal's z component. Grids
-    smaller than 3x3 are rejected.
+    ``mu0`` is its dot product with the sun direction and ``mu`` with the
+    nadir view direction ``(0, 0, 1)``, which is the normal's z component.
+    Grids smaller than 3x3 are rejected, and so, with their indices, are
+    cells self-shadowed (``mu0 <= 0``) or facing away from the sensor:
+    clamping them would fabricate radiometry.
     """
     h = dsm.heights
     if h.shape[0] < 3 or h.shape[1] < 3:
@@ -376,9 +370,13 @@ def dsm_to_geometry(dsm: Dsm, sun_dir) -> HapkeGeometry:
     mu0 = nx * sun[0] + ny * sun[1] + nz * sun[2]
     mu = nz
     shadowed = (mu0 <= 0.0) | (mu <= 0.0)
-    mu = np.minimum(mu, 1.0)
-    mu0 = np.minimum(mu0, 1.0)
-    return HapkeGeometry(mu=mu.ravel(), mu0=mu0.ravel(), shadowed=shadowed.ravel())
+    if np.any(shadowed):
+        raise ValueError(
+            "pixels self-shadowed or facing away from the sensor (choose a "
+            "gentler surface or a higher sun): "
+            + _index_summary(np.flatnonzero(shadowed))
+        )
+    return HapkeGeometry(mu=np.minimum(mu, 1.0).ravel(), mu0=np.minimum(mu0, 1.0).ravel())
 
 
 def smoothed_random_dsm(
@@ -408,10 +406,10 @@ class HapkeScene:
     """A scene with topography-induced endmember variability.
 
     ``image`` is the observed (noisy) image, ``geometry`` the per-pixel
-    cosines, ``albedo`` the (P, K) single-scattering albedos of the
-    reference endmembers and ``abundances`` the ground truth they are
-    mixed with. The oracle arrays are derived from these on first access
-    and cached, so a scene holds one image until they are read:
+    cosines, ``albedo`` the read-only (P, K) single-scattering albedos,
+    in [0, 1], of the reference endmembers and ``abundances`` the ground
+    truth they are mixed with. The oracle arrays are derived from these on
+    first access and cached, so a scene holds one image until they are read:
     :attr:`endmembers_per_pixel` (P, K, N) holds the rendered endmember
     matrix of every pixel, and :attr:`clean` is the noise-free mixture,
     bit for bit the one the noise was added to. Both are rendered block by
@@ -422,6 +420,10 @@ class HapkeScene:
     geometry: HapkeGeometry
     albedo: np.ndarray
     abundances: AbundanceMatrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "albedo", _freeze(self.albedo))
+        _check_albedo(self.albedo)
 
     @cached_property
     def endmembers_per_pixel(self) -> np.ndarray:
@@ -450,8 +452,9 @@ def _hapke_lanes(albedo: np.ndarray, geometry: HapkeGeometry, use) -> None:
     """Call ``use(part, rendered)`` for consecutive slices ``part`` of
     ``max(1, _BLOCK // (2K))`` pixels: ``rendered`` is the (P, K, len(part))
     :func:`hapke_relative_reflectance` of the (P, K) ``albedo`` at those
-    pixels' cosines, valid until ``use`` returns. The albedo and cosines
-    are checked once, here.
+    pixels' cosines, valid until ``use`` returns. Nothing is checked here:
+    :class:`HapkeScene` and :class:`HapkeGeometry` check their arrays when
+    built, and :func:`hapke_invert` returns an albedo in [0, 1].
 
     Even-numbered blocks run on the calling thread and odd-numbered ones on
     one helper thread, which starts only when there are two blocks or more.
@@ -472,7 +475,6 @@ def _hapke_lanes(albedo: np.ndarray, geometry: HapkeGeometry, use) -> None:
     """
     w = albedo[:, :, None]
     mu, mu0 = geometry.mu, geometry.mu0
-    _check_hapke(w, mu, mu0)
     root = np.sqrt(1.0 - w)
     p, k = albedo.shape
     n = geometry.pixel_count
@@ -544,9 +546,8 @@ def generate_hapke_scene(
     The reference endmember reflectances (which must lie in [0, 1]) are
     inverted once to single-scattering albedos at the reference geometry
     ``mu = mu0 = 1``, re-rendered per pixel with the cell's cosines, and
-    mixed with the ground-truth abundances; noise is SNR-calibrated. Any
-    self-shadowed cell aborts generation with its indices, since clamping
-    would fabricate radiometry.
+    mixed with the ground-truth abundances; noise is SNR-calibrated. A cell
+    in shadow aborts generation with its indices (:func:`dsm_to_geometry`).
 
     Rendering and mixing run over blocks of pixels, so the (P, K, N)
     tensor is never formed here: the mixture is written into the image's
@@ -559,22 +560,13 @@ def generate_hapke_scene(
     read.
     """
     _check_snr(snr_db)
-    e0 = endmembers.data
-    if np.any(e0 > 1.0):
-        raise ValueError("reference reflectances must lie in [0, 1] for inversion")
     geom = dsm_to_geometry(dsm, sun_dir)
     n = abundances.pixel_count
     if geom.pixel_count != n:
         raise ValueError(
             f"surface grid has {geom.pixel_count} cells but the scene has {n} pixels"
         )
-    if np.any(geom.shadowed):
-        raise ValueError(
-            "pixels self-shadowed or facing away from the sensor (choose a "
-            "gentler surface or a higher sun): "
-            + _index_summary(np.flatnonzero(geom.shadowed))
-        )
-    albedo = hapke_invert(e0, 1.0, 1.0)
+    albedo = hapke_invert(endmembers.data, 1.0, 1.0)
     albedo.flags.writeable = False
     rng = np.random.default_rng(seed)
     noisy = _add_noise(_hapke_mix(albedo, geom, abundances), snr_db, rng)

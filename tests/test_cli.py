@@ -531,7 +531,7 @@ class TestUnmix:
         argv = ["unmix", "--config", str(run), "--out", str(out),
                 "--methods", "slmm,als2lmm,lbfgs2lmm"]
         with np.errstate(all="ignore"):
-            assert main(argv) == 0, capsys.readouterr().err
+            assert main(argv) == 2, capsys.readouterr().err
         rows = json.loads((out / "results.json").read_text())
         assert [row["method"] for row in rows] == ["slmm", "als2lmm", "lbfgs2lmm"]
         for row in rows:
@@ -543,7 +543,7 @@ class TestUnmix:
         out = tmp_path / "res"
         argv = ["unmix", "--config", str(run), "--out", str(out), "--methods", "lmm"]
         with np.errstate(all="ignore"):
-            assert main(argv) == 0, capsys.readouterr().err
+            assert main(argv) == 2, capsys.readouterr().err
         [row] = json.loads((out / "results.json").read_text())
         assert row["method"] == "lmm"
         assert row["error"].startswith("non-finite normal equations"), row
@@ -669,6 +669,74 @@ class TestMainExitCodes:
         assert main([*verb, "--config", str(path), "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
+
+    # Each configuration refuses the run before any output. {dir} is a scene
+    # directory; a given manifest is written there beside a 4x4 image.
+    @pytest.mark.parametrize(
+        "lines, manifest, message",
+        [
+            ("scene.kind = bogus\n", None, "unknown scene kind 'bogus'"),
+            (
+                "run.em_source = bogus\n",
+                None,
+                "unknown endmember source 'bogus'; expected one of ('file', 'vca', 'truth')",
+            ),
+            (
+                "run.em_source = file\nrun.em_file = {dir}/absent.csv\n",
+                None,
+                "endmember file {dir}/absent.csv does not exist",
+            ),
+            ("scene.dir = {dir}/absent\n", None, "scene directory {dir}/absent does not exist"),
+            (
+                "scene.dir = {dir}\n",
+                "k = 3\n",
+                "{dir}/manifest.txt: missing 'image' entry",
+            ),
+            (
+                "scene.dir = {dir}\n",
+                "image = scene.hsi\nk = three\n",
+                "{dir}/manifest.txt: malformed 'k' entry",
+            ),
+            (
+                "scene.dir = {dir}\nrun.em_source = truth\n",
+                "image = scene.hsi\n",
+                "scene has no ground-truth endmembers",
+            ),
+        ],
+        ids=[
+            "scene-kind", "em-source", "em-file", "scene-dir", "no-image", "malformed-k",
+            "truth-without-endmembers",
+        ],
+    )
+    def test_config_error_before_any_output(self, tmp_path, capsys, lines, manifest, message):
+        scene_dir = tmp_path / "scene"
+        scene_dir.mkdir()
+        if manifest is not None:
+            image = build_scene(small_cfg(tmp_path, width=4, height=4, bands=10)).image
+            save_image(image, scene_dir / "scene.hsi")
+            (scene_dir / "manifest.txt").write_text(manifest)
+        path = write_config(tmp_path, "run.methods = lmm\n" + lines.format(dir=scene_dir))
+        out = tmp_path / "res"
+        assert main(["unmix", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message.format(dir=scene_dir)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verb, table",
+        [(["unmix"], "results"), (["sweep", "--sweep", "bounds_alpha", "--values", "2"], "sweep")],
+        ids=["unmix", "sweep"],
+    )
+    def test_error_row_is_two_with_every_output_written(self, tmp_path, capsys, verb, table):
+        run = TestUnmix().overflowing_run(tmp_path)
+        out = tmp_path / "res"
+        argv = [*verb, "--config", str(run), "--out", str(out), "--methods", "lmm,slmm"]
+        with np.errstate(all="ignore"):
+            assert main(argv) == 2, capsys.readouterr().err
+        rows = json.loads((out / f"{table}.json").read_text())
+        assert [row["method"] for row in rows] == ["lmm", "slmm"]
+        assert rows[0]["error"].startswith("non-finite normal equations"), rows
+        assert rows[1]["error"].startswith("non-finite cost"), rows
+        assert (out / f"{table}.csv").read_text().count("non-finite") == 2
 
     def test_missing_config_is_io_error(self, capsys):
         assert main(["unmix", "--config", "/nonexistent/x.cfg"]) == 3

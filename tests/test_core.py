@@ -104,10 +104,7 @@ class TestFreeze:
     VALUE_TYPES = {
         "ScalingState": (ScalingState, {"s_e": [1.0, 2.0], "s_x": [0.5, 1.5, 2.0]}),
         "Dsm": (Dsm, {"heights": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}),
-        "HapkeGeometry": (
-            HapkeGeometry,
-            {"mu": [0.5, 0.9], "mu0": [0.7, 0.8], "shadowed": np.array([False, True])},
-        ),
+        "HapkeGeometry": (HapkeGeometry, {"mu": [0.5, 0.9], "mu0": [0.7, 0.8]}),
         "ProjectionSpec": (ProjectionSpec, {"v": [1.0, 2.0, 3.0]}),
         "QpProblem": (QpProblem, {"gram": [[2.0, 0.5], [0.5, 1.0]], "linear": [1.0, 0.5]}),
         "TwoLmmState": (
@@ -205,10 +202,7 @@ class TestFreeze:
             ),
             1 + 1j,
         ),
-        # The second pixel is shadowed, so its cosine's range is not checked.
-        "HapkeGeometry": (
-            lambda z: HapkeGeometry(mu=[0.5, z], mu0=[0.7, 0.8], shadowed=[False, True]), 0.5 + 1j
-        ),
+        "HapkeGeometry": (lambda z: HapkeGeometry(mu=[0.5, z], mu0=[0.7, 0.8]), 0.5 + 1j),
     }
     BAD_ENTRIES = {"": None, "-nan": np.nan, "-inf": np.inf, "-neg-inf": -np.inf}
 

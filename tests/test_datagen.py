@@ -1,5 +1,6 @@
 """Synthetic scene generators: random fields, scaling scenes, topography."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from twolmm import (
     Dsm,
     GrfSpec,
     HapkeGeometry,
+    HapkeScene,
     apply_noise,
     dsm_to_geometry,
     generate_2lmm_scene,
@@ -231,7 +233,6 @@ class TestDsmGeometry:
         geom = dsm_to_geometry(Dsm(np.zeros((5, 5))), sun_dir=(0, 0, 1))
         np.testing.assert_allclose(geom.mu, 1.0)
         np.testing.assert_allclose(geom.mu0, 1.0)
-        assert not geom.shadowed.any()
 
     def test_flat_oblique_sun(self):
         zen = math.radians(60.0)
@@ -259,20 +260,29 @@ class TestDsmGeometry:
         with pytest.raises(ValueError, match="cell size"):
             Dsm(np.zeros((5, 5)), cell_size=cell_size)
 
-    @pytest.mark.parametrize("field, match", [("mu", "view"), ("mu0", "incidence")])
-    def test_nan_cosine_rejected_on_unshadowed_pixel(self, field, match):
-        cosines = {"mu": [0.5, 0.5], "mu0": [0.5, 0.5]}
-        cosines[field] = [0.5, math.nan]
-        # NaN is refused on every pixel, as in every array twolmm takes.
-        for shadowed in ([False, False], [False, True]):
-            with pytest.raises(ValueError, match="^non-finite values are not accepted$"):
-                HapkeGeometry(**cosines, shadowed=shadowed)
-        # A cosine out of range is refused only where the pixel is not shadowed:
-        # a shadowed pixel carries no geometry, so its cosine's range is not read.
-        cosines[field] = [0.5, -0.5]
-        with pytest.raises(ValueError, match=match):
-            HapkeGeometry(**cosines, shadowed=[False, False])
-        assert HapkeGeometry(**cosines, shadowed=[False, True]).pixel_count == 2
+    @pytest.mark.parametrize("field", ["mu", "mu0"])
+    @pytest.mark.parametrize("pixel", [0, 1])
+    def test_nan_or_out_of_range_cosine_rejected_on_every_pixel(self, field, pixel):
+        # NaN is refused as in every array twolmm takes, and a cosine outside
+        # (0, 1] by the one range rule: no pixel is exempt.
+        for bad, message in [
+            (math.nan, "non-finite values are not accepted"),
+            (-0.5, r"angle cosines must lie in \(0, 1\]"),
+            (0.0, r"angle cosines must lie in \(0, 1\]"),
+            (1.5, r"angle cosines must lie in \(0, 1\]"),
+        ]:
+            cosines = {"mu": [0.5, 0.5], "mu0": [0.5, 0.5]}
+            cosines[field][pixel] = bad
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                HapkeGeometry(**cosines)
+        assert HapkeGeometry(mu=[0.5, 1.0], mu0=[1.0, 0.5]).pixel_count == 2
+
+    def test_geometry_arrays_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="^geometry arrays must have equal length$"):
+            HapkeGeometry(mu=[0.5, 0.5], mu0=[0.5])
+
+    def test_geometry_holds_only_its_cosines(self):
+        assert [f.name for f in dataclasses.fields(HapkeGeometry)] == ["mu", "mu0"]
 
     @pytest.mark.parametrize(
         "relief, smoothness",
@@ -478,6 +488,30 @@ class TestGenerateHapkeScene:
                 snr_db=None,
                 seed=23,
             )
+        # dsm_to_geometry refuses it itself, with the cells' count and first indices.
+        with pytest.raises(
+            ValueError, match=r"self-shadowed .*: 64 \(first indices \[0, 1, 2, 3, 4, 5, 6, 7\]\)$"
+        ):
+            dsm_to_geometry(Dsm(steep, cell_size=10.0), (math.sin(zen), 0.0, math.cos(zen)))
+
+    def test_scene_owns_its_albedo(self):
+        em, ab = self.make_inputs()
+        scene = generate_hapke_scene(em, ab, Dsm(np.zeros((8, 8))), snr_db=None, seed=24)
+        given = np.array(scene.albedo)
+        rebuilt = dataclasses.replace(scene, albedo=given)
+        given[0, 0] = 0.99
+        np.testing.assert_array_equal(rebuilt.albedo, scene.albedo)
+        with pytest.raises(ValueError, match="read-only"):
+            rebuilt.albedo[0, 0] = 0.99
+        # The scene's own read-only albedo is adopted without a copy.
+        assert dataclasses.replace(scene).albedo is scene.albedo
+
+    @pytest.mark.parametrize("scale", [5.0, -1.0])
+    def test_albedo_outside_unit_interval_refused_when_built(self, scale):
+        em, ab = self.make_inputs()
+        scene = generate_hapke_scene(em, ab, Dsm(np.zeros((8, 8))), snr_db=None, seed=25)
+        with pytest.raises(ValueError, match=r"^single-scattering albedo must lie in \[0, 1\]$"):
+            HapkeScene(scene.image, scene.geometry, scene.albedo * scale, scene.abundances)
 
     def test_out_of_range_reflectance_rejected(self):
         em, ab = self.make_inputs()

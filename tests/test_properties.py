@@ -6,7 +6,8 @@ scene inside those bounds, noiseless or with noise of 0.01.
 The model's two invariances are checked on the same instances: the cost
 does not see the gauge ``a_s[k] / c_k``, ``s_e[k] * c_k``, and SLMM is
 equivariant to a global brightness factor. The per-pixel NNLS residual
-bounds every final cost from below. On generated scenes, ALS and
+bounds every final cost from below, and the scale sweep of one ALS step
+never raises the cost. On generated scenes, ALS and
 memoryless L-BFGS are equivariant, bit for bit, to a power-of-two
 brightness factor.
 """
@@ -28,7 +29,7 @@ from twolmm import (
     unmix_slmm,
 )
 from twolmm.datagen import GrfSpec
-from twolmm.twostep import TwoLmmConfig, TwoLmmState, cost, solve_als, solve_lbfgs
+from twolmm.twostep import TwoLmmConfig, TwoLmmState, als_step, cost, solve_als, solve_lbfgs
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 # The acceptance inequality is an L-BFGS property only: the clipped ALS step
@@ -186,3 +187,22 @@ def test_two_step_solvers_are_equivariant_to_a_power_of_two_brightness(solver, m
         np.testing.assert_array_equal(res.factors[0], base.factors[0])
         np.testing.assert_array_equal(res.factors[1], c * base.factors[1])
         assert [r.cost for r in res.trace] == [c * c * r.cost for r in base.trace]
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_als_scale_sweep_never_raises_the_cost(instance, seed):
+    # The solver loop's fallback relies on it: once the abundance half of
+    # an ALS step is taken, the Gauss-Seidel sweep over the scales, each an
+    # exact least-squares value clipped into the box, does not raise the
+    # cost. Near an exact fit both costs are rounding noise, so the two
+    # evaluations may differ by the rounding slack.
+    image, em, cfg = instance
+    rng = np.random.default_rng(seed)
+    k, n = em.endmember_count, image.pixel_count
+    state = TwoLmmState(a_s=np.zeros((k, n)), s_e=rng.uniform(cfg.lower, cfg.upper, size=k))
+    new = als_step(image, em, state, cfg)
+    before = cost(image, em, TwoLmmState(a_s=new.a_s, s_e=state.s_e))
+    slack = _rounding_slack(image, em, new)
+    assert cost(image, em, new) <= before * (1 + 1e-12) + slack
+    assert np.all((new.s_e >= cfg.lower) & (new.s_e <= cfg.upper))
