@@ -49,8 +49,10 @@ def unmix_lmm(image: HsiImage, endmembers: EndmemberMatrix) -> UnmixResult:
     _check_full_rank(e)
     k, n = e.shape[1], x.shape[1]
     t0 = time.perf_counter()
-    gram, etx = _normal_parts(e, x)
-    # The QP would run an overflowing E^T E to its iteration limit.
+    # An overflowing E^T E is refused just below, as this method's own error:
+    # the QP would run it to its iteration limit.
+    with np.errstate(over="ignore"):
+        gram, etx = _normal_parts(e, x)
     if not (_all_finite(gram) and _all_finite(etx)):
         raise SolverError("non-finite normal equations E^T E, E^T X (the data overflow float64)")
     a = _simplex_qp(gram, etx)

@@ -345,21 +345,41 @@ def rmse_a(a_true: AbundanceMatrix, a_est: AbundanceMatrix) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
+def _spectral_angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles in degrees, and least-squares scales ``c`` of ``u_j ~ c v_i``,
+    between the columns of ``u`` (P, J) and ``v`` (P, I), as two (J, I) arrays.
+
+    Each column is first divided by its largest magnitude, so no finite
+    nonzero spectrum overflows or underflows when squared; a zero column
+    raises. All inner products are entries of one elementwise product summed
+    over bands, rounded alike: a power-of-two multiple of a column has an
+    angle of exactly 0 to it and exactly that scale.
+    """
+    w = np.concatenate([u, v], axis=1)
+    peaks = np.abs(w).max(axis=0, initial=0.0)
+    if not np.all(peaks > 0.0):
+        raise ValueError("spectral angle is undefined for a zero vector")
+    w = w / peaks
+    gram = (w[:, :, None] * w[:, None, :]).sum(axis=0)
+    j = u.shape[1]
+    squares = np.diag(gram)
+    cross = gram[:j, j:]
+    cos = np.clip(cross / np.sqrt(np.outer(squares[:j], squares[j:])), -1.0, 1.0)
+    scales = peaks[:j, None] / peaks[j:] * (cross / squares[j:])
+    return np.degrees(np.arccos(cos)), scales
+
+
 def sad(e1: np.ndarray, e2: np.ndarray) -> float:
     """Spectral angle distance between two spectra, in degrees.
 
-    Invariant to positive rescaling of either argument.
+    Defined for all finite nonzero spectra, and invariant to positive
+    rescaling of either argument: exactly for a power-of-two factor.
     """
     v1 = _as_real(e1).ravel()
     v2 = _as_real(e2).ravel()
     if v1.shape != v2.shape:
         raise ValueError("spectra must have the same length")
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("spectral angle is undefined for a zero vector")
-    cosang = np.clip(np.dot(v1, v2) / (n1 * n2), -1.0, 1.0)
-    return float(math.degrees(math.acos(cosang)))
+    return float(_spectral_angles(v1[:, None], v2[:, None])[0][0, 0])
 
 
 def normalize_abundances(a_s: np.ndarray) -> NormalizationResult:

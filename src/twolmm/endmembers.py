@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, _as_real, _freeze, _index_summary, sad
+    _BLOCK, AbundanceMatrix, EndmemberMatrix, HsiImage, _as_real, _freeze, _index_summary,
+    _spectral_angles,
 )
 
 __all__ = [
@@ -224,19 +225,18 @@ def match_endmembers(estimated: EndmemberMatrix, reference: EndmemberMatrix) -> 
     """Greedy minimum-angle assignment between two endmember sets.
 
     Repeatedly pairs the globally closest (estimated, reference) columns
-    by spectral angle; ties resolve to the lowest indices. Every benchmark
-    aligns abundances through this before computing abundance errors,
-    since extraction is only identifiable up to permutation and scaling.
+    by spectral angle; ties resolve to the lowest indices. All K x K angles
+    and scales come from one ``core._spectral_angles`` call, so sets in any
+    float64 units match. Every benchmark aligns abundances through this before
+    computing abundance errors, since extraction is only identifiable up to
+    permutation and scaling.
     """
     if estimated.endmember_count != reference.endmember_count:
         raise ValueError("endmember sets must have the same size")
     if estimated.band_count != reference.band_count:
         raise ValueError("endmember sets must share the band count")
     k = estimated.endmember_count
-    angles = np.empty((k, k))
-    for j in range(k):
-        for i in range(k):
-            angles[j, i] = sad(estimated.data[:, j], reference.data[:, i])
+    angles, scales = _spectral_angles(estimated.data, reference.data)
     perm = np.full(k, -1)
     open_cost = angles.copy()
     for _ in range(k):
@@ -244,14 +244,9 @@ def match_endmembers(estimated: EndmemberMatrix, reference: EndmemberMatrix) -> 
         perm[j] = i
         open_cost[j, :] = np.inf
         open_cost[:, i] = np.inf
-    scales = np.empty(k)
-    matched = np.empty(k)
-    for j in range(k):
-        ref = reference.data[:, perm[j]]
-        scales[j] = float(ref @ estimated.data[:, j]) / float(ref @ ref)
-        matched[j] = angles[j, perm[j]]
+    rows = np.arange(k)
     return MatchResult(
-        permutation=perm, scales=scales, mean_sad_deg=float(matched.mean())
+        permutation=perm, scales=scales[rows, perm], mean_sad_deg=float(angles[rows, perm].mean())
     )
 
 

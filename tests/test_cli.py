@@ -539,10 +539,13 @@ class TestUnmix:
             assert row["rmse_x"] is None
 
     def test_overflowing_normal_equations_are_an_lmm_error_row(self, tmp_path, capsys):
+        # With no warning first: matching used to warn "overflow encountered
+        # in dot" from sad, and LMM "overflow encountered in matmul".
         run = self.overflowing_run(tmp_path)
         out = tmp_path / "res"
         argv = ["unmix", "--config", str(run), "--out", str(out), "--methods", "lmm"]
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 2, capsys.readouterr().err
         [row] = json.loads((out / "results.json").read_text())
         assert row["method"] == "lmm"

@@ -391,8 +391,16 @@ class TestRmseA:
         assert got == pytest.approx(expected, rel=1e-14)
 
 
+# Units whose squares leave float64: spectra of order 2**530 or 2**1000
+# overflow when squared, and of order 2**-560 or 2**-1000 underflow to zero.
+UNIT_EXPONENTS = [-1000, -560, 530, 1000]
+
+
 class TestSad:
     def test_scale_invariance(self):
+        # In any float64 units: a power-of-two factor keeps the angle's bits,
+        # in either argument. Squares of the unscaled spectra gave 90 degrees
+        # at 2**530 after numpy's overflow warning, and "zero vector" at 2**-560.
         e = np.array([0.3, 0.5, 0.8])
         assert sad(3.0 * e, e) == pytest.approx(0.0, abs=1e-6)
         rng = np.random.default_rng(5)
@@ -400,7 +408,12 @@ class TestSad:
             v1 = rng.uniform(0.1, 1.0, size=8)
             v2 = rng.uniform(0.1, 1.0, size=8)
             c = rng.uniform(0.01, 100.0)
-            assert sad(c * v1, v2) == pytest.approx(sad(v1, v2), abs=1e-9)
+            angle = sad(v1, v2)
+            assert sad(c * v1, v2) == pytest.approx(angle, abs=1e-9)
+            for unit in 2.0 ** np.array(UNIT_EXPONENTS):
+                assert sad(unit * v1, v2) == sad(v1, unit * v2) == angle
+                assert sad(3.0 * unit * v1, v2) == pytest.approx(angle, abs=1e-12)
+                assert sad(v1, 3.0 * unit * v2) == pytest.approx(angle, abs=1e-12)
 
     def test_orthogonal_is_ninety(self):
         assert sad([1.0, 0.0], [0.0, 1.0]) == pytest.approx(90.0)
@@ -409,8 +422,10 @@ class TestSad:
         assert sad([1.0, 0.0], [1.0, 1.0]) == pytest.approx(45.0)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            sad([0.0, 0.0], [1.0, 0.0])
+        # Whatever the other spectrum's units; its square used to overflow first.
+        for unit in [1.0, 2.0**530, 2.0**1000]:
+            with pytest.raises(ValueError, match="zero"):
+                sad([0.0, 0.0], [unit, 0.0])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])

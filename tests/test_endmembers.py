@@ -290,14 +290,30 @@ class TestLeadingSubspace:
         np.testing.assert_allclose(em.data, expected.data, rtol=1e-10, atol=0)
 
 
+# Powers of two whose squares leave float64 (as in tests/test_core.py).
+UNIT_EXPONENTS = [-1000, -560, 530, 1000]
+
+
 class TestMatchEndmembers:
     def test_permutation_recovered(self):
+        # In any float64 units: a set 2**k times the reference matches as at
+        # k = 0, with scales of exactly 2**k. Angles from unscaled squares
+        # used to overflow to 90 degrees, or underflow to "zero vector".
         em = synthetic_endmembers(30, 3, seed=11)
-        swapped = EndmemberMatrix(em.data[:, [2, 0, 1]])
-        match = match_endmembers(swapped, em)
-        assert match.permutation.tolist() == [2, 0, 1]
-        np.testing.assert_allclose(match.scales, 1.0, atol=1e-12)
-        assert match.mean_sad_deg == pytest.approx(0.0, abs=1e-5)
+        for k in [0, *UNIT_EXPONENTS]:
+            swapped = EndmemberMatrix(em.data[:, [2, 0, 1]] * 2.0**k)
+            match = match_endmembers(swapped, em)
+            assert match.permutation.tolist() == [2, 0, 1]
+            assert match.scales.tolist() == [2.0**k] * 3
+            assert match.mean_sad_deg == 0.0
+
+    def test_ties_go_to_the_lowest_indices(self):
+        # Every angle is 0: the greedy pass pairs column j with column j.
+        same = EndmemberMatrix(np.repeat(synthetic_endmembers(20, 1, seed=16).data, 3, axis=1))
+        for k in [0, *UNIT_EXPONENTS]:
+            match = match_endmembers(EndmemberMatrix(same.data * 2.0**k), same)
+            assert match.permutation.tolist() == [0, 1, 2]
+            assert match.scales.tolist() == [2.0**k] * 3
 
     def test_scales_recovered(self):
         em = synthetic_endmembers(30, 3, seed=12)
@@ -315,6 +331,11 @@ class TestMatchEndmembers:
             noisy = noisy + 0.01 * rng.normal(size=noisy.shape)
             est = EndmemberMatrix(np.abs(noisy))
             match = match_endmembers(est, em)
+            for k in UNIT_EXPONENTS:
+                scaled = match_endmembers(EndmemberMatrix(est.data * 2.0**k), em)
+                assert scaled.permutation.tolist() == match.permutation.tolist()
+                assert scaled.mean_sad_deg == match.mean_sad_deg
+                assert scaled.scales.tolist() == (match.scales * 2.0**k).tolist()
             best = min(
                 np.mean(
                     [sad(est.data[:, j], em.data[:, p[j]]) for j in range(3)]

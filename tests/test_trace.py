@@ -111,13 +111,13 @@ def test_lbfgs_keeps_all_zero_pixels_degenerate():
     ]
 
 
-def overflowing_scene():
-    """A 6x6, 20-band scene and its endmembers scaled by 1e160: every
-    squared error over it overflows to inf."""
+def overflowing_scene(em_unit=1e160, image_unit=1e160):
+    """A 6x6, 20-band scene and its endmembers, scaled by default by 1e160:
+    every squared error over it overflows to inf."""
     em = synthetic_endmembers(20, 3, seed=0)
     ab = grf_map(6, 6, 3, seed=1, correlation_length=SHORT_LENGTH)
     scene = generate_2lmm_scene(em, ab, snr_db=40.0, seed=2, width=6, height=6)
-    return EndmemberMatrix(em.data * 1e160), HsiImage(scene.image.data * 1e160, 6, 6)
+    return EndmemberMatrix(em.data * em_unit), HsiImage(scene.image.data * image_unit, 6, 6)
 
 
 @pytest.mark.parametrize("name", ["slmm", "als", "lbfgs"])
@@ -128,12 +128,14 @@ def test_non_finite_cost_is_a_solver_error(name):
 
 
 def test_overflowing_normal_equations_are_a_solver_error():
-    # E^T E overflows to inf; the QP is not run up to its iteration limit.
-    em, image = overflowing_scene()
-    with np.errstate(all="ignore"), pytest.raises(
-        SolverError, match="^non-finite normal equations"
-    ):
-        unmix_lmm(image, em)
+    # E^T E overflows to inf; the QP is not run up to its iteration limit,
+    # and numpy's "overflow encountered in matmul" no longer reaches the caller.
+    for em_unit, image_unit in [(1e160, 1e160), (2.0**530, 1.0)]:
+        em, image = overflowing_scene(em_unit, image_unit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="^non-finite normal equations"):
+                unmix_lmm(image, em)
 
 
 def test_append_refuses_a_non_finite_cost_as_a_solver_error():
